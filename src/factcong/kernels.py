@@ -3,8 +3,7 @@
 Every kernel exists in two semantically identical flavors collected in
 ``IMPLEMENTATIONS``.  The active backend is picked at import time: numba
 when it is importable, unless the ``FACTCONG_BACKEND`` environment variable
-forces ``numba`` or ``numpy``.  ``use_backend`` switches at runtime and the
-benchmark script times the two flavors side by side.
+forces ``numba`` or ``numpy``.  ``use_backend`` switches at runtime.
 
 All modular arithmetic here assumes the modulus fits in 31 bits so that
 intermediate products stay below 2**62 and int64 never overflows.
@@ -438,7 +437,10 @@ def dlog_table(p: int, g: int) -> np.ndarray:
 
 
 def ntt_inplace(a: np.ndarray, q: int, root: int, invert: bool = False) -> None:
-    """In-place number-theoretic transform of an int64 power-of-two array."""
+    """In-place number-theoretic transform of an int64 power-of-two array.
+
+    No path in the package calls it; perfbench/tracing.py wraps it by name.
+    """
     _IMPL["ntt_inplace"](a, int(q), int(root), bool(invert))
 
 

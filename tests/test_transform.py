@@ -1,12 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from factcong.errors import ParameterError
-from factcong.field import is_probable_prime
 from factcong.transform import (
-    NTT_MODULI,
+    MAX_LIMBS,
     cyclic_convolution_power,
     cyclic_convolve_direct,
     cyclic_convolve_exact,
@@ -21,24 +22,91 @@ def as_ints(vec):
     return [int(v) for v in vec]
 
 
-def test_moduli_are_ntt_friendly():
-    for q, v in NTT_MODULI:
-        assert is_probable_prime(q)
-        assert q < 2**31
-        assert (q - 1) % (2**v) == 0
-        assert (q - 1) % (2 ** (v + 1)) != 0
+def norm(vec):
+    """A ceiling on the Euclidean norm, in exact integers."""
+    return float(math.isqrt(sum(int(x) ** 2 for x in vec)) + 1)
 
 
-def test_plan_prefers_ntt_and_falls_back():
-    small = plan_cyclic_convolution(100, 10**9)
-    assert small.engine == "ntt-crt"
+def test_plan_picks_float_with_one_limb():
+    a = np.full(100, 1000, dtype=np.int64)
+    small = plan_cyclic_convolution(100, 10**10, norm(a), norm(a))
+    assert small.engine == "fft"
+    assert small.limbs == 1
+    assert small.error < 0.5
     assert small.padded >= 199
     assert small.padded & (small.padded - 1) == 0
-    pow2 = plan_cyclic_convolution(128, 10**9)
+    assert small.moduli == ()
+    pow2 = plan_cyclic_convolution(128, 10**9, norm(a[:28]), norm(a[:28]))
     assert pow2.padded == 128
 
-    impossible = plan_cyclic_convolution(16, 10**300)
-    assert impossible.engine == "bigint"
+
+def test_plan_splits_wide_inputs_into_limbs(rng):
+    n = 4096
+    a = np.full(n, 2**30, dtype=np.int64)
+    b = rng.integers(0, 2**30, size=n).astype(np.int64)
+    bound = int(a.sum()) * int(b.sum())
+    plan = plan_cyclic_convolution(n, bound, norm(a), norm(b))
+    assert plan.engine == "fft"
+    assert 2 <= plan.limbs <= MAX_LIMBS
+    assert plan.error < 0.5
+    out = cyclic_convolve_exact(a, b)
+    # every cyclic shift of b meets the constant vector a once
+    assert as_ints(out) == [2**30 * int(b.sum())] * n
+
+
+def test_plan_falls_back_to_bigint(rng):
+    # inputs drawn like those of test_bigint_fallback_matches_direct
+    a = (rng.integers(1, 2**40, size=33).astype(object)) ** 4
+    b = (rng.integers(1, 2**40, size=33).astype(object)) ** 4
+    bound = int(sum(a)) * int(sum(b))
+    assert plan_cyclic_convolution(33, bound, norm(a), norm(b)).engine == "bigint"
+    assert plan_cyclic_convolution(16, 10**300).engine == "bigint"
+
+
+@given(st.integers(1, 40), st.sampled_from([2**62, 2**100]), st.data())
+def test_wide_entries_match_direct(n, top, data):
+    # int64 entries up to 2**62, and Python integers beyond int64
+    dtype = np.int64 if top < 2**63 else object
+    draw = st.lists(st.integers(0, top), min_size=n, max_size=n)
+    a = np.array(data.draw(draw), dtype=dtype)
+    b = np.array(data.draw(draw), dtype=dtype)
+    got = cyclic_convolve_exact(a, b)
+    want = cyclic_convolve_direct(a, b)
+    assert as_ints(got) == as_ints(want)
+
+
+def test_zero_input_beside_wide_input():
+    wide = np.array([2**70, 0], dtype=object)
+    assert as_ints(cyclic_convolve_exact(wide, np.array([0, 0]))) == [0, 0]
+
+
+@pytest.mark.parametrize(
+    "corruption",
+    [
+        {3: 0.6},
+        # balanced, so the total still matches; only the distance check sees it
+        {3: 0.6, 5: -0.6},
+        # lands on the wrong integer; only the exact total sees it
+        {3: 1.0},
+    ],
+)
+def test_corrupted_float_product_is_recomputed(corruption, rng, monkeypatch):
+    a = rng.integers(0, 1000, size=97).astype(np.int64)
+    b = rng.integers(0, 1000, size=97).astype(np.int64)
+    irfft = np.fft.irfft
+    calls = []
+
+    def corrupted(*args, **kwargs):
+        out = irfft(*args, **kwargs)
+        for index, offset in corruption.items():
+            out[index] += offset
+        calls.append(1)
+        return out
+
+    monkeypatch.setattr(np.fft, "irfft", corrupted)
+    got = cyclic_convolve_exact(a, b)
+    assert calls
+    assert as_ints(got) == as_ints(cyclic_convolve_direct(a, b))
 
 
 @given(
@@ -149,3 +217,30 @@ def test_dft_error_bound_is_sound(rng):
         got, err = dft_prime_length(x, sign=-1)
         want = np.fft.fft(x)
         assert np.max(np.abs(got - want)) < err
+
+
+def longdouble_dft(x: np.ndarray, sign: int):
+    """Real and imaginary parts of a direct O(n^2) DFT evaluated in long
+    double, sharing no FFT code."""
+    n = x.size
+    k = np.arange(n)
+    pi = 4 * np.arctan(np.longdouble(1))
+    phase = (np.outer(k, k) % n).astype(np.longdouble) * (sign * 2 * pi / n)
+    xr = x.real.astype(np.longdouble)
+    xi = x.imag.astype(np.longdouble)
+    re = np.cos(phase) @ xr - np.sin(phase) @ xi
+    im = np.sin(phase) @ xr + np.cos(phase) @ xi
+    return re, im
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("n", [5, 97, 101, 512])
+def test_dft_error_bound_holds_against_longdouble_reference(n, sign, rng):
+    if np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps:
+        pytest.skip("long double is no wider than double on this platform")
+    x = rng.integers(0, 1000, size=n).astype(np.float64)
+    got, err = dft_prime_length(x, sign=sign)
+    re, im = longdouble_dft(x.astype(np.complex128), sign)
+    observed = np.max(np.hypot(got.real - re, got.imag - im))
+    assert observed < err
+    assert err == dft_error_bound(n, float(x.sum()))
