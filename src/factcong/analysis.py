@@ -27,7 +27,6 @@ Catalog (full windows unless overridden; all bounds up to a constant):
 from __future__ import annotations
 
 import math
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
@@ -506,9 +505,3 @@ def discrepancy_estimate(
         p=p, M=wm.N, N=wn.N, H=H, estimate=estimate, direct=direct
     )
 
-
-def timed(fn, *args, **kwargs):
-    """Run fn, returning (result, seconds); tiny helper for the CLI."""
-    started = time.perf_counter()
-    result = fn(*args, **kwargs)
-    return result, time.perf_counter() - started

@@ -13,8 +13,10 @@ Seven families, each counting tuples drawn from factorial windows:
 Each family has two independent engines.  The convolution engine folds
 histograms with exact cyclic convolutions; the brute-force engine
 enumerates the variable blocks exhaustively with early modular reduction
-and combines block tallies by direct summation over residues.  They share
-no transform code, so their agreement is a meaningful consistency check.
+and combines block tallies by vectorized direct summation over residues,
+in int64 where a bound proves no partial sum overflows and in Python ints
+past it.  They share no transform code, so their agreement is a
+meaningful consistency check.
 """
 
 from __future__ import annotations
@@ -141,22 +143,34 @@ class CountResult:
     details: dict = dc_field(default_factory=dict)
 
 
+_INT64_MAX = 2**63 - 1
+
+# Entries in one transient (u, v) grid of the family-R brute combine: 1 MiB
+# per int64 temporary, a few MiB in all, whatever p is.
+_GRID_ENTRIES = 1 << 17
+
+
 def _exact_dot(a: np.ndarray, b: np.ndarray) -> int:
-    return sum(int(x) * int(y) for x, y in zip(a.tolist(), b.tolist()) if x and y)
+    """sum of a[i] * b[i], exact.
+
+    int64 when max|a| * max|b| * len, computed in Python ints, proves that
+    no partial sum overflows; object arrays of Python ints otherwise.
+    """
+    if a.dtype == np.int64 and b.dtype == np.int64:
+        top_a = max(int(a.max()), -int(a.min()))
+        top_b = max(int(b.max()), -int(b.min()))
+        if top_a * top_b * a.size <= _INT64_MAX:
+            return int(np.dot(a, b))
+    return int(np.dot(a.astype(object), b.astype(object)))
 
 
 def _exact_correlation_at(vec: np.ndarray, lam: int) -> int:
     """sum over mu of vec[mu] * vec[mu - lam], exact."""
-    n = vec.size
-    if lam == 0:
-        return _sum_squares(vec)
-    return sum(
-        int(vec[(mu + lam) % n]) * int(vec[mu]) for mu in range(n) if vec[mu]
-    )
+    return _exact_dot(np.roll(vec, -lam), vec)
 
 
 def _sum_squares(vec: np.ndarray) -> int:
-    return sum(int(x) * int(x) for x in vec.tolist() if x)
+    return _exact_dot(vec, vec)
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +324,30 @@ def _pair_values(wm: FactorialWindow, wn: FactorialWindow) -> np.ndarray:
     return ((wm.values[:, None] * wn.values[None, :]) % wm.p).ravel()
 
 
+def _r_combine(A: np.ndarray, B: np.ndarray, C: np.ndarray, lam: int, p: int) -> int:
+    """sum over nonzero u, v of A[u] * B[v] * C[lam / (u v)], exact.
+
+    Direct summation over residues, a chunk of u at a time.  Every entry is
+    a nonnegative count, so sum(A) * sum(B) * sum(C) bounds every partial
+    sum: int64 when it fits, object arrays of Python ints otherwise.
+    """
+    us = np.flatnonzero(A[1:]) + 1
+    v = np.arange(1, p, dtype=np.int64)
+    if int(A.sum()) * int(B.sum()) * int(C.sum()) > _INT64_MAX:
+        A, B, C = A.astype(object), B.astype(object), C.astype(object)
+    b = B[1:]
+    # c[x] = C[lam / x], so the term for (u, v) is c[u v mod p]
+    c = C[lam * kernels.inverse_table(p) % p]
+    rows = max(1, _GRID_ENTRIES // (p - 1))
+    value = 0
+    for start in range(0, us.size, rows):
+        u = us[start : start + rows]
+        uv = np.multiply.outer(u, v)
+        uv %= p
+        value += int(np.dot(A[u], np.dot(c[uv], b)))
+    return value
+
+
 def brute_force_count(q: CountQuery) -> CountResult:
     """Exhaustive enumeration with early modular reduction.
 
@@ -330,9 +368,7 @@ def brute_force_count(q: CountQuery) -> CountResult:
     plus = np.ones(max(q.ell, q.k, q.r), dtype=np.int64)
     if fam == "J":
         tally = kernels.sum_tally(q.n_window().values, q.ell, plus[: q.ell], p)
-        value = sum(
-            int(tally[(mu + q.lam) % p]) * int(tally[mu]) for mu in range(p)
-        )
+        value = _exact_correlation_at(tally, q.lam)
     elif fam == "SIGNED":
         tally = kernels.sum_tally(
             q.n_window().values, q.k, np.asarray(q.signs, dtype=np.int64), p
@@ -364,11 +400,7 @@ def brute_force_count(q: CountQuery) -> CountResult:
             q.m_window().values, q.n_window().values, p
         )
         fold_tally = kernels.sum_tally(q.n_window().values, q.r, plus[: q.r], p)
-        value = sum(
-            int(pair_tally[u]) * int(fold_tally[(q.lam - u) % p])
-            for u in range(p)
-            if pair_tally[u]
-        )
+        value = _exact_dot(pair_tally, fold_tally[(q.lam - np.arange(p)) % p])
     elif fam == "R":
         if q.k >= 1:
             A = kernels.sum_tally(q.m_window().values, q.k, plus[: q.k], p)
@@ -377,15 +409,7 @@ def brute_force_count(q: CountQuery) -> CountResult:
             A[1] = 1
         B = kernels.sum_tally(q.n_window().values, q.ell, plus[: q.ell], p)
         C = kernels.prod_tally(q.t_window().values, q.r, p)
-        inv = kernels.inverse_table(p)
-        v_range = np.arange(1, p, dtype=np.int64)
-        b_slice = B[1:].astype(object)
-        value = 0
-        for u in range(1, p):
-            if A[u] == 0:
-                continue
-            w = q.lam * inv[(u * v_range) % p] % p
-            value += int(A[u]) * int((b_slice * C[w].astype(object)).sum())
+        value = _r_combine(A, B, C, q.lam, p)
     else:  # pragma: no cover - validate() blocks this
         raise ParameterError(f"unknown family {fam}")
     return CountResult(

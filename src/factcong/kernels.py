@@ -391,14 +391,14 @@ def _initial_backend() -> str:
             "FACTCONG_BACKEND=numba requested but numba is not importable; "
             "falling back to numpy",
             RuntimeWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
         return "numpy"
     if forced and forced not in ("numba", "numpy"):
         warnings.warn(
             f"unknown FACTCONG_BACKEND={forced!r}; choosing automatically",
             RuntimeWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
     return "numba" if HAS_NUMBA else "numpy"
 

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from factcong import counting
 from factcong.counting import (
     AUTO_BRUTE_THRESHOLD,
     BRUTE_FORCE_GUARD,
@@ -273,3 +276,82 @@ def test_signed_k1_profiles(ctx7):
     # negating the sign reflects the profile through zero
     for lam in range(7):
         assert int(plus[lam]) == int(minus[(7 - lam) % 7])
+
+
+# exact combine helpers against plain Python integer arithmetic
+
+INT64_MAX = 2**63 - 1
+
+
+@st.composite
+def combine_vectors(draw):
+    """Two equal-length vectors: small, at or just past the int64 dot limit
+    max|a| * max|b| * len, holding -2**63 (whose int64 absolute value is
+    itself), object beyond 2**63, or all zero."""
+    n = draw(st.integers(1, 24), label="n")
+    kind = draw(
+        st.sampled_from(("small", "below", "above", "extreme", "object", "zero")),
+        label="kind",
+    )
+    if kind == "zero":
+        return np.zeros(n, np.int64), np.zeros(n, np.int64)
+    if kind == "object":
+        entries = st.lists(st.integers(-(2**100), 2**100), min_size=n, max_size=n)
+        return tuple(np.array(draw(entries), dtype=object) for _ in range(2))
+    if kind == "small":
+        entries = st.integers(-1000, 1000)
+    elif kind == "extreme":
+        entries = st.sampled_from((-(2**63), -1, 0, 1))
+    else:
+        top = math.isqrt(INT64_MAX // n) + (kind == "above")
+        entries = st.sampled_from((top, -top, top - 1, 0))
+    a, b = (
+        np.array(draw(st.lists(entries, min_size=n, max_size=n)), dtype=np.int64)
+        for _ in range(2)
+    )
+    if kind in ("below", "above"):
+        a[0] = b[0] = top
+    return a, b
+
+
+def python_dot(a, b):
+    return sum(int(x) * int(y) for x, y in zip(a.tolist(), b.tolist()))
+
+
+@settings(max_examples=200)
+@given(combine_vectors())
+def test_exact_combines_match_python(vectors):
+    a, b = vectors
+    n = a.size
+    assert counting._exact_dot(a, b) == python_dot(a, b)
+    assert counting._sum_squares(a) == python_dot(a, a)
+    for lam in range(n):
+        expected = sum(int(a[(mu + lam) % n]) * int(a[mu]) for mu in range(n))
+        assert counting._exact_correlation_at(a, lam) == expected
+
+
+def test_r_brute_object_path_matches_int64_and_conv(contexts, monkeypatch):
+    q = CountQuery(family="R", ctx=contexts[13], k=2, ell=2, r=2, lam=5)
+    expected = count_convolution(q).count
+    # a limit of 0 sends every combine to object arrays; 30 grid entries
+    # split the 12 nonzero u into chunks of two
+    for limit in (INT64_MAX, 0):
+        for grid in (counting._GRID_ENTRIES, 30):
+            monkeypatch.setattr(counting, "_INT64_MAX", limit)
+            monkeypatch.setattr(counting, "_GRID_ENTRIES", grid)
+            assert brute_force_count(q).count == expected, (limit, grid)
+
+
+def test_r_combine_wide_tallies_match_python():
+    # tallies this wide overflow int64 in the sum, so only the object path
+    # can be right
+    p, lam = 13, 5
+    rng = np.random.default_rng(7)
+    A, B, C = (rng.integers(0, 2**40, size=p, dtype=np.int64) for _ in range(3))
+    expected = sum(
+        int(A[u]) * int(B[v]) * int(C[lam * pow(u * v, -1, p) % p])
+        for u in range(1, p)
+        for v in range(1, p)
+    )
+    assert expected > INT64_MAX
+    assert counting._r_combine(A, B, C, lam, p) == expected

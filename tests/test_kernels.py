@@ -10,6 +10,11 @@ flavour, and with it the numba-versus-numpy comparison, runs only where
 numba imports; otherwise the numpy fallback is the only backend checked.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -209,3 +214,30 @@ def test_double_sum_direct_agreement(rng):
     direct = sum(roots[5 * int(x) * int(y) % p] for x in va for y in vb)
     for r in results:
         assert abs(r - direct) < 1e-9
+
+
+def test_backend_warning_points_at_importer():
+    # The warning for a bad FACTCONG_BACKEND names the line that imported
+    # kernels, not a line inside kernels.py itself.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, FACTCONG_BACKEND="bogus")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import warnings\n"
+        "with warnings.catch_warnings(record=True) as caught:\n"
+        "    warnings.simplefilter('always')\n"
+        "    import factcong\n"
+        "for w in caught:\n"
+        "    print(w.filename)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    files = out.stdout.splitlines()
+    assert files, out.stderr
+    assert all(Path(f).name != "kernels.py" for f in files), files
