@@ -42,35 +42,29 @@ FORMATS = ("plain", "json", "csv", "tsv")
 # Families whose convolution route works in the multiplicative domain.
 _DLOG_FAMILIES = frozenset({"F", "I", "T", "Q", "R"})
 
-# Fixed column order shared by verify and sweep tables.
-VERIFY_COLUMNS = (
-    "theorem",
-    "p",
-    "ell",
-    "k",
-    "r",
-    "s",
-    "lam",
-    "K",
-    "M",
-    "L",
-    "N",
-    "S",
-    "T",
-    "lhs",
-    "rhs",
-    "ratio",
-)
-
 
 class CommandOutput:
-    """What a handler hands back: table rows plus a plain rendering."""
+    """What a handler hands back: a table held as columns, plus plain text.
 
-    def __init__(self, results, plain, columns=None, default_format="plain"):
-        self.results = results
-        self.plain = plain
+    columns maps each column name, in output order, to a list with one
+    Python scalar per row.  plain is a zero-argument callable that builds
+    the plain rendering; it runs only when that format is asked for.
+    """
+
+    def __init__(self, columns, plain, default_format="plain", series=None):
         self.columns = columns
+        self.plain = plain
         self.default_format = default_format
+        self.series = series
+
+    def rows(self) -> list[dict]:
+        """The table as one dict per row, for the JSON envelope."""
+        names = list(self.columns)
+        return [dict(zip(names, values)) for values in zip(*self.columns.values())]
+
+
+def _single_row(row: dict) -> dict:
+    return {key: [value] for key, value in row.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -376,12 +370,10 @@ def _window(ns, ctx, warnings, L_attr="L", N_attr="N"):
 def _cmd_factorials(ns, warnings) -> CommandOutput:
     ctx = _context(ns, warnings, with_dlog=False)
     window = _window(ns, ctx, warnings)
-    rows = [
-        {"n": window.L + i + 1, "value": int(v)}
-        for i, v in enumerate(window.values)
-    ]
-    plain = " ".join(str(int(v)) for v in window.values)
-    return CommandOutput(rows, plain, columns=("n", "value"))
+    values = window.values.tolist()
+    columns = {"n": list(range(window.L + 1, window.L + 1 + len(values))),
+               "value": values}
+    return CommandOutput(columns, lambda: " ".join(map(str, values)))
 
 
 def _cmd_expsum(ns, warnings) -> CommandOutput:
@@ -390,50 +382,34 @@ def _cmd_expsum(ns, warnings) -> CommandOutput:
     window = _window(ns, ctx, warnings)
     if ns.kind == "single":
         sv = expsums.single_sum(window, ns.a)
-        rows = [{
-            "a": sv.a,
-            "re": sv.value.real,
-            "im": sv.value.imag,
-            "abs": abs(sv.value),
-            "abs_error": sv.abs_error,
-        }]
-        return CommandOutput(rows, format_complex(sv.value),
-                             columns=("a", "re", "im", "abs", "abs_error"))
+        return _sum_value_output("a", sv.a, sv)
     if ns.kind == "batch":
-        spectrum = expsums.batch_single_sums(window)
-        rows = [
-            {"a": a, "re": re, "im": im, "abs": mag}
-            for a, re, im, mag in spectrum.to_rows()
-        ]
-        plain = "\n".join(
-            f"{row['a']} {format_complex(complex(row['re'], row['im']))}"
-            for row in rows
+        a, re, im, mag = expsums.batch_single_sums(window).to_rows()
+        columns = {"a": a, "re": re, "im": im, "abs": mag}
+        return CommandOutput(
+            columns,
+            lambda: "\n".join(
+                f"{x} {format_complex(complex(r, i))}" for x, r, i in zip(a, re, im)
+            ),
+            default_format="csv",
         )
-        return CommandOutput(rows, plain, columns=("a", "re", "im", "abs"),
-                             default_format="csv")
     if ns.kind == "double":
         wm = _window(ns, ctx, warnings, "K", "M")
         sv = expsums.double_sum(wm, window, ns.a)
-        rows = [{
-            "a": sv.a,
-            "re": sv.value.real,
-            "im": sv.value.imag,
-            "abs": abs(sv.value),
-            "abs_error": sv.abs_error,
-        }]
-        return CommandOutput(rows, format_complex(sv.value),
-                             columns=("a", "re", "im", "abs", "abs_error"))
+        return _sum_value_output("a", sv.a, sv)
     j = (ctx.p - 1) // 2 if ns.quadratic else ns.j
-    sv = expsums.character_sum(window, j)
-    rows = [{
-        "j": j,
+    return _sum_value_output("j", j, expsums.character_sum(window, j))
+
+
+def _sum_value_output(key: str, index: int, sv) -> CommandOutput:
+    row = {
+        key: index,
         "re": sv.value.real,
         "im": sv.value.imag,
         "abs": abs(sv.value),
         "abs_error": sv.abs_error,
-    }]
-    return CommandOutput(rows, format_complex(sv.value),
-                         columns=("j", "re", "im", "abs", "abs_error"))
+    }
+    return CommandOutput(_single_row(row), lambda: format_complex(sv.value))
 
 
 def _count_query(ns, ctx) -> CountQuery:
@@ -458,13 +434,13 @@ def _cmd_count(ns, warnings) -> CommandOutput:
     ctx = _context(ns, warnings, with_dlog=ns.family in _DLOG_FAMILIES)
     query = _count_query(ns, ctx)
     if ns.profile:
-        profile = counting.count_profile(query)
-        rows = [
-            {"lam": lam, "count": int(c)} for lam, c in enumerate(profile)
-        ]
-        plain = "\n".join(f"{r['lam']} {r['count']}" for r in rows)
-        return CommandOutput(rows, plain, columns=("lam", "count"),
-                             default_format="csv")
+        counts = counting.count_profile(query).tolist()
+        columns = {"lam": list(range(len(counts))), "count": counts}
+        return CommandOutput(
+            columns,
+            lambda: "\n".join(f"{lam} {c}" for lam, c in enumerate(counts)),
+            default_format="csv",
+        )
     result = counting.count(query, engine=ns.engine)
     dropped = result.details.get("dropped_zero_mass")
     if dropped:
@@ -473,7 +449,7 @@ def _cmd_count(ns, warnings) -> CommandOutput:
             f"reach a nonzero residue and were excluded structurally"
         )
     q = result.query
-    rows = [{
+    row = {
         "family": q.family,
         "p": ctx.p,
         "ell": q.ell,
@@ -484,9 +460,8 @@ def _cmd_count(ns, warnings) -> CommandOutput:
         "count": int(result.count),
         "engine": result.engine,
         "seconds": result.seconds,
-    }]
-    return CommandOutput(rows, str(int(result.count)),
-                         columns=tuple(rows[0].keys()))
+    }
+    return CommandOutput(_single_row(row), lambda: str(row["count"]))
 
 
 def _sweep_params(ns) -> dict:
@@ -497,18 +472,19 @@ def _sweep_params(ns) -> dict:
     }
 
 
-def _report_rows(reports) -> list[dict]:
-    rows = []
-    for rep in reports:
-        row = {"theorem": rep.bound_id, "p": rep.p}
-        for key in ("ell", "k", "r", "s", "lam", "K", "M", "L", "N", "S", "T"):
-            value = rep.params.get(key)
-            row[key] = None if value is None else int(value)
-        row["lhs"] = rep.lhs
-        row["rhs"] = rep.rhs
-        row["ratio"] = rep.ratio
-        rows.append(row)
-    return rows
+def _report_columns(reports) -> dict[str, list]:
+    """The verify and sweep table: one column per field, one row per report."""
+    columns = {
+        "theorem": [rep.bound_id for rep in reports],
+        "p": [rep.p for rep in reports],
+    }
+    for key in ("ell", "k", "r", "s", "lam", "K", "M", "L", "N", "S", "T"):
+        values = (rep.params.get(key) for rep in reports)
+        columns[key] = [None if v is None else int(v) for v in values]
+    columns["lhs"] = [rep.lhs for rep in reports]
+    columns["rhs"] = [rep.rhs for rep in reports]
+    columns["ratio"] = [rep.ratio for rep in reports]
+    return columns
 
 
 def _run_sweeps(ns, warnings, bound_ids) -> CommandOutput:
@@ -523,7 +499,7 @@ def _run_sweeps(ns, warnings, bound_ids) -> CommandOutput:
         return ctx
 
     params = _sweep_params(ns)
-    rows: list[dict] = []
+    reports = []
     series: dict[str, list] = {}
     for bound_id in bound_ids:
         result = analysis.verify_sweep(
@@ -537,12 +513,15 @@ def _run_sweeps(ns, warnings, bound_ids) -> CommandOutput:
         )
         for p, reason in result.skipped:
             warnings.append(f"{bound_id} p={p} skipped: {reason}")
-        rows.extend(_report_rows(result.reports))
+        reports.extend(result.reports)
         series[bound_id] = [[p, ratio] for p, ratio in result.series()]
-    out = CommandOutput(rows, _table_text(VERIFY_COLUMNS, rows, " "),
-                        columns=VERIFY_COLUMNS, default_format="csv")
-    out.series = series
-    return out
+    columns = _report_columns(reports)
+    return CommandOutput(
+        columns,
+        lambda: _table_text(columns, _formats(columns), " "),
+        default_format="csv",
+        series=series,
+    )
 
 
 def _cmd_verify(ns, warnings) -> CommandOutput:
@@ -586,8 +565,10 @@ def _cmd_stats(ns, warnings) -> CommandOutput:
                 "pair count exceeds the direct-discrepancy guard; "
                 "only the spectral estimate is reported"
             )
-    plain = "\n".join(f"{key} {_cell(value)}" for key, value in row.items())
-    return CommandOutput([row], plain, columns=tuple(row.keys()))
+    return CommandOutput(
+        _single_row(row),
+        lambda: "\n".join(f"{key} {_cell(value)}" for key, value in row.items()),
+    )
 
 
 _HANDLERS = {
@@ -603,30 +584,58 @@ _HANDLERS = {
 # ---------------------------------------------------------------------------
 # rendering
 
+# Rows formatted at a time: a whole table held as separate cell strings
+# would take several times the size of its text.
+_RENDER_ROWS = 4096
 
-def _table_text(columns, rows, sep: str) -> str:
+
+def _column_format(values: list):
+    """repr for an all-float column, str for an all-int column, _cell
+    otherwise.  Each gives the same text as _cell on those values."""
+    if all(type(v) is float for v in values):
+        return repr
+    if all(type(v) is int for v in values):
+        return str
+    return _cell
+
+
+def _formats(columns: dict) -> list:
+    return [_column_format(values) for values in columns.values()]
+
+
+def _blocks(columns: dict, formats: list):
+    """The rows of cell text, _RENDER_ROWS rows at a time."""
+    values = list(columns.values())
+    for start in range(0, len(values[0]), _RENDER_ROWS):
+        part = slice(start, start + _RENDER_ROWS)
+        yield zip(*[list(map(fmt, col[part])) for fmt, col in zip(formats, values)])
+
+
+def _table_text(columns: dict, formats: list, sep: str) -> str:
     lines = [sep.join(columns)]
-    for row in rows:
-        lines.append(sep.join(_cell(row.get(col)) for col in columns))
+    lines.extend("\n".join(map(sep.join, rows)) for rows in _blocks(columns, formats))
     return "\n".join(lines)
 
 
 def _render_delimited(output: CommandOutput, delimiter: str) -> str:
+    formats = _formats(output.columns)
+    if _cell not in formats:
+        # The repr of a float or str of an int holds no delimiter, quote or
+        # line break, so csv.writer would write each cell as it is.
+        return _table_text(output.columns, formats, delimiter)
     buf = io.StringIO()
     writer = csv.writer(buf, delimiter=delimiter, lineterminator="\n")
-    columns = output.columns or sorted(
-        {key for row in output.results for key in row}
-    )
-    writer.writerow(columns)
-    for row in output.results:
-        writer.writerow([_cell(row.get(col)) for col in columns])
+    writer.writerow(output.columns)
+    for rows in _blocks(output.columns, formats):
+        writer.writerows(rows)
     return buf.getvalue().rstrip("\n")
 
 
 def render(envelope: dict, output: CommandOutput, fmt: str) -> str:
     if fmt == "plain":
-        return output.plain
+        return output.plain()
     if fmt == "json":
+        envelope = {**envelope, "results": output.rows()}
         return json.dumps(envelope, indent=2, default=_json_default)
     return _render_delimited(output, "," if fmt == "csv" else "\t")
 
@@ -644,11 +653,11 @@ def run(ns: argparse.Namespace) -> tuple[dict, CommandOutput]:
         "command": " ".join(config["_argv_head"]),
         "config": {k: v for k, v in config.items() if not k.startswith("_")},
         "argv": config_to_argv(config),
-        "results": output.results,
+        "results": None,  # render fills in the rows, for json only
         "warnings": warnings,
         "timing_seconds": round(seconds, 6),
     }
-    if getattr(output, "series", None):
+    if output.series:
         envelope["series"] = output.series
     return envelope, output
 

@@ -77,11 +77,19 @@ class Spectrum:
             idx = int(np.argmax(mags))
         return self.value(idx)
 
-    def to_rows(self) -> list[tuple[int, float, float, float]]:
-        return [
-            (int(a), float(v.real), float(v.imag), float(abs(v)))
-            for a, v in enumerate(self.values)
-        ]
+    def to_rows(self) -> tuple[list[int], list[float], list[float], list[float]]:
+        """Columns a, re, im and |value| as lists of Python scalars.
+
+        |value| is Python's abs of each complex: np.abs on the whole array
+        can differ from it in the last digit.
+        """
+        mags = list(map(abs, self.values.tolist()))
+        return (
+            list(range(self.values.size)),
+            self.values.real.tolist(),
+            self.values.imag.tolist(),
+            mags,
+        )
 
 
 def _sum_error_bound(n_terms: int) -> float:

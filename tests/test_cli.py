@@ -1,8 +1,20 @@
 import json
 
+import numpy as np
 import pytest
 
-from factcong.cli import config_to_argv, format_complex, main, parse_primes, parse_signs
+from factcong import cli
+from factcong.cli import (
+    CommandOutput,
+    _cell,
+    _column_format,
+    _render_delimited,
+    config_to_argv,
+    format_complex,
+    main,
+    parse_primes,
+    parse_signs,
+)
 from factcong.errors import ParameterError
 
 
@@ -41,6 +53,29 @@ def test_format_complex():
     assert format_complex(complex(6, 0)) == "6+0i"
     assert format_complex(complex(-1.5, 2)) == "-1.5+2i"
     assert format_complex(complex(0, -0.25)) == "0-0.25i"
+
+
+@pytest.mark.parametrize("values", [
+    [1.5, -0.0, 1e-05, 1e16, float("inf"), float("nan")],
+    [0, -3, 10**30],
+    [1, 2.5],
+    [True, 1, None, "T2.1", np.int64(3), np.float64(0.1)],
+    [],
+])
+def test_column_format_matches_cell(values):
+    fmt = _column_format(values)
+    assert list(map(fmt, values)) == list(map(_cell, values))
+
+
+@pytest.mark.parametrize("block", [1, 2, 4096])
+def test_delimited_quotes_string_cells(monkeypatch, block):
+    # numeric tables are joined directly; any other table goes through
+    # csv.writer, which quotes a cell holding the delimiter or a quote
+    monkeypatch.setattr(cli, "_RENDER_ROWS", block)
+    output = CommandOutput({"name": ["x,y", 'say "hi"', None], "n": [1, 2, 3]}, None)
+    assert _render_delimited(output, ",") == 'name,n\n"x,y",1\n"say ""hi""",2\n,3'
+    numeric = CommandOutput({"a": [1, 2], "re": [0.5, -1e-05]}, None)
+    assert _render_delimited(numeric, "\t") == "a\tre\n1\t0.5\n2\t-1e-05"
 
 
 # documented command lines

@@ -13,6 +13,7 @@ numba imports; otherwise the numpy fallback is the only backend checked.
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -83,12 +84,114 @@ def test_factorial_window_recurrence(p, data):
         assert vals[i] == vals[i - 1] * (L + i + 1) % p
 
 
+def sequential_window(p, L, N):
+    """(L+1)!, ..., (L+N)! mod p, one multiplication at a time."""
+    f = 1
+    for n in range(1, L + 1):
+        f = f * n % p
+    out = []
+    for n in range(L + 1, L + N + 1):
+        f = f * n % p
+        out.append(f)
+    return out
+
+
+def sequential_dlog(p, g):
+    out = [-1] * p
+    acc = 1
+    for e in range(p - 1):
+        out[acc] = e
+        acc = acc * g % p
+    return out
+
+
+def recurrence_inverses(p):
+    inv = [0] * p
+    if p > 1:
+        inv[1] = 1
+    for x in range(2, p):
+        inv[x] = (p - (p // x) * inv[p % x] % p) % p
+    return inv
+
+
+# Up to about 1e5, primes on both sides of a dlog row (2**14 exponents), and
+# 2**31 - 1, the largest modulus, where products come near 2**62.
+KERNEL_PRIMES = [2, 3, 5, 7, 101, 997, 16411, 32771, 65537, 99991, 100003, 2**31 - 1]
+CHUNK = kernels._PRODUCT_CHUNK
+
+
+@given(st.sampled_from(KERNEL_PRIMES), st.data())
+def test_factorial_window_matches_sequential(p, data):
+    s = data.draw(st.integers(1, 60), label="s")
+    N = data.draw(st.sampled_from([1, s * s - 1, s * s, s * s + 1]).filter(bool), label="N")
+    L = data.draw(
+        st.one_of(
+            st.integers(0, 50),
+            st.integers(CHUNK - 3, CHUNK + 3),
+            st.integers(0, 3 * CHUNK),
+        ),
+        label="L",
+    )
+    got = assert_backends_equal(kernels.factorial_window, p, L, N)
+    assert got.tolist() == sequential_window(p, L, N)
+
+
+def test_factorial_window_every_short_length():
+    # every block shape (B, s) the blocked scan takes for N below 700
+    p, L = 2**31 - 1, 12345
+    expect = sequential_window(p, L, 700)
+    for N in range(1, 701):
+        got = assert_backends_equal(kernels.factorial_window, p, L, N)
+        assert got.tolist() == expect[:N], N
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 7])
+def test_factorial_window_across_many_chunks(monkeypatch, chunk):
+    monkeypatch.setattr(kernels, "_PRODUCT_CHUNK", chunk)
+    for p, L, N in [(101, 0, 5), (101, 1, 3), (101, 50, 50), (997, 300, 9), (7, 9, 3)]:
+        got = assert_backends_equal(kernels.factorial_window, p, L, N)
+        assert got.tolist() == sequential_window(p, L, N), (p, L, N)
+
+
+def test_factorial_window_memory_flat_in_L():
+    # L! is reduced in fixed-size chunks, so a long prefix costs no memory
+    p, L, N = 2**31 - 1, 3_000_000, 4
+    for name in BACKENDS:
+        kernels.use_backend(name)
+        tracemalloc.start()
+        try:
+            got = kernels.factorial_window(p, L, N)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20, (name, peak)
+    assert got.tolist() == sequential_window(p, L, N)
+
+
 @given(st.sampled_from([5, 7, 11, 101, 997]))
 def test_dlog_table_agrees(p):
     g = find_primitive_root(p)
     table = assert_backends_equal(kernels.dlog_table, p, g)
     assert table[0] == -1
+    for x in range(1, p):
+        assert pow(g, int(table[x]), p) == x
     assert sorted(table[1:].tolist()) == list(range(p - 1))
+
+
+@given(st.sampled_from(KERNEL_PRIMES[:-1]))
+def test_dlog_table_matches_sequential(p):
+    g = find_primitive_root(p)
+    table = assert_backends_equal(kernels.dlog_table, p, g)
+    assert table.tolist() == sequential_dlog(p, g)
+
+
+@pytest.mark.parametrize("row", [1, 2, 3, 7])
+def test_dlog_table_across_many_rows(monkeypatch, row):
+    monkeypatch.setattr(kernels, "_DLOG_ROW", row)
+    for p in [2, 3, 5, 7, 11, 101, 997]:
+        g = find_primitive_root(p)
+        table = assert_backends_equal(kernels.dlog_table, p, g)
+        assert table.tolist() == sequential_dlog(p, g), p
 
 
 def direct_dft_mod_q(data, q, root):
@@ -198,11 +301,17 @@ def test_pair_product_tally(p, data):
     np.testing.assert_array_equal(got, expect)
 
 
-@pytest.mark.parametrize("p", [3, 5, 7, 11, 101, 997])
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 101, 997])
 def test_inverse_table(p):
     table = assert_backends_equal(kernels.inverse_table, p)
     for x in range(1, p):
         assert int(table[x]) * x % p == 1
+
+
+@given(st.sampled_from(KERNEL_PRIMES[:-1]))
+def test_inverse_table_matches_recurrence(p):
+    table = assert_backends_equal(kernels.inverse_table, p)
+    assert table.tolist() == recurrence_inverses(p)
 
 
 def test_double_sum_direct_agreement(rng):
