@@ -74,7 +74,6 @@ from .field import (
     primes_between,
     primes_nearest,
 )
-from .kernels import active_backend, use_backend
 from .transform import (
     cyclic_convolution_power,
     cyclic_convolve_direct,
@@ -135,8 +134,6 @@ __all__ = [
     "next_prime_at_least",
     "primes_between",
     "primes_nearest",
-    "active_backend",
-    "use_backend",
     "cyclic_convolution_power",
     "cyclic_convolve_direct",
     "cyclic_convolve_exact",

@@ -283,7 +283,8 @@ def evaluate_cell(
         lhs = float(counting.count(query("F", ell=resolved["ell"]), engine).count)
     elif bound_id == "T3.1":
         wm = factorial.build_window(ctx, resolved["K"], M)
-        wn = factorial.build_window(ctx, resolved["L"], N)
+        same = (resolved["K"], M) == (resolved["L"], N)
+        wn = wm if same else factorial.build_window(ctx, resolved["L"], N)
         spectrum = expsums.batch_double_sums(wm, wn)
         if engine == "both":
             _spot_check_spectrum(spectrum, wm, wn, seed=seed + p)

@@ -22,7 +22,9 @@ FCW1 (factorial window):
 
 from __future__ import annotations
 
+import os
 import struct
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -58,17 +60,29 @@ def window_cache_path(cache_dir: str | Path, p: int, L: int, N: int) -> Path:
     return Path(cache_dir) / f"window_p{p}_L{L}_N{N}.fcw1"
 
 
-def save_dlog_table(path: str | Path, ctx: PrimeContext) -> Path:
-    table = ctx.require_dlog()
+def _write_atomic(path: str | Path, header: bytes, payload: np.ndarray) -> Path:
+    """Write header + payload to path through a uniquely named temp file.
+
+    Readers see either the old file or the whole new one.  If anything
+    fails, the temp file is removed and the error re-raised.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    payload = table[1:].astype("<u4")
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    with open(tmp, "wb") as fh:
-        fh.write(_DLOG_HEADER.pack(DLOG_MAGIC, ctx.p, ctx.g))
-        fh.write(payload.tobytes())
-    tmp.replace(path)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(header)
+            fh.write(payload.tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        Path(tmp).unlink(missing_ok=True)
+        raise
     return path
+
+
+def save_dlog_table(path: str | Path, ctx: PrimeContext) -> Path:
+    header = _DLOG_HEADER.pack(DLOG_MAGIC, ctx.p, ctx.g)
+    return _write_atomic(path, header, ctx.require_dlog()[1:].astype("<u4"))
 
 
 def load_dlog_table(path: str | Path, p: int) -> tuple[np.ndarray, int]:
@@ -109,14 +123,8 @@ def _verify_dlog_samples(path, table: np.ndarray, p: int, g: int) -> None:
 
 
 def save_window(path: str | Path, window: FactorialWindow) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    with open(tmp, "wb") as fh:
-        fh.write(_WINDOW_HEADER.pack(WINDOW_MAGIC, window.p, window.L, window.N))
-        fh.write(window.values.astype("<u8").tobytes())
-    tmp.replace(path)
-    return path
+    header = _WINDOW_HEADER.pack(WINDOW_MAGIC, window.p, window.L, window.N)
+    return _write_atomic(path, header, window.values.astype("<u8"))
 
 
 def load_window(path: str | Path, ctx: PrimeContext, L: int, N: int) -> FactorialWindow:
@@ -162,8 +170,9 @@ def get_or_build_window(
 ) -> tuple[FactorialWindow, str | None]:
     """Window from cache when possible, else computed and cached.
 
-    Returns the window plus a warning string when a cache file existed
-    but failed verification and was recomputed.
+    Returns the window plus a warning string when a cache file existed but
+    failed verification and was recomputed, or when the cache could not be
+    written.
     """
     if cache_dir is None:
         return build_window(ctx, L, N), None
@@ -175,8 +184,7 @@ def get_or_build_window(
         except CacheFormatError as exc:
             warning = f"discarding bad cache file: {exc}"
     window = build_window(ctx, L, N)
-    save_window(path, window)
-    return window, warning
+    return window, _save(save_window, path, window, warning)
 
 
 def get_or_build_dlog(
@@ -198,8 +206,17 @@ def get_or_build_dlog(
         except CacheFormatError as exc:
             warning = f"discarding bad cache file: {exc}"
     ctx = ctx.with_dlog()
-    save_dlog_table(path, ctx)
-    return ctx, warning
+    return ctx, _save(save_dlog_table, path, ctx, warning)
+
+
+def _save(save, path: Path, value, warning: str | None) -> str | None:
+    """save(path, value), turning an OSError into a warning after `warning`."""
+    try:
+        save(path, value)
+    except OSError as exc:
+        note = f"cache not written: {exc}"
+        return f"{warning}; {note}" if warning else note
+    return warning
 
 
 def _read_all(path: str | Path) -> bytes:

@@ -315,15 +315,6 @@ def estimate_brute_work(q: CountQuery) -> int:
     raise ParameterError(f"unknown family {fam}")
 
 
-def _pair_values(wm: FactorialWindow, wn: FactorialWindow) -> np.ndarray:
-    """All pairwise products m! * n! mod p as a flat list of residues."""
-    if wm.N * wn.N > 50_000_000:
-        raise GuardExceededError(
-            "materializing the pair-product list needs too much memory"
-        )
-    return ((wm.values[:, None] * wn.values[None, :]) % wm.p).ravel()
-
-
 def _r_combine(A: np.ndarray, B: np.ndarray, C: np.ndarray, lam: int, p: int) -> int:
     """sum over nonzero u, v of A[u] * B[v] * C[lam / (u v)], exact.
 
@@ -380,7 +371,9 @@ def brute_force_count(q: CountQuery) -> CountResult:
                 q.m_window().values, q.n_window().values, p
             )
         else:
-            pairs = _pair_values(q.m_window(), q.n_window())
+            pairs = kernels.outer_residues(
+                q.m_window().values, q.n_window().values, np.multiply, p
+            )
             tally = kernels.sum_tally(pairs, q.ell, plus[: q.ell], p)
         value = _sum_squares(tally)
     elif fam == "I":
@@ -392,7 +385,9 @@ def brute_force_count(q: CountQuery) -> CountResult:
                 q.m_window().values, q.n_window().values, p
             )
         else:
-            pairs = _pair_values(q.m_window(), q.n_window())
+            pairs = kernels.outer_residues(
+                q.m_window().values, q.n_window().values, np.multiply, p
+            )
             tally = kernels.sum_tally(pairs, q.r, plus[: q.r], p)
         value = int(tally[q.lam])
     elif fam == "Q":

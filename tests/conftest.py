@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from factcong import kernels
 from factcong.field import PrimeContext
 
 settings.register_profile(
@@ -12,15 +11,6 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("default")
-
-
-def pytest_report_header(config):
-    # Report only: checks that need numba skip themselves where it is absent.
-    return (
-        f"factcong kernel backends: {', '.join(sorted(kernels.IMPLEMENTATIONS))}"
-        f" (active: {kernels.active_backend()});"
-        f" numba importable: {'yes' if kernels.HAS_NUMBA else 'no'}"
-    )
 
 
 @pytest.fixture(scope="session")

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from factcong import kernels
 from factcong.analysis import (
     BOUND_IDS,
     bound_rhs,
@@ -109,6 +110,22 @@ def test_evaluate_cell_t31_sanity_floor(ctx101):
     report = evaluate_cell("T3.1", ctx101, {"k": 1, "ell": 1}, engine="both")
     assert 0 < report.ratio < 1
     assert report.lhs == pytest.approx(436.6493002087084, rel=1e-9)
+
+
+def test_evaluate_cell_t31_builds_one_window(ctx101, monkeypatch):
+    # (K, M) = (L, N) by default, so one window serves both ranges
+    calls = []
+    build = kernels.factorial_window
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(kernels, "factorial_window", counted)
+    evaluate_cell("T3.1", ctx101)
+    assert len(calls) == 1
+    evaluate_cell("T3.1", ctx101, {"K": 3})
+    assert len(calls) == 3
 
 
 def test_evaluate_cell_charsum(ctx101):

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -151,6 +153,28 @@ def test_get_or_build_dlog_caches(tmp_path):
     again, warn2 = get_or_build_dlog(tmp_path, PrimeContext.create(101))
     assert warn2 is None
     np.testing.assert_array_equal(again.dlog, with_table.dlog)
+
+
+def test_save_window_ignores_stale_tmp_dir(tmp_path, ctx7):
+    # a directory squatting on the old fixed temp name no longer blocks saves
+    path = window_cache_path(tmp_path, 7, 0, 6)
+    path.with_name(path.name + ".tmp").mkdir()
+    save_window(path, build_window(ctx7, 0, 6))
+    assert load_window(path, ctx7, 0, 6).values.tolist() == [1, 2, 6, 3, 1, 6]
+
+
+def test_failed_write_warns_and_leaves_no_temp_file(tmp_path, ctx7, monkeypatch):
+    def refuse(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    window, warning = get_or_build_window(tmp_path, ctx7, 0, 6)
+    assert window.values.tolist() == [1, 2, 6, 3, 1, 6]
+    assert warning is not None and "cache not written" in warning
+    ctx, warning = get_or_build_dlog(tmp_path, PrimeContext.create(13))
+    assert ctx.dlog is not None
+    assert warning is not None and "disk full" in warning
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_get_or_build_dlog_without_dir():

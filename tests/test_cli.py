@@ -346,6 +346,19 @@ def test_corrupt_cache_recovers_with_warning(tmp_path, capsys):
     assert len(out.split()) == 100
 
 
+def test_cache_dir_that_is_a_file_warns(tmp_path, capsys):
+    # the cache cannot be written, so the value is computed without it
+    blocker = tmp_path / "not_a_dir"
+    blocker.write_text("")
+    code, plain, _ = run_cli(capsys, "count", "T", "--p", "101")
+    code2, out, err = run_cli(
+        capsys, "count", "T", "--p", "101", "--cache-dir", str(blocker)
+    )
+    assert code == code2 == 0
+    assert "cache not written" in err
+    assert out == plain
+
+
 def test_version_flag(capsys):
     code, out, _ = run_cli(capsys, "--version")
     assert code == 0

@@ -1,20 +1,14 @@
-"""Kernel correctness under every registered backend.
+"""Kernel correctness against references computed here.
 
-Each kernel is run under every backend in ``kernels.IMPLEMENTATIONS`` and
-checked against a shared reference computed here (known values, a
-plain-Python loop, itertools enumeration, a direct DFT) or an identity its
-output must satisfy.  Backends agree with each other because each agrees
-with that reference; ``assert_backends_equal`` also compares them pairwise.
-Agreement is checked only among the backends that are present: the numba
-flavour, and with it the numba-versus-numpy comparison, runs only where
-numba imports; otherwise the numpy fallback is the only backend checked.
+Each kernel is checked against known values, a plain-Python loop,
+itertools enumeration, a direct DFT mod q, or an identity its output must
+satisfy.  The tallies and the direct double sum also run with their chunk
+size shrunk to one to three entries, so their outer products are cut into
+many chunks.
 """
 
-import os
-import subprocess
-import sys
+import itertools
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,60 +16,35 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from factcong import kernels
-from factcong.errors import ParameterError
+from factcong.errors import GuardExceededError
 from factcong.field import find_primitive_root
 
-BACKENDS = sorted(kernels.IMPLEMENTATIONS)
+# The default chunk first, then chunks of one to three entries.
+TALLY_CHUNKS = [kernels._NUMPY_CHUNK, 1, 2, 3]
 
 
-@pytest.fixture(autouse=True)
-def restore_backend():
-    before = kernels.active_backend()
-    yield
-    kernels.use_backend(before)
-
-
-def per_backend(fn, *args, **kwargs):
-    out = {}
-    for name in BACKENDS:
-        kernels.use_backend(name)
-        out[name] = fn(*args, **kwargs)
-    return list(out.values())
-
-
-def assert_backends_equal(fn, *args, **kwargs):
-    results = per_backend(fn, *args, **kwargs)
-    first = results[0]
-    for other in results[1:]:
-        np.testing.assert_array_equal(first, other)
-    return first
-
-
-def test_two_backends_present():
-    assert "numpy" in BACKENDS
-    # the compiled flavour is optional; check it wherever numba imports
-    pytest.importorskip("numba")
-    assert kernels.HAS_NUMBA
-    assert "numba" in BACKENDS
-
-
-def test_use_backend_rejects_unknown():
-    with pytest.raises(ParameterError):
-        kernels.use_backend("fortran")
+def at_each_chunk(fn, *args):
+    """[(chunk, fn(*args))] with the outer-op loop cut every `chunk` entries."""
+    out = []
+    for chunk in TALLY_CHUNKS:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernels, "_NUMPY_CHUNK", chunk)
+            out.append((chunk, fn(*args)))
+    return out
 
 
 def test_factorial_window_known():
-    got = assert_backends_equal(kernels.factorial_window, 7, 0, 6)
+    got = kernels.factorial_window(7, 0, 6)
     assert got.tolist() == [1, 2, 6, 3, 1, 6]
-    assert assert_backends_equal(kernels.factorial_window, 5, 2, 1).tolist() == [1]
-    assert assert_backends_equal(kernels.factorial_window, 5, 1, 2).tolist() == [2, 1]
+    assert kernels.factorial_window(5, 2, 1).tolist() == [1]
+    assert kernels.factorial_window(5, 1, 2).tolist() == [2, 1]
 
 
 @given(st.sampled_from([5, 7, 11, 13, 17, 19, 23]), st.data())
 def test_factorial_window_recurrence(p, data):
     L = data.draw(st.integers(0, p - 2), label="L")
     N = data.draw(st.integers(1, p - 1 - L), label="N")
-    vals = assert_backends_equal(kernels.factorial_window, p, L, N)
+    vals = kernels.factorial_window(p, L, N)
     fact = 1
     for i in range(1, L + 2):
         fact = fact * i % p
@@ -132,7 +101,7 @@ def test_factorial_window_matches_sequential(p, data):
         ),
         label="L",
     )
-    got = assert_backends_equal(kernels.factorial_window, p, L, N)
+    got = kernels.factorial_window(p, L, N)
     assert got.tolist() == sequential_window(p, L, N)
 
 
@@ -141,7 +110,7 @@ def test_factorial_window_every_short_length():
     p, L = 2**31 - 1, 12345
     expect = sequential_window(p, L, 700)
     for N in range(1, 701):
-        got = assert_backends_equal(kernels.factorial_window, p, L, N)
+        got = kernels.factorial_window(p, L, N)
         assert got.tolist() == expect[:N], N
 
 
@@ -149,29 +118,27 @@ def test_factorial_window_every_short_length():
 def test_factorial_window_across_many_chunks(monkeypatch, chunk):
     monkeypatch.setattr(kernels, "_PRODUCT_CHUNK", chunk)
     for p, L, N in [(101, 0, 5), (101, 1, 3), (101, 50, 50), (997, 300, 9), (7, 9, 3)]:
-        got = assert_backends_equal(kernels.factorial_window, p, L, N)
+        got = kernels.factorial_window(p, L, N)
         assert got.tolist() == sequential_window(p, L, N), (p, L, N)
 
 
 def test_factorial_window_memory_flat_in_L():
     # L! is reduced in fixed-size chunks, so a long prefix costs no memory
     p, L, N = 2**31 - 1, 3_000_000, 4
-    for name in BACKENDS:
-        kernels.use_backend(name)
-        tracemalloc.start()
-        try:
-            got = kernels.factorial_window(p, L, N)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 * 2**20, (name, peak)
+    tracemalloc.start()
+    try:
+        got = kernels.factorial_window(p, L, N)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, peak
     assert got.tolist() == sequential_window(p, L, N)
 
 
 @given(st.sampled_from([5, 7, 11, 101, 997]))
 def test_dlog_table_agrees(p):
     g = find_primitive_root(p)
-    table = assert_backends_equal(kernels.dlog_table, p, g)
+    table = kernels.dlog_table(p, g)
     assert table[0] == -1
     for x in range(1, p):
         assert pow(g, int(table[x]), p) == x
@@ -181,7 +148,7 @@ def test_dlog_table_agrees(p):
 @given(st.sampled_from(KERNEL_PRIMES[:-1]))
 def test_dlog_table_matches_sequential(p):
     g = find_primitive_root(p)
-    table = assert_backends_equal(kernels.dlog_table, p, g)
+    table = kernels.dlog_table(p, g)
     assert table.tolist() == sequential_dlog(p, g)
 
 
@@ -190,7 +157,7 @@ def test_dlog_table_across_many_rows(monkeypatch, row):
     monkeypatch.setattr(kernels, "_DLOG_ROW", row)
     for p in [2, 3, 5, 7, 11, 101, 997]:
         g = find_primitive_root(p)
-        table = assert_backends_equal(kernels.dlog_table, p, g)
+        table = kernels.dlog_table(p, g)
         assert table.tolist() == sequential_dlog(p, g), p
 
 
@@ -214,14 +181,11 @@ def test_ntt_roundtrip_and_agreement(size, rng):
     root = pow(g, (q - 1) // size, q)
     data = rng.integers(0, q, size=size).astype(np.int64)
     reference = direct_dft_mod_q(data, q, root)
-
-    for name in BACKENDS:
-        kernels.use_backend(name)
-        work = data.copy()
-        kernels.ntt_inplace(work, q, root, invert=False)
-        np.testing.assert_array_equal(work, reference, err_msg=name)
-        kernels.ntt_inplace(work, q, root, invert=True)
-        np.testing.assert_array_equal(work, data, err_msg=name)
+    work = data.copy()
+    kernels.ntt_inplace(work, q, root, invert=False)
+    np.testing.assert_array_equal(work, reference)
+    kernels.ntt_inplace(work, q, root, invert=True)
+    np.testing.assert_array_equal(work, data)
 
 
 def test_ntt_matches_direct_dft_mod_q(rng):
@@ -251,15 +215,13 @@ def test_sum_tally_matches_itertools(p, k, data):
         data.draw(st.lists(st.sampled_from([1, -1]), min_size=k, max_size=k)),
         dtype=np.int64,
     )
-    got = assert_backends_equal(kernels.sum_tally, vals, k, signs, p)
-    import itertools
-
     expect = np.zeros(p, dtype=np.int64)
     for tup in itertools.product(range(n), repeat=k):
         total = sum(int(signs[i]) * int(vals[j]) for i, j in enumerate(tup))
         expect[total % p] += 1
-    np.testing.assert_array_equal(got, expect)
-    assert got.sum() == n**k
+    assert expect.sum() == n**k
+    for chunk, got in at_each_chunk(kernels.sum_tally, vals, k, signs, p):
+        np.testing.assert_array_equal(got, expect, err_msg=f"chunk {chunk}")
 
 
 @given(st.sampled_from([5, 7, 11]), st.integers(1, 3), st.data())
@@ -269,16 +231,14 @@ def test_prod_tally_matches_itertools(p, k, data):
         data.draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n)),
         dtype=np.int64,
     )
-    got = assert_backends_equal(kernels.prod_tally, vals, k, p)
-    import itertools
-
     expect = np.zeros(p, dtype=np.int64)
     for tup in itertools.product(range(n), repeat=k):
         total = 1
         for j in tup:
             total = total * int(vals[j]) % p
         expect[total] += 1
-    np.testing.assert_array_equal(got, expect)
+    for chunk, got in at_each_chunk(kernels.prod_tally, vals, k, p):
+        np.testing.assert_array_equal(got, expect, err_msg=f"chunk {chunk}")
 
 
 @given(st.sampled_from([5, 7, 11, 13]), st.data())
@@ -293,24 +253,37 @@ def test_pair_product_tally(p, data):
         data.draw(st.lists(st.integers(0, p - 1), min_size=nb, max_size=nb)),
         dtype=np.int64,
     )
-    got = assert_backends_equal(kernels.pair_product_tally, va, vb, p)
     expect = np.zeros(p, dtype=np.int64)
     for x in va:
         for y in vb:
             expect[int(x) * int(y) % p] += 1
-    np.testing.assert_array_equal(got, expect)
+    for chunk, got in at_each_chunk(kernels.pair_product_tally, va, vb, p):
+        np.testing.assert_array_equal(got, expect, err_msg=f"chunk {chunk}")
+
+
+def test_materialize_cap_names_the_cap(monkeypatch):
+    # k = 3 materializes the 5 x 5 partial sums, which the cap forbids; the
+    # last level of k = 2 is only held a chunk at a time, so it passes.
+    monkeypatch.setattr(kernels, "_NUMPY_MATERIALIZE_CAP", 17)
+    vals = np.arange(5, dtype=np.int64)
+    assert kernels.sum_tally(vals, 2, [1, 1], 7).sum() == 25
+    with pytest.raises(GuardExceededError) as info:
+        kernels.sum_tally(vals, 3, [1, 1, 1], 7)
+    message = str(info.value)
+    assert "cap" in message and "17" in message, message
+    assert "backend" not in message, message
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 101, 997])
 def test_inverse_table(p):
-    table = assert_backends_equal(kernels.inverse_table, p)
+    table = kernels.inverse_table(p)
     for x in range(1, p):
         assert int(table[x]) * x % p == 1
 
 
 @given(st.sampled_from(KERNEL_PRIMES[:-1]))
 def test_inverse_table_matches_recurrence(p):
-    table = assert_backends_equal(kernels.inverse_table, p)
+    table = kernels.inverse_table(p)
     assert table.tolist() == recurrence_inverses(p)
 
 
@@ -319,34 +292,6 @@ def test_double_sum_direct_agreement(rng):
     roots = np.exp(2j * np.pi * np.arange(p) / p)
     va = rng.integers(1, p, size=9).astype(np.int64)
     vb = rng.integers(1, p, size=7).astype(np.int64)
-    results = per_backend(kernels.double_sum_direct, va, vb, 5, roots, p)
     direct = sum(roots[5 * int(x) * int(y) % p] for x in va for y in vb)
-    for r in results:
-        assert abs(r - direct) < 1e-9
-
-
-def test_backend_warning_points_at_importer():
-    # The warning for a bad FACTCONG_BACKEND names the line that imported
-    # kernels, not a line inside kernels.py itself.
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, FACTCONG_BACKEND="bogus")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = (
-        "import warnings\n"
-        "with warnings.catch_warnings(record=True) as caught:\n"
-        "    warnings.simplefilter('always')\n"
-        "    import factcong\n"
-        "for w in caught:\n"
-        "    print(w.filename)\n"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=120,
-        check=True,
-    )
-    files = out.stdout.splitlines()
-    assert files, out.stderr
-    assert all(Path(f).name != "kernels.py" for f in files), files
+    for chunk, got in at_each_chunk(kernels.double_sum_direct, va, vb, 5, roots, p):
+        assert abs(got - direct) < 1e-9, chunk
