@@ -17,6 +17,12 @@ and combines block tallies by vectorized direct summation over residues,
 in int64 where a bound proves no partial sum overflows and in Python ints
 past it.  They share no transform code, so their agreement is a
 meaningful consistency check.
+
+A profile (the counts at every lambda) ends in one exact convolution
+X * Y.  A single-lambda count of J, SIGNED, T, Q or R builds the same
+X and Y but evaluates only that last step, at lambda, as the exact dot
+sum_i X[i] Y[lambda - i]; F and I are sums of squares.  Each call builds
+every factorial window and histogram it needs once.
 """
 
 from __future__ import annotations
@@ -52,8 +58,6 @@ ENGINES = ("auto", "conv", "brute", "both")
 # work level below which automatic selection prefers it.
 BRUTE_FORCE_GUARD = 10**9
 AUTO_BRUTE_THRESHOLD = 10**7
-
-_PROFILE_FAMILIES = ("J", "SIGNED", "T", "Q", "R")
 
 
 @dataclass(frozen=True)
@@ -120,16 +124,38 @@ class CountQuery:
         if not 0 <= self.lam < self.ctx.p:
             raise ParameterError("lambda must be reduced into [0, p)")
 
-    # window accessors (valid on resolved queries)
 
-    def n_window(self) -> FactorialWindow:
-        return factorial.build_window(self.ctx, self.L, self.N)
+class _Inputs:
+    """The windows and sum histograms of one count call, each built once.
 
-    def m_window(self) -> FactorialWindow:
-        return factorial.build_window(self.ctx, self.K, self.M)
+    Windows are keyed by (offset, length), so roles that coincide share
+    one.  An instance lives for one call: a CountResult keeps its query,
+    and a sweep keeps many results.
+    """
 
-    def t_window(self) -> FactorialWindow:
-        return factorial.build_window(self.ctx, self.S, self.T)
+    def __init__(self, q: CountQuery):
+        self.q, self._memo = q, {}
+
+    def _once(self, key, build):
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
+
+    def window(self, role: str) -> FactorialWindow:
+        """The main ("n"), second ("m") or plain ("t") window."""
+        q = self.q
+        L, N = {"n": (q.L, q.N), "m": (q.K, q.M), "t": (q.S, q.T)}[role]
+        return self._once((L, N), lambda: factorial.build_window(q.ctx, L, N))
+
+    def values(self, role: str) -> np.ndarray:
+        return self.window(role).values
+
+    def sums(self, role: str, k: int) -> np.ndarray:
+        w = self.window(role)
+        return self._once((w.L, w.N, k), lambda: factorial.sum_histogram(w, k).counts)
+
+    def pairs(self) -> np.ndarray:
+        return factorial.product_histogram(self.window("m"), self.window("n")).counts
 
 
 @dataclass(frozen=True)
@@ -164,9 +190,10 @@ def _exact_dot(a: np.ndarray, b: np.ndarray) -> int:
     return int(np.dot(a.astype(object), b.astype(object)))
 
 
-def _exact_correlation_at(vec: np.ndarray, lam: int) -> int:
-    """sum over mu of vec[mu] * vec[mu - lam], exact."""
-    return _exact_dot(np.roll(vec, -lam), vec)
+def _convolution_at(x: np.ndarray, y: np.ndarray, at: int) -> int:
+    """sum over i of x[i] * y[at - i], exact: one entry of the cyclic
+    convolution of x and y."""
+    return _exact_dot(x, y[(at - np.arange(x.size)) % x.size])
 
 
 def _sum_squares(vec: np.ndarray) -> int:
@@ -177,95 +204,74 @@ def _sum_squares(vec: np.ndarray) -> int:
 # convolution engine
 
 
-def _conv_profile(q: CountQuery) -> np.ndarray:
-    """Exact counts for every lambda at once (length p, exponent families
-    mapped back to residues with a structurally empty zero bin)."""
-    p = q.ctx.p
-    fam = q.family
+def _fold(parts: list[tuple[np.ndarray, int]]):
+    """Convolve all but the last of parts, (vector, total) pairs, into X.
+    Returns (X, Y, bound): all parts convolve to X * Y, or to X when Y is
+    None, and bound, the product of the totals, ceils every entry."""
+    acc, bound = parts[0]
+    for vec, total in parts[1:-1]:
+        acc = transform.cyclic_convolve_exact(acc, vec, bound=bound * total)
+        bound *= total
+    if len(parts) == 1:
+        return acc, None, bound
+    return acc, parts[-1][0], bound * parts[-1][1]
+
+
+def _conv_profile(q: CountQuery, inp: _Inputs, at: int | None = None):
+    """Exact counts for every lambda at once (length p; family R works on
+    exponents and maps back to residues with a structurally empty zero bin).
+
+    With at set, only the count at lambda = at: the last convolution X * Y
+    is evaluated at that one index as an exact dot.
+    """
+    ctx, fam = q.ctx, q.family
+    N, M, T = int(q.N), int(q.M), int(q.T)
     if fam == "J":
-        G = factorial.sum_histogram(q.n_window(), q.ell).counts
-        return transform.cyclic_convolve_exact(
-            G, transform.index_reversed(G), bound=int(q.N) ** (2 * q.ell)
-        )
-    if fam == "SIGNED":
-        h = factorial.value_histogram(q.n_window()).counts
+        G = inp.sums("n", q.ell)
+        parts = [(G, N**q.ell), (transform.index_reversed(G), N**q.ell)]
+    elif fam == "SIGNED":
+        h = inp.sums("n", 1)
         rev = transform.index_reversed(h)
-        acc = h if q.signs[0] == 1 else rev
-        bound = q.N
-        for s in q.signs[1:]:
-            acc = transform.cyclic_convolve_exact(
-                acc, h if s == 1 else rev, bound=bound * q.N
-            )
-            bound *= q.N
-        return np.asarray(acc)
-    if fam == "T":
-        c = factorial.product_histogram(q.m_window(), q.n_window()).counts
-        return transform.cyclic_convolution_power(c, q.r, total=q.M * q.N)
-    if fam == "Q":
-        c = factorial.product_histogram(q.m_window(), q.n_window()).counts
-        G = factorial.sum_histogram(q.n_window(), q.r).counts
-        return transform.cyclic_convolve_exact(
-            c, G, bound=q.M * q.N * int(q.N) ** q.r
-        )
-    if fam == "R":
-        ctx = q.ctx
-        parts: list[tuple[np.ndarray, int]] = []
-        if q.k >= 1:
-            A = factorial.sum_histogram(q.m_window(), q.k).counts
-            parts.append((_residues_to_exponents(ctx, A), int(q.M) ** q.k))
-        B = factorial.sum_histogram(q.n_window(), q.ell).counts
-        parts.append((_residues_to_exponents(ctx, B), int(q.N) ** q.ell))
-        u = factorial.exponent_histogram(q.t_window()).counts
-        prod = transform.cyclic_convolution_power(u, q.r, total=q.T)
-        parts.append((np.asarray(prod), int(q.T) ** q.r))
-        acc, bound = parts[0]
-        for vec, tot in parts[1:]:
-            acc = transform.cyclic_convolve_exact(acc, vec, bound=bound * tot)
-            bound *= tot
-        out = np.zeros(p, dtype=object if acc.dtype == object else np.int64)
-        out[ctx.power_table()] = acc
-        return out
-    raise ParameterError(f"family {q.family} has no lambda profile")
-
-
-def _residues_to_exponents(ctx: PrimeContext, vec: np.ndarray) -> np.ndarray:
-    """Project an additive-domain vector onto exponents, dropping bin 0."""
-    return np.asarray(vec)[ctx.power_table()]
+        parts = [(h if s == 1 else rev, N) for s in q.signs]
+    elif fam == "T":
+        parts = [(inp.pairs(), M * N)] * q.r
+    elif fam == "Q":
+        parts = [(inp.pairs(), M * N), (inp.sums("n", q.r), N**q.r)]
+    elif fam == "R":
+        # bracket sums projected onto exponents, dropping bin 0
+        exps = ctx.power_table()
+        u = factorial.exponent_histogram(inp.window("t")).counts
+        parts = [(inp.sums("m", q.k)[exps], M**q.k)] if q.k else []
+        parts += [
+            (inp.sums("n", q.ell)[exps], N**q.ell),
+            (transform.cyclic_convolution_power(u, q.r, total=T), T**q.r),
+        ]
+    else:
+        raise ParameterError(f"family {fam} is a single diagonal count, not a profile")
+    X, Y, bound = _fold(parts)
+    if at is not None:
+        i = ctx.index(at) if fam == "R" else at
+        return int(X[i]) if Y is None else _convolution_at(X, Y, i)
+    acc = X if Y is None else transform.cyclic_convolve_exact(X, Y, bound=bound)
+    return factorial._exponents_to_residues(ctx, acc) if fam == "R" else acc
 
 
 def count_convolution(q: CountQuery) -> CountResult:
     """Histogram-and-convolution engine; exact for every family."""
     q = q.resolved()
     started = time.perf_counter()
+    inp = _Inputs(q)
     details: dict = {}
-    fam = q.family
-    if fam == "J":
-        G = factorial.sum_histogram(q.n_window(), q.ell).counts
-        value = _exact_correlation_at(G, q.lam)
-    elif fam == "SIGNED":
-        value = int(_conv_profile(q)[q.lam])
-    elif fam == "F":
-        c = factorial.product_histogram(q.m_window(), q.n_window()).counts
-        D = transform.cyclic_convolution_power(c, q.ell, total=q.M * q.N)
+    if q.family == "F":
+        D = transform.cyclic_convolution_power(inp.pairs(), q.ell, total=q.M * q.N)
         value = _sum_squares(D)
-    elif fam == "I":
-        u = factorial.exponent_histogram(q.n_window()).counts
-        P = transform.cyclic_convolution_power(u, q.ell, total=q.N)
-        value = _sum_squares(P)
-    elif fam == "T":
-        value = int(_conv_profile(q)[q.lam])
-    elif fam == "Q":
-        c = factorial.product_histogram(q.m_window(), q.n_window()).counts
-        G = factorial.sum_histogram(q.n_window(), q.r).counts
-        # Q(lam) = sum_u c[u] * G[lam - u]
-        idx = (q.lam - np.arange(q.ctx.p)) % q.ctx.p
-        value = _exact_dot(c, G[idx])
-    elif fam == "R":
-        profile = _conv_profile(q)
-        value = int(profile[q.lam])
-        details["dropped_zero_mass"] = _r_dropped_mass(q)
-    else:  # pragma: no cover - validate() blocks this
-        raise ParameterError(f"unknown family {fam}")
+    elif q.family == "I":
+        u = factorial.exponent_histogram(inp.window("n")).counts
+        value = _sum_squares(transform.cyclic_convolution_power(u, q.ell, total=q.N))
+    else:
+        value = _conv_profile(q, inp, at=q.lam)
+        if q.family == "R":
+            details["dropped_zero_mass"] = _r_dropped_mass(q, inp)
     return CountResult(
         query=q,
         count=int(value),
@@ -275,16 +281,12 @@ def count_convolution(q: CountQuery) -> CountResult:
     )
 
 
-def _r_dropped_mass(q: CountQuery) -> int:
+def _r_dropped_mass(q: CountQuery, inp: _Inputs) -> int:
     """Tuples of family R that land on lambda = 0 because a bracket
-    vanishes; reported since the profile only covers nonzero lambda."""
-    if q.k >= 1:
-        A = factorial.sum_histogram(q.m_window(), q.k)
-        a0, a_tot = int(A.counts[0]), A.total
-    else:
-        a0, a_tot = 0, 1
-    B = factorial.sum_histogram(q.n_window(), q.ell)
-    b0, b_tot = int(B.counts[0]), B.total
+    vanishes; reported since the profile only covers nonzero lambda.  Reads
+    the bracket histograms the count built; their totals are M**k, N**ell."""
+    a0, a_tot = (int(inp.sums("m", q.k)[0]), int(q.M) ** q.k) if q.k else (0, 1)
+    b0, b_tot = int(inp.sums("n", q.ell)[0]), int(q.N) ** q.ell
     return (a0 * b_tot + (a_tot - a0) * b0) * int(q.T) ** q.r
 
 
@@ -356,54 +358,39 @@ def brute_force_count(q: CountQuery) -> CountResult:
     started = time.perf_counter()
     p = q.ctx.p
     fam = q.family
+    values = _Inputs(q).values
     plus = np.ones(max(q.ell, q.k, q.r), dtype=np.int64)
     if fam == "J":
-        tally = kernels.sum_tally(q.n_window().values, q.ell, plus[: q.ell], p)
-        value = _exact_correlation_at(tally, q.lam)
+        tally = kernels.sum_tally(values("n"), q.ell, plus[: q.ell], p)
+        value = _exact_dot(tally, tally[(np.arange(p) - q.lam) % p])
     elif fam == "SIGNED":
         tally = kernels.sum_tally(
-            q.n_window().values, q.k, np.asarray(q.signs, dtype=np.int64), p
+            values("n"), q.k, np.asarray(q.signs, dtype=np.int64), p
         )
         value = int(tally[q.lam])
-    elif fam == "F":
-        if q.ell == 1:
-            tally = kernels.pair_product_tally(
-                q.m_window().values, q.n_window().values, p
-            )
+    elif fam in ("F", "T"):
+        reps = q.ell if fam == "F" else q.r
+        if reps == 1:
+            tally = kernels.pair_product_tally(values("m"), values("n"), p)
         else:
-            pairs = kernels.outer_residues(
-                q.m_window().values, q.n_window().values, np.multiply, p
-            )
-            tally = kernels.sum_tally(pairs, q.ell, plus[: q.ell], p)
-        value = _sum_squares(tally)
+            pairs = kernels.outer_residues(values("m"), values("n"), np.multiply, p)
+            tally = kernels.sum_tally(pairs, reps, plus[:reps], p)
+        value = _sum_squares(tally) if fam == "F" else int(tally[q.lam])
     elif fam == "I":
-        tally = kernels.prod_tally(q.n_window().values, q.ell, p)
+        tally = kernels.prod_tally(values("n"), q.ell, p)
         value = _sum_squares(tally)
-    elif fam == "T":
-        if q.r == 1:
-            tally = kernels.pair_product_tally(
-                q.m_window().values, q.n_window().values, p
-            )
-        else:
-            pairs = kernels.outer_residues(
-                q.m_window().values, q.n_window().values, np.multiply, p
-            )
-            tally = kernels.sum_tally(pairs, q.r, plus[: q.r], p)
-        value = int(tally[q.lam])
     elif fam == "Q":
-        pair_tally = kernels.pair_product_tally(
-            q.m_window().values, q.n_window().values, p
-        )
-        fold_tally = kernels.sum_tally(q.n_window().values, q.r, plus[: q.r], p)
-        value = _exact_dot(pair_tally, fold_tally[(q.lam - np.arange(p)) % p])
+        pair_tally = kernels.pair_product_tally(values("m"), values("n"), p)
+        fold_tally = kernels.sum_tally(values("n"), q.r, plus[: q.r], p)
+        value = _convolution_at(pair_tally, fold_tally, q.lam)
     elif fam == "R":
         if q.k >= 1:
-            A = kernels.sum_tally(q.m_window().values, q.k, plus[: q.k], p)
+            A = kernels.sum_tally(values("m"), q.k, plus[: q.k], p)
         else:
             A = np.zeros(p, dtype=np.int64)
             A[1] = 1
-        B = kernels.sum_tally(q.n_window().values, q.ell, plus[: q.ell], p)
-        C = kernels.prod_tally(q.t_window().values, q.r, p)
+        B = kernels.sum_tally(values("n"), q.ell, plus[: q.ell], p)
+        C = kernels.prod_tally(values("t"), q.r, p)
         value = _r_combine(A, B, C, q.lam, p)
     else:  # pragma: no cover - validate() blocks this
         raise ParameterError(f"unknown family {fam}")
@@ -465,8 +452,4 @@ def count_profile(q: CountQuery) -> np.ndarray:
     diagonal quantities.  For R the zero entry stays 0 by construction.
     """
     q = q.resolved()
-    if q.family not in _PROFILE_FAMILIES:
-        raise ParameterError(
-            f"family {q.family} is a single diagonal count, not a profile"
-        )
-    return np.asarray(_conv_profile(q))
+    return _conv_profile(q, _Inputs(q))

@@ -71,14 +71,6 @@ class Histogram:
     domain: Domain
     counts: np.ndarray
 
-    @property
-    def length(self) -> int:
-        return self.counts.size
-
-    @property
-    def total(self) -> int:
-        return int(sum(int(c) for c in self.counts.tolist()))
-
 
 def value_histogram(window: FactorialWindow) -> Histogram:
     """counts[x] = multiplicity of residue x among the window values."""
@@ -118,13 +110,13 @@ def product_histogram(
     """counts[t] = number of pairs (x from wa, y from wb) with x*y = t mod p.
 
     Runs one exact cyclic convolution of length p - 1 in the exponent
-    domain.  The zero bin is structurally empty since factorials of
-    arguments below p never vanish mod p.
+    domain, a self-product when wa is wb.  The zero bin is structurally
+    empty since factorials of arguments below p never vanish mod p.
     """
     if wa.ctx.p != wb.ctx.p:
         raise ParameterError("windows live over different primes")
     ea = exponent_histogram(wa)
-    eb = exponent_histogram(wb)
+    eb = ea if wb is wa else exponent_histogram(wb)
     conv = transform.cyclic_convolve_exact(
         ea.counts, eb.counts, bound=wa.N * wb.N
     )

@@ -7,14 +7,18 @@ the product, but only where a proven rounding bound keeps every error
 below 1/2: Percival's bound for radix-2 FFT multiplication (Math. Comp.
 72, 2003) in the form of Brent, Percival and Zimmermann (Math. Comp. 76,
 2007).  Inputs too wide for one certified product are split into limbs of
-a few bits and multiplied limb by limb.  Inputs that would need more than
-``MAX_LIMBS`` limbs take exact big-integer arithmetic by Kronecker
-packing.  numpy's FFT runs mixed radix passes over real data, not the
-textbook radix-2 transform the bound is proved for, so every rounded
-product is checked as well: each entry must lie within the certified
-error of an integer, and the result must have the exact total
-sum(a) * sum(b).  A result that fails either check is recomputed by big
-integers.  A quadratic schoolbook engine serves as the test oracle.
+a few bits.  Each limb is transformed once, and a self-product (two
+inputs equal by content) transforms only one side.  Limb products of the
+same shift i + j are added in the frequency domain and share one inverse
+transform, in groups whose summed bound stays below 1/2.  Inputs that
+would need more than ``MAX_LIMBS`` limbs take exact big-integer
+arithmetic by Kronecker packing.  numpy's FFT runs mixed radix passes
+over real data, not the textbook radix-2 transform the bound is proved
+for, so every rounded group is checked as well: each entry must lie
+within the certified error of an integer, and the result must have the
+exact total sum(a) * sum(b).  A result that fails either check is
+recomputed by big integers.  A quadratic schoolbook engine is the test
+oracle.
 
 Spectra need complex DFTs whose length is a prime p or the composite
 p - 1; numpy's FFT computes them, and every spectrum carries a
@@ -84,17 +88,18 @@ def _next_pow2(n: int) -> int:
     return 1 << max(0, (n - 1).bit_length())
 
 
-def _fft_error_factor(padded: int) -> float:
+def _fft_error_factor(padded: int, adds: int = 0) -> float:
     """Ceiling on |computed - exact| / (||a||_2 * ||b||_2) for one product.
 
-    The radix-2 bound (1+eps)^3m (1+eps*sqrt5)^(3m+1) (1+beta)^3m - 1 with
-    m = log2(padded), eps = 2**-53 the float64 unit roundoff and beta =
-    2**-50 the twiddle error, evaluated through log1p/expm1 and then
+    The radix-2 bound (1+eps)^(3m+adds) (1+eps*sqrt5)^(3m+1) (1+beta)^3m - 1
+    with m = log2(padded), eps = 2**-53 the float64 unit roundoff, beta =
+    2**-50 the twiddle error and adds the spectrum additions before the
+    inverse (see _group_error), evaluated through log1p/expm1 and then
     widened by 2**-20 of itself to cover the rounding of this evaluation.
     """
     m = padded.bit_length() - 1
     growth = (
-        3 * m * math.log1p(_EPS)
+        (3 * m + adds) * math.log1p(_EPS)
         + (3 * m + 1) * math.log1p(_EPS * math.sqrt(5.0))
         + 3 * m * math.log1p(_TWIDDLE_ERR)
     )
@@ -208,32 +213,73 @@ def _split_limbs(arr: np.ndarray, limb_bits: int) -> list[np.ndarray]:
     return [((arr >> (limb_bits * i)) & mask).astype(np.float64) for i in range(count)]
 
 
+def _group_error(size: float, terms: int, padded: int) -> float:
+    """Certified error of ``terms`` limb products summed before one inverse.
+
+    size is the sum of ||a_i||_2 ||b_j||_2 over the group.  The bound of
+    Brent, Percival and Zimmermann holds each product's spectrum within a
+    product of (1 + delta) factors of the exact one, relative to
+    ||a_i|| ||b_j||, and takes the inverse transform's error relative to
+    the norm of the spectrum it is given.  The t - 1 additions add a factor
+    (1 + eps)**(t - 1), and by the triangle inequality over the products'
+    bounds the summed spectrum's error and norm are at most the sums of
+    theirs: the group is within size * _fft_error_factor(padded, t - 1) of
+    its exact sum.  No exact entry exceeds size, which must stay below
+    2**53 for the rounding to be exact; past it the error is infinite.
+    """
+    if size >= 2.0**53:
+        return math.inf
+    return size * _fft_error_factor(padded, terms - 1)
+
+
+def _shift_groups(norms_a: list[float], norms_b: list[float], padded: int):
+    """Yield (shift, pairs, error) for the limb products (i, j) of every
+    shift i + j, split greedily so that each group's summed error stays
+    certified: a product that would push it to 1/2 starts a new group.  A
+    group of one carries the single-product error the plan certified."""
+    for shift in range(len(norms_a) + len(norms_b) - 1):
+        pairs, size = [], 0.0
+        for i in range(max(0, shift + 1 - len(norms_b)), min(shift + 1, len(norms_a))):
+            term = norms_a[i] * norms_b[shift - i]
+            if pairs and _group_error(size + term, len(pairs) + 1, padded) >= 0.5:
+                yield shift, pairs, _group_error(size, len(pairs), padded)
+                pairs, size = [], 0.0
+            pairs.append((i, shift - i))
+            size += term
+        yield shift, pairs, _group_error(size, len(pairs), padded)
+
+
+def _limb_spectra(arr: np.ndarray, plan: ConvolutionPlan):
+    """The rfft of every limb of arr, and a ceiling on every limb's norm."""
+    limbs = _split_limbs(arr, plan.limb_bits)
+    return [np.fft.rfft(v, plan.padded) for v in limbs], list(map(_norm_ceiling, limbs))
+
+
 def _cyclic_convolve_fft(a: np.ndarray, b: np.ndarray, plan: ConvolutionPlan):
     """Exact cyclic convolution by float FFT products of limbs.
 
-    Holds one limb product's spectra at a time and sums the products of
-    each shift in int64 (each is below 2**53).  Returns None when a rounded
-    entry sat farther from its integer than the certified error allows.
+    One spectrum per limb, shared by both sides when b is a; one inverse
+    per group of ``_shift_groups``.  The rounded groups of a shift are
+    summed in int64 (each is below 2**53).  Returns None when a group is
+    not certified below 1/2, or a rounded entry sat farther from its
+    integer than its group's certified error allows.
     """
     n, padded, width = plan.length, plan.padded, plan.limb_bits
-    factor = _fft_error_factor(padded)
-    limbs_b = _split_limbs(b, width)
-    norms_b = [_norm_ceiling(v) for v in limbs_b]
+    spectra_a, norms_a = _limb_spectra(a, plan)
+    spectra_b, norms_b = (spectra_a, norms_a) if b is a else _limb_spectra(b, plan)
     shifts: dict[int, np.ndarray] = {}
-    for i, limb_a in enumerate(_split_limbs(a, width)):
-        norm_a = _norm_ceiling(limb_a)
-        fa = np.fft.rfft(limb_a, padded)
-        for j, limb_b in enumerate(limbs_b):
-            error = norm_a * norms_b[j] * factor
-            y = np.fft.irfft(np.fft.rfft(limb_b, padded) * fa, padded)
-            rounded = np.rint(y)
-            y -= rounded
-            if error >= 0.5 or float(np.abs(y, out=y).max()) > error:
-                return None
-            if padded != n:
-                # exact: a cyclic output is at most norm_a * norms_b[j] < 2**53
-                rounded[: n - 1] += rounded[n : 2 * n - 1]
-            shifts[i + j] = shifts.get(i + j, 0) + rounded[:n].astype(np.int64)
+    for shift, pairs, error in _shift_groups(norms_a, norms_b, padded):
+        if error >= 0.5:
+            return None
+        y = np.fft.irfft(sum(spectra_a[i] * spectra_b[j] for i, j in pairs), padded)
+        rounded = np.rint(y)
+        y -= rounded
+        if float(np.abs(y, out=y).max()) > error:
+            return None
+        if padded != n:
+            # exact: a cyclic output of the group is below 2**53
+            rounded[: n - 1] += rounded[n : 2 * n - 1]
+        shifts[shift] = shifts.get(shift, 0) + rounded[:n].astype(np.int64)
     top = sum(int(v.max()) << (width * s) for s, v in shifts.items())
     if top <= _INT64_MAX:
         out = sum(v << (width * s) for s, v in shifts.items())
@@ -284,6 +330,8 @@ def cyclic_convolve_exact(a, b, bound: int | None = None) -> np.ndarray:
     arr_b, total_b = _as_int_vector(b)
     if arr_a.size != arr_b.size:
         raise ParameterError("cyclic convolution needs equal lengths")
+    if arr_b is not arr_a and np.array_equal(arr_a, arr_b):
+        arr_b = arr_a  # a self-product: one set of limb spectra serves both
     n = arr_a.size
     total = total_a * total_b
     bound = total if bound is None else int(bound)

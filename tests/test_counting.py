@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from factcong import counting
+from factcong import counting, factorial, kernels, transform
 from factcong.counting import (
     AUTO_BRUTE_THRESHOLD,
     BRUTE_FORCE_GUARD,
@@ -17,7 +17,7 @@ from factcong.counting import (
     estimate_brute_work,
 )
 from factcong.errors import GuardExceededError, ParameterError
-from factcong.factorial import sum_histogram
+from factcong.factorial import build_window, sum_histogram
 from factcong.field import PrimeContext
 
 PRIMES = [5, 7, 11, 13]
@@ -138,10 +138,7 @@ def test_j_zero_equals_sum_of_squares(p, ell, data):
     ctx = PrimeContext.create(p)
     L = data.draw(st.integers(0, p - 3), label="L")
     N = data.draw(st.integers(2, p - 1 - L), label="N")
-    G = sum_histogram(
-        CountQuery(family="J", ctx=ctx, ell=ell, L=L, N=N).resolved().n_window(),
-        ell,
-    )
+    G = sum_histogram(build_window(ctx, L, N), ell)
     j0 = count(CountQuery(family="J", ctx=ctx, ell=ell, L=L, N=N, lam=0)).count
     assert sum(int(x) ** 2 for x in G.counts) == j0
 
@@ -326,8 +323,8 @@ def test_exact_combines_match_python(vectors):
     assert counting._exact_dot(a, b) == python_dot(a, b)
     assert counting._sum_squares(a) == python_dot(a, a)
     for lam in range(n):
-        expected = sum(int(a[(mu + lam) % n]) * int(a[mu]) for mu in range(n))
-        assert counting._exact_correlation_at(a, lam) == expected
+        expected = sum(int(a[i]) * int(b[(lam - i) % n]) for i in range(n))
+        assert counting._convolution_at(a, b, lam) == expected
 
 
 def test_r_brute_object_path_matches_int64_and_conv(contexts, monkeypatch):
@@ -355,3 +352,100 @@ def test_r_combine_wide_tallies_match_python():
     )
     assert expected > INT64_MAX
     assert counting._r_combine(A, B, C, lam, p) == expected
+
+
+# single-lambda counts against the profile and the brute engine
+
+SINGLE_LAMBDA_CASES = (
+    ("J", {"ell": 1}),
+    ("J", {"ell": 2}),
+    ("SIGNED", {"k": 1, "signs": (-1,)}),
+    ("SIGNED", {"k": 2, "signs": (1, -1)}),
+    ("SIGNED", {"k": 3, "signs": (-1, 1, -1)}),
+    ("T", {"r": 1}),
+    ("T", {"r": 2}),
+    # a short second window keeps the brute enumeration under its guard
+    ("T", {"r": 3, "M": 4}),
+    ("Q", {"r": 1}),
+    ("Q", {"r": 2}),
+    ("R", {"k": 0, "ell": 1, "r": 1}),
+    ("R", {"k": 1, "ell": 2, "r": 2}),
+    ("R", {"k": 2, "ell": 1, "r": 2}),
+)
+
+
+@pytest.mark.parametrize("p", (31, 37))
+@pytest.mark.parametrize(("family", "params"), SINGLE_LAMBDA_CASES,
+                         ids=[f + "".join(f"-{k}{v}" for k, v in params.items()
+                                          if k != "signs")
+                              for f, params in SINGLE_LAMBDA_CASES])
+def test_single_lambda_equals_profile_and_brute(p, family, params):
+    ctx = PrimeContext.create(p, with_dlog=True)
+    # family R takes no lambda = 0, not even for a profile
+    profile = count_profile(CountQuery(family=family, ctx=ctx, lam=1, **params))
+    for lam in range(1 if family == "R" else 0, p):
+        q = CountQuery(family=family, ctx=ctx, lam=lam, **params)
+        conv = count_convolution(q).count
+        assert conv == int(profile[lam]) == brute_force_count(q).count, lam
+
+
+# each window and histogram built once per count call
+
+@pytest.mark.parametrize(("family", "params"), (
+    ("R", {"k": 1, "ell": 1, "r": 2}),
+    ("Q", {"r": 2}),
+    ("F", {}),
+    ("T", {"r": 2}),
+))
+def test_one_window_per_count_call(ctx101, monkeypatch, family, params):
+    q = CountQuery(family=family, ctx=ctx101, lam=7, **params)
+    windows, builds = [], []
+    factorial_window = kernels.factorial_window
+    build_window = factorial.build_window
+    monkeypatch.setattr(kernels, "factorial_window",
+                        lambda *a: windows.append(a) or factorial_window(*a))
+    count_convolution(q)
+    assert len(windows) == 1
+    # the brute engine's inverse table runs its own factorial kernel, so
+    # count the windows it builds instead
+    monkeypatch.setattr(factorial, "build_window",
+                        lambda *a: builds.append(a) or build_window(*a))
+    brute_force_count(q)
+    assert len(builds) == 1
+
+
+# dropped_zero_mass values recorded before the R count reused its bracket
+# histograms and took their totals in closed form
+R_DROPPED = (
+    (31, {"k": 0, "ell": 1, "r": 1}, 0),
+    (31, {"k": 2, "ell": 2, "r": 1}, 2008680),
+    (31, {"k": 2, "ell": 1, "r": 2, "K": 3, "M": 20, "L": 5, "N": 17, "S": 2, "T": 10},
+     23800),
+    # both brackets can vanish, and M != N
+    (31, {"k": 2, "ell": 2, "r": 2, "K": 3, "M": 20, "L": 5, "N": 17, "S": 2, "T": 10},
+     867800),
+    (53, {"k": 1, "ell": 1, "r": 2}, 0),
+    (53, {"k": 2, "ell": 2, "r": 1}, 8389680),
+    (53, {"k": 2, "ell": 1, "r": 2, "K": 3, "M": 20, "L": 5, "N": 17, "S": 2, "T": 10},
+     3400),
+    (53, {"k": 2, "ell": 2, "r": 2, "K": 3, "M": 20, "L": 5, "N": 17, "S": 2, "T": 10},
+     137400),
+)
+
+
+@pytest.mark.parametrize(("p", "params", "dropped"), R_DROPPED)
+def test_r_dropped_zero_mass_unchanged(p, params, dropped):
+    ctx = PrimeContext.create(p, with_dlog=True)
+    res = count_convolution(CountQuery(family="R", ctx=ctx, lam=7, **params))
+    assert res.details["dropped_zero_mass"] == dropped
+
+
+def test_r_count_makes_at_most_three_convolutions(monkeypatch):
+    ctx = PrimeContext.create(53, with_dlog=True)
+    calls = []
+    convolve = transform.cyclic_convolve_exact
+    monkeypatch.setattr(transform, "cyclic_convolve_exact",
+                        lambda *a, **kw: calls.append(1) or convolve(*a, **kw))
+    q = CountQuery(family="R", ctx=ctx, k=2, ell=2, r=1, lam=7)
+    assert count_convolution(q).count == 7147258
+    assert len(calls) <= 3

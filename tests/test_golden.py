@@ -1,8 +1,12 @@
 """Byte-identity gate on CLI output: sha256 of stdout for fixed commands.
 
-Each digest was recorded before the table rendering was rewritten to work
-column by column, so a change to rendering, row building or the numbers
-behind them shows here as a changed digest.  JSON envelopes are hashed
+The first 17 digests were recorded before the table rendering was
+rewritten to work column by column; the ten ``count ... --p 53`` digests
+(one single-lambda count per family under ``--engine both``, and the
+SIGNED, T and R profiles) were recorded before the convolution engine
+began reusing limb spectra and evaluating single-lambda counts as an
+exact dot.  A change to rendering, row building or the numbers behind
+them shows here as a changed digest.  JSON envelopes are hashed
 without their ``timing_seconds`` line, the only part of stdout that varies
 between runs.
 
@@ -58,6 +62,26 @@ GOLDEN = (
      "e2fc59ba6472952ca8a2ed6051f0454a5287ecbdeebc15347caaba77c56ca131"),
     ("factorials --p 1009 --L 500 --N 300 --format csv", EXACT,
      "f49c067cdd10f0a782aeaa00e41c779d73532aa2cf8eef10c8d1fb54aa5262b2"),
+    ("count J --p 53 --lambda 7 --engine both --ell 2", EXACT,
+     "2863edfa802090bf4cd0df834555bd4833e518a7e471b9a8718b890c5a5d4c9b"),
+    ("count SIGNED --p 53 --lambda 7 --engine both --k 3 --signs +-+", EXACT,
+     "cf9566ee3f015d1a08ee2b968d6fdb84537390072846a803f0b60d81b30b5ab4"),
+    ("count F --p 53 --lambda 7 --engine both --ell 2", EXACT,
+     "c7376638e756ea1bd9722f44c476d8c562ceafe389af5a5fc49cc618f512022d"),
+    ("count I --p 53 --lambda 7 --engine both --ell 2", EXACT,
+     "e12d455975064df8d8715b518231f00081434b031a91989c5e313437b462b1bd"),
+    ("count T --p 53 --lambda 7 --engine both --r 2", EXACT,
+     "fe5c6fff9555e0d56800291705c7b18dadeb3e726073a6e28cfe0a2bf40971ae"),
+    ("count Q --p 53 --lambda 7 --engine both --r 2", EXACT,
+     "5a9222462465fad14ef73dfd05d61ba75ffa0a1a28ce71bd0da0a2d1e56951c8"),
+    ("count R --p 53 --lambda 7 --engine both --k 1 --ell 1 --r 2", EXACT,
+     "595cfd6b589fdf016b97a00e6adbba240a46882813c1c509b660fbbb8615fe5f"),
+    ("count SIGNED --p 53 --k 3 --signs +-+ --profile", EXACT,
+     "fd6ba259ebdd1f6d9d568f24ed1b7a158eff5ae4bb222a9f6de2dc4abfeaef27"),
+    ("count T --p 53 --r 2 --profile", EXACT,
+     "d1a66777c4d7a4dafed10eb1124d07c630772e9182eb89d0223a4f112a1b1f14"),
+    ("count R --p 53 --k 1 --ell 1 --r 2 --profile", EXACT,
+     "0f13e1860a75a1a2d6c034e12d0e187e29b8114e86d7bb4f3cdd463700b5ce02"),
 )
 
 

@@ -1,10 +1,12 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from factcong import transform
 from factcong.errors import ParameterError
 from factcong.transform import (
     MAX_LIMBS,
@@ -107,6 +109,84 @@ def test_corrupted_float_product_is_recomputed(corruption, rng, monkeypatch):
     got = cyclic_convolve_exact(a, b)
     assert calls
     assert as_ints(got) == as_ints(cyclic_convolve_direct(a, b))
+
+
+@pytest.fixture
+def fft_calls(monkeypatch):
+    """Counts of np.fft.rfft and np.fft.irfft calls made during a test."""
+    calls = Counter()
+    for name in ("rfft", "irfft"):
+        def counted(*args, _name=name, _fft=getattr(np.fft, name), **kwargs):
+            calls[_name] += 1
+            return _fft(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    return calls
+
+
+def two_limb_vector(seed):
+    # 33-bit entries at length 64 take two 18-bit limbs, and the two limb
+    # products of shift 1 certify together
+    return np.random.default_rng(seed).integers(0, 2**33, size=64, dtype=np.int64)
+
+
+@pytest.mark.parametrize(
+    ("wide", "other", "rfft", "irfft"),
+    [
+        (False, "same", 1, 1),
+        (False, "copy", 1, 1),
+        # one spectrum per limb, one inverse per shift 0, 1, 2
+        (True, "same", 2, 3),
+        (True, "copy", 2, 3),
+        (True, "distinct", 4, 3),
+    ],
+)
+def test_fft_calls_per_product(fft_calls, wide, other, rfft, irfft):
+    a = two_limb_vector(1) if wide else np.arange(64, dtype=np.int64)
+    b = {"same": a, "copy": a.copy(), "distinct": two_limb_vector(2)}[other]
+    plan = plan_cyclic_convolution(64, int(a.sum()) * int(b.sum()), norm(a), norm(b))
+    assert (plan.engine, plan.limbs) == ("fft", 2 if wide else 1)
+    got = cyclic_convolve_exact(a, b)
+    assert dict(fft_calls) == {"rfft": rfft, "irfft": irfft}
+    assert as_ints(got) == as_ints(cyclic_convolve_direct(a, b))
+
+
+@given(
+    st.integers(2, 40),
+    st.sampled_from(("same", "copy", "distinct")),
+    st.sampled_from((2**20, 2**40, 2**62)),
+    st.sampled_from((1, 2**20, 2**62)),
+    st.data(),
+)
+def test_multi_limb_products_match_direct(n, other, top_a, top_b, data):
+    # self-products, equal-content copies, and inputs of unequal limb counts
+    a = np.array(data.draw(st.lists(st.integers(0, top_a), min_size=n, max_size=n)),
+                 dtype=np.int64)
+    if other == "distinct":
+        b = np.array(
+            data.draw(st.lists(st.integers(0, top_b), min_size=n, max_size=n)),
+            dtype=np.int64,
+        )
+    else:
+        b = a if other == "same" else a.copy()
+    assert as_ints(cyclic_convolve_exact(a, b)) == as_ints(cyclic_convolve_direct(a, b))
+
+
+def test_shift_splits_when_the_sum_is_not_certified(fft_calls, monkeypatch):
+    # one product still certifies, but any sum of two products does not
+    factor = transform._fft_error_factor
+    monkeypatch.setattr(transform, "_fft_error_factor",
+                        lambda padded, adds=0: factor(padded) if adds == 0 else 1.0)
+    a = two_limb_vector(1)
+    got = cyclic_convolve_exact(a, a)
+    # shift 1 runs its products (0, 1) and (1, 0) through separate inverses
+    assert dict(fft_calls) == {"rfft": 2, "irfft": 4}
+    assert as_ints(got) == as_ints(cyclic_convolve_direct(a, a))
+
+
+def test_group_at_two_to_the_53_is_not_certified():
+    assert transform._group_error(2.0**53, 1, 64) == math.inf
+    assert transform._group_error(2.0**52, 2, 64) < math.inf
 
 
 @given(
