@@ -5,7 +5,9 @@ rewritten to work column by column; the ten ``count ... --p 53`` digests
 (one single-lambda count per family under ``--engine both``, and the
 SIGNED, T and R profiles) were recorded before the convolution engine
 began reusing limb spectra and evaluating single-lambda counts as an
-exact dot.  A change to rendering, row building or the numbers behind
+exact dot; the all-bounds ``sweep`` digest (every catalogued bound at
+its default parameters under both engines) was recorded before the
+bounds moved into one table.  A change to rendering, row building or the numbers behind
 them shows here as a changed digest.  JSON envelopes are hashed
 without their ``timing_seconds`` line, the only part of stdout that varies
 between runs.
@@ -82,6 +84,9 @@ GOLDEN = (
      "d1a66777c4d7a4dafed10eb1124d07c630772e9182eb89d0223a4f112a1b1f14"),
     ("count R --p 53 --k 1 --ell 1 --r 2 --profile", EXACT,
      "0f13e1860a75a1a2d6c034e12d0e187e29b8114e86d7bb4f3cdd463700b5ce02"),
+    ("sweep --bounds T2.1,C2.2,T2.3,T3.1,T4.1,T4.2,T4.3,T4.4,B-CharSum,B-I "
+     "--primes 53..73 --engine both", FLOAT,
+     "94e543709b2b3419da2ddb2108debf758cda4a5ba98cda67529b12f014fcdee9"),
 )
 
 
