@@ -26,7 +26,9 @@ Catalog (full windows unless overridden; all bounds up to a constant):
 
 from __future__ import annotations
 
+import dataclasses
 import math
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
@@ -59,34 +61,51 @@ __all__ = [
     "discrepancy_estimate",
 ]
 
-BOUND_IDS = (
-    "T2.1",
-    "C2.2",
-    "T2.3",
-    "T3.1",
-    "T4.1",
-    "T4.2",
-    "T4.3",
-    "T4.4",
-    "B-CharSum",
-    "B-I",
-)
-
 DIRECT_DISCREPANCY_GUARD = 10**7
 
-# Parameters each bound consumes, with defaults applied per cell.
-_BOUND_PARAMS: dict[str, dict[str, int]] = {
-    "T2.1": {"ell": 1, "lam": 0},
-    "C2.2": {"k": 2, "lam": 0},
-    "T2.3": {"ell": 1},
-    "T3.1": {"k": 2, "ell": 2},
-    "T4.1": {"k": 2, "ell": 2, "r": 2, "s": 1, "lam": 0},
-    "T4.2": {"k": 2, "ell": 2, "r": 1, "lam": 0},
-    "T4.3": {"k": 1, "ell": 1, "r": 1, "lam": 1},
-    "T4.4": {"ell": 1, "r": 1, "s": 0, "lam": 1},
-    "B-CharSum": {},
-    "B-I": {"ell": 1},
+
+@dataclass(frozen=True)
+class _Bound:
+    """How one catalogued bound's left side is computed.
+
+    params holds the bound's parameters with their defaults.  family is
+    the counting family whose exact count is the left side, or None for
+    the two spectral bounds.  main maps the resolved parameters to the
+    main term (numerator, denominator) the count deviates from, or is None
+    when the left side is the count itself.  fixed holds the query fields
+    the bound pins; a cell that asks for another value is skipped.
+    """
+
+    params: dict
+    family: str | None = None
+    main: Callable[..., tuple[int, int]] | None = None
+    fixed: dict = dc_field(default_factory=dict)
+
+
+_BOUNDS = {
+    "T2.1": _Bound({"ell": 1, "lam": 0}, "J"),
+    "C2.2": _Bound({"k": 2, "lam": 0}, "SIGNED"),
+    "T2.3": _Bound({"ell": 1}, "F"),
+    "T3.1": _Bound({"k": 2, "ell": 2}),
+    "T4.1": _Bound({"k": 2, "ell": 2, "r": 2, "s": 1, "lam": 0}, "T",
+                   lambda M, N, r, p, **_: ((M * N) ** r, p)),
+    "T4.2": _Bound({"k": 2, "ell": 2, "r": 1, "lam": 0}, "Q",
+                   lambda M, N, r, p, **_: (M * N ** (r + 1), p)),
+    "T4.3": _Bound({"k": 1, "ell": 1, "r": 1, "lam": 1}, "R",
+                   lambda M, N, T, k, ell, r, p, **_: (M**k * N**ell * T**r, p - 1)),
+    "T4.4": _Bound({"ell": 1, "r": 1, "s": 0, "lam": 1}, "R",
+                   lambda N, T, ell, r, p, **_: (N**ell * T**r, p - 1), {"k": 0}),
+    "B-CharSum": _Bound({}),
+    "B-I": _Bound({"ell": 1}, "I"),
 }
+
+BOUND_IDS = tuple(_BOUNDS)
+
+
+def _bound(bound_id: str) -> _Bound:
+    if bound_id not in _BOUNDS:
+        raise ParameterError(f"unknown bound id {bound_id!r}")
+    return _BOUNDS[bound_id]
 
 
 @dataclass(frozen=True)
@@ -127,9 +146,7 @@ def bound_rhs(bound_id: str, **params) -> float:
     ell, k, r, and the split parameter s.  Raises HypothesisError outside
     the stated parameter regime.
     """
-    if bound_id not in BOUND_IDS:
-        raise ParameterError(f"unknown bound id {bound_id!r}")
-    g = params.get
+    _bound(bound_id)
     if bound_id == "T2.1":
         (ell, N) = _require(params, "ell", "N")
         return float(N) ** (2 * ell - 1 + 1 / (ell + 1))
@@ -191,10 +208,8 @@ def bound_rhs(bound_id: str, **params) -> float:
     if bound_id == "B-CharSum":
         (N, p) = _require(params, "N", "p")
         return float(N) ** 0.75 * float(p) ** 0.125 * math.log(p) ** 0.25
-    if bound_id == "B-I":
-        (ell, N) = _require(params, "ell", "N")
-        return float(N) ** (2 * ell - 1 + 2.0 ** (-ell))
-    raise ParameterError(f"unknown bound id {bound_id!r}")  # pragma: no cover
+    (ell, N) = _require(params, "ell", "N")  # B-I
+    return float(N) ** (2 * ell - 1 + 2.0 ** (-ell))
 
 
 def _check_window_balance(M: int, N: int) -> None:
@@ -206,11 +221,6 @@ def _check_window_balance(M: int, N: int) -> None:
 
 def _default_signs(k: int) -> tuple[int, ...]:
     return tuple(1 if i % 2 == 0 else -1 for i in range(k))
-
-
-def _deviation(count: int, numerator: int, denominator: int) -> float:
-    """|count - numerator/denominator| computed exactly before rounding."""
-    return abs(count * denominator - numerator) / denominator
 
 
 def _spot_check_spectrum(
@@ -236,96 +246,44 @@ def evaluate_cell(
     seed: int = 0,
 ) -> BoundReport:
     """Evaluate one bound at one prime, full windows unless overridden."""
-    if bound_id not in BOUND_IDS:
-        raise ParameterError(f"unknown bound id {bound_id!r}")
+    bound = _bound(bound_id)
     p = ctx.p
-    resolved: dict = dict(_BOUND_PARAMS[bound_id])
+    resolved: dict = dict(bound.params)
     resolved.update({k: v for k, v in (params or {}).items() if v is not None})
-    resolved.setdefault("L", 0)
-    resolved.setdefault("K", 0)
-    resolved.setdefault("S", 0)
-    resolved.setdefault("N", p - 1 - resolved["L"])
-    resolved.setdefault("M", p - 1 - resolved["K"])
-    resolved.setdefault("T", p - 1 - resolved["S"])
+    for key, value in bound.fixed.items():
+        if resolved.get(key, value) != value:
+            raise HypothesisError(
+                f"{bound_id} counts with {key}={value}, not {key}={resolved[key]}"
+            )
+    for offset, length in (("L", "N"), ("K", "M"), ("S", "T")):
+        resolved.setdefault(offset, 0)
+        resolved.setdefault(length, p - 1 - resolved[offset])
     resolved["p"] = p
-
-    def query(family: str, **kw) -> CountQuery:
-        return CountQuery(
-            family=family,
-            ctx=ctx,
-            L=resolved["L"],
-            N=resolved["N"],
-            K=resolved["K"],
-            M=resolved["M"],
-            S=resolved["S"],
-            T=resolved["T"],
-            **kw,
-        )
-
     rhs = bound_rhs(bound_id, **resolved)
-    M, N, T = resolved["M"], resolved["N"], resolved["T"]
-    if bound_id == "T2.1":
-        lhs = float(
-            counting.count(
-                query("J", ell=resolved["ell"], lam=resolved["lam"]), engine
-            ).count
-        )
-    elif bound_id == "C2.2":
-        signs = tuple(resolved.get("signs") or _default_signs(resolved["k"]))
-        resolved["signs"] = signs
-        lhs = float(
-            counting.count(
-                query("SIGNED", k=resolved["k"], signs=signs, lam=resolved["lam"]),
-                engine,
-            ).count
-        )
-    elif bound_id == "T2.3":
-        lhs = float(counting.count(query("F", ell=resolved["ell"]), engine).count)
-    elif bound_id == "T3.1":
-        wm = factorial.build_window(ctx, resolved["K"], M)
-        same = (resolved["K"], M) == (resolved["L"], N)
-        wn = wm if same else factorial.build_window(ctx, resolved["L"], N)
-        spectrum = expsums.batch_double_sums(wm, wn)
-        if engine == "both":
-            _spot_check_spectrum(spectrum, wm, wn, seed=seed + p)
+    if bound.family == "SIGNED":
+        signs = resolved.get("signs") or _default_signs(resolved["k"])
+        resolved["signs"] = tuple(signs)
+    if bound.family is not None:
+        fields = {f.name: resolved[f.name] for f in dataclasses.fields(CountQuery)
+                  if f.name in resolved}
+        query = CountQuery(family=bound.family, ctx=ctx, **{**fields, **bound.fixed})
+        c = counting.count(query, engine).count
+        num, den = bound.main(**resolved) if bound.main else (0, 1)
+        # |c - num/den|, exact until the one rounding division
+        lhs = abs(c * den - num) / den
+    else:
+        wn = factorial.build_window(ctx, resolved["L"], resolved["N"])
+        if bound_id == "T3.1":
+            K, M = resolved["K"], resolved["M"]
+            wm = wn if (K, M) == (wn.L, wn.N) else factorial.build_window(ctx, K, M)
+            spectrum = expsums.batch_double_sums(wm, wn)
+            if engine == "both":
+                _spot_check_spectrum(spectrum, wm, wn, seed=seed + p)
+        else:  # B-CharSum
+            spectrum = expsums.batch_character_sums(wn)
+            if engine == "both":
+                _spot_check_chars(spectrum, wn, seed=seed + p)
         lhs = abs(spectrum.max_magnitude(skip_zero=True).value)
-    elif bound_id == "T4.1":
-        c = counting.count(query("T", r=resolved["r"], lam=resolved["lam"]), engine)
-        lhs = _deviation(c.count, (M * N) ** resolved["r"], p)
-    elif bound_id == "T4.2":
-        c = counting.count(query("Q", r=resolved["r"], lam=resolved["lam"]), engine)
-        lhs = _deviation(c.count, M * N ** (resolved["r"] + 1), p)
-    elif bound_id == "T4.3":
-        c = counting.count(
-            query(
-                "R",
-                k=resolved["k"],
-                ell=resolved["ell"],
-                r=resolved["r"],
-                lam=resolved["lam"],
-            ),
-            engine,
-        )
-        main = M ** resolved["k"] * N ** resolved["ell"] * T ** resolved["r"]
-        lhs = _deviation(c.count, main, p - 1)
-    elif bound_id == "T4.4":
-        c = counting.count(
-            query(
-                "R", k=0, ell=resolved["ell"], r=resolved["r"], lam=resolved["lam"]
-            ),
-            engine,
-        )
-        lhs = _deviation(c.count, N ** resolved["ell"] * T ** resolved["r"], p - 1)
-    elif bound_id == "B-CharSum":
-        window = factorial.build_window(ctx, resolved["L"], N)
-        spectrum = expsums.batch_character_sums(window)
-        if engine == "both":
-            _spot_check_chars(spectrum, window, seed=seed + p)
-        lhs = abs(spectrum.max_magnitude(skip_zero=True).value)
-    elif bound_id == "B-I":
-        lhs = float(counting.count(query("I", ell=resolved["ell"]), engine).count)
-    else:  # pragma: no cover
-        raise ParameterError(f"unknown bound id {bound_id!r}")
     return BoundReport(bound_id=bound_id, p=p, params=resolved, lhs=lhs, rhs=rhs)
 
 
@@ -348,34 +306,21 @@ def verify_sweep(
     engine: str = "conv",
     threads: int = 1,
     seed: int = 0,
-    dlog_limit: int | None = None,
     context_factory=None,
 ) -> SweepResult:
     """Evaluate one bound across primes; cells outside the bound's
     hypotheses are skipped and recorded rather than raised.
 
     context_factory(p, with_dlog) may be supplied to reuse or cache
-    contexts; the default builds each one from scratch.
+    contexts; the default builds each one from scratch.  It is asked for
+    the discrete-log table when the bound or its counting engine reads it.
     """
-    needs_dlog = bound_id in (
-        "T2.3",
-        "T3.1",
-        "T4.1",
-        "T4.2",
-        "T4.3",
-        "T4.4",
-        "B-CharSum",
-        "B-I",
-    )
-
-    def default_factory(p: int, with_dlog: bool) -> PrimeContext:
-        kwargs = {} if dlog_limit is None else {"memory_limit": dlog_limit}
-        return PrimeContext.create(p, with_dlog=with_dlog, **kwargs)
-
-    factory = context_factory or default_factory
+    family = _bound(bound_id).family
+    with_dlog = family is None or counting.needs_dlog(family, engine)
+    factory = context_factory or PrimeContext.create
 
     def cell(p: int):
-        ctx = factory(p, needs_dlog)
+        ctx = factory(p, with_dlog)
         return evaluate_cell(bound_id, ctx, params, engine=engine, seed=seed)
 
     reports: list[BoundReport] = []

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -38,9 +39,6 @@ __all__ = ["main", "build_parser", "config_to_argv"]
 TOOL = "factcong"
 CACHE_ENV = "FACTCONG_CACHE_DIR"
 FORMATS = ("plain", "json", "csv", "tsv")
-
-# Families whose convolution route works in the multiplicative domain.
-_DLOG_FAMILIES = frozenset({"F", "I", "T", "Q", "R"})
 
 
 class CommandOutput:
@@ -139,8 +137,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="seed for sampled spot checks")
 
 
-def _add_n_window(parser, with_defaults=True):
-    parser.add_argument("--L", type=_nonnegative, default=0 if with_defaults else None,
+def _add_n_window(parser):
+    parser.add_argument("--L", type=_nonnegative, default=0,
                         help="offset of the main window (default 0)")
     parser.add_argument("--N", type=_positive, default=None,
                         help="length of the main window (default p-1-L)")
@@ -341,8 +339,9 @@ def _resolve_cache_dir(ns) -> str | None:
     return os.environ.get(CACHE_ENV) or None
 
 
-def _context(ns, warnings: list[str], with_dlog: bool) -> PrimeContext:
-    ctx = PrimeContext.create(ns.p)
+def _context(ns, warnings: list[str], p: int, with_dlog: bool) -> PrimeContext:
+    """The context for p; with_dlog attaches the (cached) discrete-log table."""
+    ctx = PrimeContext.create(p)
     if with_dlog:
         ctx, warning = cache.get_or_build_dlog(_resolve_cache_dir(ns), ctx)
         if warning:
@@ -351,7 +350,7 @@ def _context(ns, warnings: list[str], with_dlog: bool) -> PrimeContext:
 
 
 def _window(ns, ctx, warnings, L_attr="L", N_attr="N"):
-    L = getattr(ns, L_attr) or 0
+    L = getattr(ns, L_attr)
     N = getattr(ns, N_attr)
     if N is None:
         N = ctx.p - 1 - L
@@ -368,7 +367,7 @@ def _window(ns, ctx, warnings, L_attr="L", N_attr="N"):
 
 
 def _cmd_factorials(ns, warnings) -> CommandOutput:
-    ctx = _context(ns, warnings, with_dlog=False)
+    ctx = _context(ns, warnings, ns.p, with_dlog=False)
     window = _window(ns, ctx, warnings)
     values = window.values.tolist()
     columns = {"n": list(range(window.L + 1, window.L + 1 + len(values))),
@@ -377,8 +376,7 @@ def _cmd_factorials(ns, warnings) -> CommandOutput:
 
 
 def _cmd_expsum(ns, warnings) -> CommandOutput:
-    needs_dlog = ns.kind in ("double", "char")
-    ctx = _context(ns, warnings, with_dlog=needs_dlog)
+    ctx = _context(ns, warnings, ns.p, with_dlog=ns.kind in ("double", "char"))
     window = _window(ns, ctx, warnings)
     if ns.kind == "single":
         sv = expsums.single_sum(window, ns.a)
@@ -431,7 +429,8 @@ def _count_query(ns, ctx) -> CountQuery:
 
 
 def _cmd_count(ns, warnings) -> CommandOutput:
-    ctx = _context(ns, warnings, with_dlog=ns.family in _DLOG_FAMILIES)
+    engine = "conv" if ns.profile else ns.engine
+    ctx = _context(ns, warnings, ns.p, counting.needs_dlog(ns.family, engine))
     query = _count_query(ns, ctx)
     if ns.profile:
         counts = counting.count_profile(query).tolist()
@@ -488,16 +487,6 @@ def _report_columns(reports) -> dict[str, list]:
 
 
 def _run_sweeps(ns, warnings, bound_ids) -> CommandOutput:
-    cache_dir = _resolve_cache_dir(ns)
-
-    def factory(p: int, with_dlog: bool) -> PrimeContext:
-        ctx = PrimeContext.create(p)
-        if with_dlog:
-            ctx, warning = cache.get_or_build_dlog(cache_dir, ctx)
-            if warning:
-                warnings.append(warning)
-        return ctx
-
     params = _sweep_params(ns)
     reports = []
     series: dict[str, list] = {}
@@ -509,7 +498,7 @@ def _run_sweeps(ns, warnings, bound_ids) -> CommandOutput:
             engine=ns.engine,
             threads=ns.threads,
             seed=ns.seed,
-            context_factory=factory,
+            context_factory=functools.partial(_context, ns, warnings),
         )
         for p, reason in result.skipped:
             warnings.append(f"{bound_id} p={p} skipped: {reason}")
@@ -539,7 +528,7 @@ def _cmd_sweep(ns, warnings) -> CommandOutput:
 
 
 def _cmd_stats(ns, warnings) -> CommandOutput:
-    ctx = _context(ns, warnings, with_dlog=ns.H is not None)
+    ctx = _context(ns, warnings, ns.p, with_dlog=ns.H is not None)
     window = _window(ns, ctx, warnings)
     stats = analysis.distinct_stats(window)
     row = {

@@ -21,8 +21,9 @@ meaningful consistency check.
 A profile (the counts at every lambda) ends in one exact convolution
 X * Y.  A single-lambda count of J, SIGNED, T, Q or R builds the same
 X and Y but evaluates only that last step, at lambda, as the exact dot
-sum_i X[i] Y[lambda - i]; F and I are sums of squares.  Each call builds
-every factorial window and histogram it needs once.
+sum_i X[i] Y[lambda - i]; F and I are sums of squares of the full X * Y.
+Each call builds every factorial window and histogram it needs once, and
+only the convolution engine reads the discrete-log table (needs_dlog).
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ __all__ = [
     "brute_force_count",
     "count_profile",
     "estimate_brute_work",
+    "needs_dlog",
 ]
 
 FAMILIES = ("J", "SIGNED", "F", "I", "T", "Q", "R")
@@ -142,9 +144,10 @@ class _Inputs:
         return self._memo[key]
 
     def window(self, role: str) -> FactorialWindow:
-        """The main ("n"), second ("m") or plain ("t") window."""
+        """The main ("n"), second ("m"), plain ("t") or "full" window."""
         q = self.q
-        L, N = {"n": (q.L, q.N), "m": (q.K, q.M), "t": (q.S, q.T)}[role]
+        L, N = {"n": (q.L, q.N), "m": (q.K, q.M), "t": (q.S, q.T),
+                "full": (0, q.ctx.p - 1)}[role]
         return self._once((L, N), lambda: factorial.build_window(q.ctx, L, N))
 
     def values(self, role: str) -> np.ndarray:
@@ -167,6 +170,13 @@ class CountResult:
     engine: str
     seconds: float
     details: dict = dc_field(default_factory=dict)
+
+
+def needs_dlog(family: str, engine: str) -> bool:
+    """Whether counting family with engine reads the discrete-log table: the
+    convolution engine (or auto, which may pick it) does for every family
+    with a product or exponent histogram, the brute engine never does."""
+    return engine != "brute" and family not in ("J", "SIGNED")
 
 
 _INT64_MAX = 2**63 - 1
@@ -222,10 +232,14 @@ def _conv_profile(q: CountQuery, inp: _Inputs, at: int | None = None):
     exponents and maps back to residues with a structurally empty zero bin).
 
     With at set, only the count at lambda = at: the last convolution X * Y
-    is evaluated at that one index as an exact dot.
+    is evaluated at that one index as an exact dot.  F and I have no
+    profile: their count is the sum of squares of the full X * Y.
     """
     ctx, fam = q.ctx, q.family
     N, M, T = int(q.N), int(q.M), int(q.T)
+    diagonal = fam in ("F", "I")
+    if diagonal and at is None:
+        raise ParameterError(f"family {fam} is a single diagonal count, not a profile")
     if fam == "J":
         G = inp.sums("n", q.ell)
         parts = [(G, N**q.ell), (transform.index_reversed(G), N**q.ell)]
@@ -246,13 +260,17 @@ def _conv_profile(q: CountQuery, inp: _Inputs, at: int | None = None):
             (inp.sums("n", q.ell)[exps], N**q.ell),
             (transform.cyclic_convolution_power(u, q.r, total=T), T**q.r),
         ]
-    else:
-        raise ParameterError(f"family {fam} is a single diagonal count, not a profile")
+    elif fam == "F":
+        parts = [(inp.pairs(), M * N)] * q.ell
+    else:  # I
+        parts = [(factorial.exponent_histogram(inp.window("n")).counts, N)] * q.ell
     X, Y, bound = _fold(parts)
-    if at is not None:
+    if at is not None and not diagonal:
         i = ctx.index(at) if fam == "R" else at
         return int(X[i]) if Y is None else _convolution_at(X, Y, i)
     acc = X if Y is None else transform.cyclic_convolve_exact(X, Y, bound=bound)
+    if diagonal:
+        return _sum_squares(acc)
     return factorial._exponents_to_residues(ctx, acc) if fam == "R" else acc
 
 
@@ -261,17 +279,8 @@ def count_convolution(q: CountQuery) -> CountResult:
     q = q.resolved()
     started = time.perf_counter()
     inp = _Inputs(q)
-    details: dict = {}
-    if q.family == "F":
-        D = transform.cyclic_convolution_power(inp.pairs(), q.ell, total=q.M * q.N)
-        value = _sum_squares(D)
-    elif q.family == "I":
-        u = factorial.exponent_histogram(inp.window("n")).counts
-        value = _sum_squares(transform.cyclic_convolution_power(u, q.ell, total=q.N))
-    else:
-        value = _conv_profile(q, inp, at=q.lam)
-        if q.family == "R":
-            details["dropped_zero_mass"] = _r_dropped_mass(q, inp)
+    value = _conv_profile(q, inp, at=q.lam)
+    details = {"dropped_zero_mass": _r_dropped_mass(q, inp)} if q.family == "R" else {}
     return CountResult(
         query=q,
         count=int(value),
@@ -312,25 +321,22 @@ def estimate_brute_work(q: CountQuery) -> int:
         return M * N if q.r == 1 else M * N + (M * N) ** q.r
     if fam == "Q":
         return M * N + N**q.r + p
-    if fam == "R":
-        return (M**q.k if q.k else 1) + N**q.ell + T**q.r + p * p
-    raise ParameterError(f"unknown family {fam}")
+    return (M**q.k if q.k else 1) + N**q.ell + T**q.r + p * p  # R
 
 
-def _r_combine(A: np.ndarray, B: np.ndarray, C: np.ndarray, lam: int, p: int) -> int:
-    """sum over nonzero u, v of A[u] * B[v] * C[lam / (u v)], exact.
+def _r_combine(A: np.ndarray, B: np.ndarray, c: np.ndarray, p: int) -> int:
+    """sum over nonzero u, v of A[u] * B[v] * c[u v mod p], exact.  With
+    c[x] = C[lam / x] that is the family-R combine of tallies A, B and C.
 
     Direct summation over residues, a chunk of u at a time.  Every entry is
-    a nonnegative count, so sum(A) * sum(B) * sum(C) bounds every partial
+    a nonnegative count, so sum(A) * sum(B) * sum(c) bounds every partial
     sum: int64 when it fits, object arrays of Python ints otherwise.
     """
     us = np.flatnonzero(A[1:]) + 1
     v = np.arange(1, p, dtype=np.int64)
-    if int(A.sum()) * int(B.sum()) * int(C.sum()) > _INT64_MAX:
-        A, B, C = A.astype(object), B.astype(object), C.astype(object)
+    if int(A.sum()) * int(B.sum()) * int(c.sum()) > _INT64_MAX:
+        A, B, c = A.astype(object), B.astype(object), c.astype(object)
     b = B[1:]
-    # c[x] = C[lam / x], so the term for (u, v) is c[u v mod p]
-    c = C[lam * kernels.inverse_table(p) % p]
     rows = max(1, _GRID_ENTRIES // (p - 1))
     value = 0
     for start in range(0, us.size, rows):
@@ -383,7 +389,7 @@ def brute_force_count(q: CountQuery) -> CountResult:
         pair_tally = kernels.pair_product_tally(values("m"), values("n"), p)
         fold_tally = kernels.sum_tally(values("n"), q.r, plus[: q.r], p)
         value = _convolution_at(pair_tally, fold_tally, q.lam)
-    elif fam == "R":
+    else:  # R
         if q.k >= 1:
             A = kernels.sum_tally(values("m"), q.k, plus[: q.k], p)
         else:
@@ -391,9 +397,8 @@ def brute_force_count(q: CountQuery) -> CountResult:
             A[1] = 1
         B = kernels.sum_tally(values("n"), q.ell, plus[: q.ell], p)
         C = kernels.prod_tally(values("t"), q.r, p)
-        value = _r_combine(A, B, C, q.lam, p)
-    else:  # pragma: no cover - validate() blocks this
-        raise ParameterError(f"unknown family {fam}")
+        inv = kernels.inverse_table(values("full"), p)
+        value = _r_combine(A, B, C[q.lam * inv % p], p)
     return CountResult(
         query=q,
         count=int(value),

@@ -227,17 +227,17 @@ def pair_product_tally(va: np.ndarray, vb: np.ndarray, p: int) -> np.ndarray:
     return _tally([va, vb], np.multiply, int(p))
 
 
-def inverse_table(p: int) -> np.ndarray:
+def inverse_table(full: np.ndarray, p: int) -> np.ndarray:
     """Modular inverses of 1..p-1 (entry 0 unused), by batch inversion.
 
-    Wilson's theorem gives 1/x = (x-1)! * (-1)**(p-x) * (p-1-x)! mod p, so
-    one factorial window of length p-2 yields every inverse.
+    full holds the full factorial window 1!, ..., (p-1)! mod p.  Wilson's
+    theorem gives 1/x = (x-1)! * (-1)**(p-x) * (p-1-x)! mod p, so that
+    window yields every inverse.
     """
     p = int(p)
     inv = np.zeros(p, dtype=np.int64)
     fact = np.ones(p - 1, dtype=np.int64)
-    if p > 2:
-        fact[1:] = factorial_window(p, 0, p - 2)
+    fact[1:] = full[: p - 2]
     np.multiply(fact, fact[::-1], out=inv[1:])
     np.remainder(inv[1:], p, out=inv[1:])
     inv[2::2] = p - inv[2::2]

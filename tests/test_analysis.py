@@ -155,6 +155,19 @@ def test_evaluate_cell_t43_and_t44(ctx11):
     assert rep4.lhs >= 0
 
 
+def test_t44_counts_only_k_zero(ctx101):
+    # T4.4 counts R with k = 0; a cell asking for another k is skipped
+    # rather than reported under a k it did not count
+    default = evaluate_cell("T4.4", ctx101)
+    assert "k" not in default.params
+    assert evaluate_cell("T4.4", ctx101, {"k": 0}).lhs == default.lhs
+    with pytest.raises(HypothesisError, match="k=0"):
+        evaluate_cell("T4.4", ctx101, {"k": 3})
+    result = verify_sweep("T4.4", [101, 103], params={"k": 3})
+    assert result.reports == []
+    assert [p for p, _ in result.skipped] == [101, 103]
+
+
 def test_verify_sweep_orders_and_skips():
     result = verify_sweep("T2.3", [5, 7, 11, 13], params={"M": 2})
     # M = 2 sits below sqrt(N) for the larger full windows

@@ -300,6 +300,18 @@ def test_verify_warns_on_skipped_cells(capsys):
     assert out.strip().splitlines()[0].startswith("theorem")
 
 
+def test_verify_t44_skips_nonzero_k(capsys):
+    code, out, err = run_cli(capsys, "verify", "T4.4", "--primes", "101", "--k", "3")
+    assert code == 0
+    assert out.strip().splitlines() == [
+        "theorem,p,ell,k,r,s,lam,K,M,L,N,S,T,lhs,rhs,ratio"
+    ]
+    assert "T4.4 p=101 skipped: T4.4 counts with k=0, not k=3" in err
+    code, out, _ = run_cli(capsys, "verify", "T4.4", "--primes", "101")
+    assert code == 0
+    assert out.strip().splitlines()[1].startswith("T4.4,101,1,,1,0,1,")
+
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "report.csv"
     code, out, _ = run_cli(

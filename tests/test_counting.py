@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from factcong import counting, factorial, kernels, transform
+from factcong import counting, kernels, transform
 from factcong.counting import (
     AUTO_BRUTE_THRESHOLD,
     BRUTE_FORCE_GUARD,
@@ -16,7 +16,8 @@ from factcong.counting import (
     count_profile,
     estimate_brute_work,
 )
-from factcong.errors import GuardExceededError, ParameterError
+from factcong.cli import main
+from factcong.errors import DlogTableRequiredError, GuardExceededError, ParameterError
 from factcong.factorial import build_window, sum_histogram
 from factcong.field import PrimeContext
 
@@ -351,7 +352,8 @@ def test_r_combine_wide_tallies_match_python():
         for v in range(1, p)
     )
     assert expected > INT64_MAX
-    assert counting._r_combine(A, B, C, lam, p) == expected
+    inv = kernels.inverse_table(kernels.factorial_window(p, 0, p - 1), p)
+    assert counting._r_combine(A, B, C[lam * inv % p], p) == expected
 
 
 # single-lambda counts against the profile and the brute engine
@@ -399,19 +401,63 @@ def test_single_lambda_equals_profile_and_brute(p, family, params):
 ))
 def test_one_window_per_count_call(ctx101, monkeypatch, family, params):
     q = CountQuery(family=family, ctx=ctx101, lam=7, **params)
-    windows, builds = [], []
+    windows = []
     factorial_window = kernels.factorial_window
-    build_window = factorial.build_window
     monkeypatch.setattr(kernels, "factorial_window",
                         lambda *a: windows.append(a) or factorial_window(*a))
     count_convolution(q)
     assert len(windows) == 1
-    # the brute engine's inverse table runs its own factorial kernel, so
-    # count the windows it builds instead
-    monkeypatch.setattr(factorial, "build_window",
-                        lambda *a: builds.append(a) or build_window(*a))
+    # the brute R inverse table reads the same full window
+    windows.clear()
     brute_force_count(q)
-    assert len(builds) == 1
+    assert len(windows) == 1
+
+
+def test_needs_dlog_matches_the_convolution_engine():
+    # the rule names exactly the families whose convolution route fails
+    # without the table
+    ctx = PrimeContext.create(11)
+    for family in counting.FAMILIES:
+        q = CountQuery(family=family, ctx=ctx, lam=3, k=2, signs=(1, -1))
+        try:
+            count_convolution(q)
+            reads = False
+        except DlogTableRequiredError:
+            reads = True
+        for engine in ("auto", "conv", "both"):
+            assert counting.needs_dlog(family, engine) == reads, (family, engine)
+        assert not counting.needs_dlog(family, "brute")
+
+
+# the golden p = 53 count parameters, lambda = 7, and their counts
+GOLDEN_P53 = (
+    ("J", {"ell": 2}, 137428),
+    ("SIGNED", {"k": 3, "signs": (1, -1, 1)}, 2772),
+    ("F", {"ell": 2}, 1008800292412),
+    ("I", {"ell": 2}, 146444),
+    ("T", {"r": 2}, 137150),
+    ("Q", {"r": 2}, 137970),
+    ("R", {"k": 1, "ell": 1, "r": 2}, 141078),
+)
+
+
+def test_brute_engine_reads_no_dlog(monkeypatch, capsys):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the brute engine reached transform or dlog code")
+
+    for name in ("cyclic_convolve_exact", "cyclic_convolution_power",
+                 "cyclic_convolve_direct", "plan_cyclic_convolution",
+                 "index_reversed"):
+        monkeypatch.setattr(transform, name, forbidden)
+    monkeypatch.setattr(kernels, "dlog_table", forbidden)
+    monkeypatch.delenv("FACTCONG_CACHE_DIR", raising=False)
+    ctx = PrimeContext.create(53)
+    assert ctx.dlog is None
+    for family, params, expected in GOLDEN_P53:
+        q = CountQuery(family=family, ctx=ctx, lam=7, **params)
+        assert brute_force_count(q).count == expected, family
+    assert main(["verify", "T4.3", "--primes", "53..73", "--engine", "brute"]) == 0
+    assert capsys.readouterr().out.count("T4.3,") == 6
 
 
 # dropped_zero_mass values recorded before the R count reused its bracket
