@@ -42,6 +42,7 @@ from .errors import (
     CompositeModulusError,
     EngineMismatchError,
     FactcongError,
+    FactcongWarning,
     GuardExceededError,
     HypothesisError,
     ParameterError,
@@ -109,6 +110,7 @@ __all__ = [
     "CompositeModulusError",
     "EngineMismatchError",
     "FactcongError",
+    "FactcongWarning",
     "GuardExceededError",
     "HypothesisError",
     "ParameterError",

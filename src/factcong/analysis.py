@@ -306,21 +306,18 @@ def verify_sweep(
     engine: str = "conv",
     threads: int = 1,
     seed: int = 0,
-    context_factory=None,
+    cache_dir=None,
 ) -> SweepResult:
     """Evaluate one bound across primes; cells outside the bound's
     hypotheses are skipped and recorded rather than raised.
 
-    context_factory(p, with_dlog) may be supplied to reuse or cache
-    contexts; the default builds each one from scratch.  It is asked for
-    the discrete-log table when the bound or its counting engine reads it.
+    Each prime's context keeps its discrete-log table in cache_dir, if
+    given, when the cell reads one.
     """
-    family = _bound(bound_id).family
-    with_dlog = family is None or counting.needs_dlog(family, engine)
-    factory = context_factory or PrimeContext.create
+    _bound(bound_id)  # an unknown id fails before any cell runs
 
     def cell(p: int):
-        ctx = factory(p, with_dlog)
+        ctx = PrimeContext.create(p, cache_dir=cache_dir)
         return evaluate_cell(bound_id, ctx, params, engine=engine, seed=seed)
 
     reports: list[BoundReport] = []

@@ -25,13 +25,14 @@ from __future__ import annotations
 import os
 import struct
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 
-from .errors import CacheFormatError
+from .errors import CacheFormatError, FactcongWarning
 from .factorial import FactorialWindow, build_window
-from .field import PrimeContext
+from .field import PrimeContext, build_dlog_table
 
 __all__ = [
     "dlog_cache_path",
@@ -40,8 +41,8 @@ __all__ = [
     "load_dlog_table",
     "save_window",
     "load_window",
-    "get_or_build_window",
-    "get_or_build_dlog",
+    "window",
+    "dlog_table",
 ]
 
 DLOG_MAGIC = b"FCL1"
@@ -80,9 +81,9 @@ def _write_atomic(path: str | Path, header: bytes, payload: np.ndarray) -> Path:
     return path
 
 
-def save_dlog_table(path: str | Path, ctx: PrimeContext) -> Path:
+def save_dlog_table(path: str | Path, ctx: PrimeContext, table: np.ndarray) -> Path:
     header = _DLOG_HEADER.pack(DLOG_MAGIC, ctx.p, ctx.g)
-    return _write_atomic(path, header, ctx.require_dlog()[1:].astype("<u4"))
+    return _write_atomic(path, header, table[1:].astype("<u4"))
 
 
 def load_dlog_table(path: str | Path, p: int) -> tuple[np.ndarray, int]:
@@ -165,58 +166,46 @@ def _verify_window_samples(path, values: np.ndarray, p: int, L: int) -> None:
             raise CacheFormatError(f"{path}: recurrence check failed at index {i}")
 
 
-def get_or_build_window(
-    cache_dir: str | Path | None, ctx: PrimeContext, L: int, N: int
-) -> tuple[FactorialWindow, str | None]:
-    """Window from cache when possible, else computed and cached.
+def window(ctx: PrimeContext, L: int, N: int) -> FactorialWindow:
+    """The window (L, L+N] of ctx, through ctx.cache_dir when it is set."""
+    path = ctx.cache_dir and window_cache_path(ctx.cache_dir, ctx.p, L, N)
+    return _cached(path, lambda path: load_window(path, ctx, L, N),
+                   lambda: build_window(ctx, L, N), save_window)
 
-    Returns the window plus a warning string when a cache file existed but
-    failed verification and was recomputed, or when the cache could not be
-    written.
+
+def dlog_table(ctx: PrimeContext) -> np.ndarray:
+    """The discrete-log table of ctx, through ctx.cache_dir when it is set."""
+
+    def load(path):
+        table, g = load_dlog_table(path, ctx.p)
+        if g != ctx.g:
+            raise CacheFormatError(f"{path}: built for generator {g}, not {ctx.g}")
+        return table
+
+    path = ctx.cache_dir and dlog_cache_path(ctx.cache_dir, ctx.p)
+    return _cached(path, load, lambda: build_dlog_table(ctx),
+                   lambda path, table: save_dlog_table(path, ctx, table))
+
+
+def _cached(path: Path | None, load, build, save):
+    """load(path) when path holds a good file, else build() saved to path.
+
+    A file that fails verification is discarded and a failed write leaves
+    the value uncached; each is a FactcongWarning.  No path, no cache.
     """
-    if cache_dir is None:
-        return build_window(ctx, L, N), None
-    path = window_cache_path(cache_dir, ctx.p, L, N)
-    warning = None
+    if not path:
+        return build()
     if path.exists():
         try:
-            return load_window(path, ctx, L, N), None
+            return load(path)
         except CacheFormatError as exc:
-            warning = f"discarding bad cache file: {exc}"
-    window = build_window(ctx, L, N)
-    return window, _save(save_window, path, window, warning)
-
-
-def get_or_build_dlog(
-    cache_dir: str | Path | None, ctx: PrimeContext
-) -> tuple[PrimeContext, str | None]:
-    """Context with dlog attached, preferring the cache; see get_or_build_window."""
-    if ctx.dlog is not None:
-        return ctx, None
-    if cache_dir is None:
-        return ctx.with_dlog(), None
-    path = dlog_cache_path(cache_dir, ctx.p)
-    warning = None
-    if path.exists():
-        try:
-            table, g = load_dlog_table(path, ctx.p)
-            if g == ctx.g:
-                return ctx.attach_dlog(table), None
-            warning = f"discarding cache built for generator {g}, using {ctx.g}"
-        except CacheFormatError as exc:
-            warning = f"discarding bad cache file: {exc}"
-    ctx = ctx.with_dlog()
-    return ctx, _save(save_dlog_table, path, ctx, warning)
-
-
-def _save(save, path: Path, value, warning: str | None) -> str | None:
-    """save(path, value), turning an OSError into a warning after `warning`."""
+            warnings.warn(f"discarding bad cache file: {exc}", FactcongWarning)
+    value = build()
     try:
         save(path, value)
     except OSError as exc:
-        note = f"cache not written: {exc}"
-        return f"{warning}; {note}" if warning else note
-    return warning
+        warnings.warn(f"cache not written: {exc}", FactcongWarning)
+    return value
 
 
 def _read_all(path: str | Path) -> bytes:

@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import io
 import json
 import os
 import sys
 import time
+import warnings
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .counting import ENGINES, FAMILIES, CountQuery
 from .errors import (
     EngineMismatchError,
     FactcongError,
+    FactcongWarning,
     GuardExceededError,
     ParameterError,
     TableTooLargeError,
@@ -130,7 +131,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="output format (default depends on the command)")
     parser.add_argument("--out", default=None, metavar="FILE",
                         help="write output to FILE instead of stdout")
-    parser.add_argument("--cache-dir", default=None, metavar="DIR",
+    parser.add_argument("--cache-dir", default=os.environ.get(CACHE_ENV) or None,
+                        metavar="DIR",
                         help=f"cache directory (default ${CACHE_ENV})")
     parser.add_argument("--threads", type=_positive, default=1)
     parser.add_argument("--seed", type=_nonnegative, default=0,
@@ -333,51 +335,32 @@ def _json_default(value):
     return str(value)
 
 
-def _resolve_cache_dir(ns) -> str | None:
-    if ns.cache_dir is not None:
-        return ns.cache_dir
-    return os.environ.get(CACHE_ENV) or None
-
-
-def _context(ns, warnings: list[str], p: int, with_dlog: bool) -> PrimeContext:
-    """The context for p; with_dlog attaches the (cached) discrete-log table."""
-    ctx = PrimeContext.create(p)
-    if with_dlog:
-        ctx, warning = cache.get_or_build_dlog(_resolve_cache_dir(ns), ctx)
-        if warning:
-            warnings.append(warning)
-    return ctx
-
-
-def _window(ns, ctx, warnings, L_attr="L", N_attr="N"):
+def _window(ns, ctx, L_attr="L", N_attr="N", main=None):
+    """The (cached) window named by L_attr and N_attr, or main if it is that."""
     L = getattr(ns, L_attr)
     N = getattr(ns, N_attr)
     if N is None:
         N = ctx.p - 1 - L
-    window, warning = cache.get_or_build_window(
-        _resolve_cache_dir(ns), ctx, L, N
-    )
-    if warning:
-        warnings.append(warning)
-    return window
+    if main is not None and (main.L, main.N) == (L, N):
+        return main
+    return cache.window(ctx, L, N)
 
 
 # ---------------------------------------------------------------------------
 # command handlers
 
 
-def _cmd_factorials(ns, warnings) -> CommandOutput:
-    ctx = _context(ns, warnings, ns.p, with_dlog=False)
-    window = _window(ns, ctx, warnings)
+def _cmd_factorials(ns) -> CommandOutput:
+    window = _window(ns, PrimeContext.create(ns.p, cache_dir=ns.cache_dir))
     values = window.values.tolist()
     columns = {"n": list(range(window.L + 1, window.L + 1 + len(values))),
                "value": values}
     return CommandOutput(columns, lambda: " ".join(map(str, values)))
 
 
-def _cmd_expsum(ns, warnings) -> CommandOutput:
-    ctx = _context(ns, warnings, ns.p, with_dlog=ns.kind in ("double", "char"))
-    window = _window(ns, ctx, warnings)
+def _cmd_expsum(ns) -> CommandOutput:
+    ctx = PrimeContext.create(ns.p, cache_dir=ns.cache_dir)
+    window = _window(ns, ctx)
     if ns.kind == "single":
         sv = expsums.single_sum(window, ns.a)
         return _sum_value_output("a", sv.a, sv)
@@ -392,7 +375,7 @@ def _cmd_expsum(ns, warnings) -> CommandOutput:
             default_format="csv",
         )
     if ns.kind == "double":
-        wm = _window(ns, ctx, warnings, "K", "M")
+        wm = _window(ns, ctx, "K", "M", main=window)
         sv = expsums.double_sum(wm, window, ns.a)
         return _sum_value_output("a", sv.a, sv)
     j = (ctx.p - 1) // 2 if ns.quadratic else ns.j
@@ -428,9 +411,8 @@ def _count_query(ns, ctx) -> CountQuery:
     )
 
 
-def _cmd_count(ns, warnings) -> CommandOutput:
-    engine = "conv" if ns.profile else ns.engine
-    ctx = _context(ns, warnings, ns.p, counting.needs_dlog(ns.family, engine))
+def _cmd_count(ns) -> CommandOutput:
+    ctx = PrimeContext.create(ns.p, cache_dir=ns.cache_dir)
     query = _count_query(ns, ctx)
     if ns.profile:
         counts = counting.count_profile(query).tolist()
@@ -443,9 +425,10 @@ def _cmd_count(ns, warnings) -> CommandOutput:
     result = counting.count(query, engine=ns.engine)
     dropped = result.details.get("dropped_zero_mass")
     if dropped:
-        warnings.append(
+        warnings.warn(
             f"{int(dropped)} tuples with a zero bracket product cannot "
-            f"reach a nonzero residue and were excluded structurally"
+            f"reach a nonzero residue and were excluded structurally",
+            FactcongWarning,
         )
     q = result.query
     row = {
@@ -486,7 +469,7 @@ def _report_columns(reports) -> dict[str, list]:
     return columns
 
 
-def _run_sweeps(ns, warnings, bound_ids) -> CommandOutput:
+def _run_sweeps(ns, bound_ids) -> CommandOutput:
     params = _sweep_params(ns)
     reports = []
     series: dict[str, list] = {}
@@ -498,10 +481,10 @@ def _run_sweeps(ns, warnings, bound_ids) -> CommandOutput:
             engine=ns.engine,
             threads=ns.threads,
             seed=ns.seed,
-            context_factory=functools.partial(_context, ns, warnings),
+            cache_dir=ns.cache_dir,
         )
         for p, reason in result.skipped:
-            warnings.append(f"{bound_id} p={p} skipped: {reason}")
+            warnings.warn(f"{bound_id} p={p} skipped: {reason}", FactcongWarning)
         reports.extend(result.reports)
         series[bound_id] = [[p, ratio] for p, ratio in result.series()]
     columns = _report_columns(reports)
@@ -513,23 +496,23 @@ def _run_sweeps(ns, warnings, bound_ids) -> CommandOutput:
     )
 
 
-def _cmd_verify(ns, warnings) -> CommandOutput:
-    return _run_sweeps(ns, warnings, [ns.theorem])
+def _cmd_verify(ns) -> CommandOutput:
+    return _run_sweeps(ns, [ns.theorem])
 
 
-def _cmd_sweep(ns, warnings) -> CommandOutput:
+def _cmd_sweep(ns) -> CommandOutput:
     bound_ids = [tok.strip() for tok in ns.bounds.split(",") if tok.strip()]
     unknown = [b for b in bound_ids if b not in BOUND_IDS]
     if unknown:
         raise ParameterError(f"unknown bound ids {unknown}")
     if not bound_ids:
         raise ParameterError("--bounds needs at least one bound id")
-    return _run_sweeps(ns, warnings, bound_ids)
+    return _run_sweeps(ns, bound_ids)
 
 
-def _cmd_stats(ns, warnings) -> CommandOutput:
-    ctx = _context(ns, warnings, ns.p, with_dlog=ns.H is not None)
-    window = _window(ns, ctx, warnings)
+def _cmd_stats(ns) -> CommandOutput:
+    ctx = PrimeContext.create(ns.p, cache_dir=ns.cache_dir)
+    window = _window(ns, ctx)
     stats = analysis.distinct_stats(window)
     row = {
         "p": stats.p,
@@ -541,7 +524,7 @@ def _cmd_stats(ns, warnings) -> CommandOutput:
         "reference_distinct_fraction": stats.reference_distinct_fraction,
     }
     if ns.H is not None:
-        wm = _window(ns, ctx, warnings, "K", "M")
+        wm = _window(ns, ctx, "K", "M", main=window)
         report = analysis.discrepancy_estimate(wm, window, H=ns.H)
         row.update({
             "M": report.M,
@@ -550,9 +533,10 @@ def _cmd_stats(ns, warnings) -> CommandOutput:
             "direct_discrepancy": report.direct,
         })
         if report.direct is None:
-            warnings.append(
+            warnings.warn(
                 "pair count exceeds the direct-discrepancy guard; "
-                "only the spectral estimate is reported"
+                "only the spectral estimate is reported",
+                FactcongWarning,
             )
     return CommandOutput(
         _single_row(row),
@@ -630,10 +614,22 @@ def render(envelope: dict, output: CommandOutput, fmt: str) -> str:
 
 
 def run(ns: argparse.Namespace) -> tuple[dict, CommandOutput]:
-    """Dispatch one parsed command; returns (envelope, output)."""
-    warnings: list[str] = []
+    """Dispatch one parsed command; returns (envelope, output).  Its
+    FactcongWarnings go into the envelope, other warnings are shown."""
+    notes: list[str] = []
+    show = warnings.showwarning
+
+    def record(message, category, *rest):
+        if issubclass(category, FactcongWarning):
+            notes.append(str(message))
+        else:
+            show(message, category, *rest)
+
     started = time.perf_counter()
-    output = _HANDLERS[ns.command](ns, warnings)
+    with warnings.catch_warnings():
+        warnings.simplefilter("always", FactcongWarning)
+        warnings.showwarning = record
+        output = _HANDLERS[ns.command](ns)
     seconds = time.perf_counter() - started
     config = _echo_config(ns)
     envelope = {
@@ -643,7 +639,7 @@ def run(ns: argparse.Namespace) -> tuple[dict, CommandOutput]:
         "config": {k: v for k, v in config.items() if not k.startswith("_")},
         "argv": config_to_argv(config),
         "results": None,  # render fills in the rows, for json only
-        "warnings": warnings,
+        "warnings": notes,
         "timing_seconds": round(seconds, 6),
     }
     if output.series:
@@ -674,8 +670,13 @@ def main(argv: list[str] | None = None) -> int:
         for warning in envelope["warnings"]:
             print(f"{TOOL}: warning: {warning}", file=sys.stderr)
     if ns.out:
-        with open(ns.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(ns.out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            print(f"{TOOL}: cannot write --out {ns.out}: {exc.strerror or exc}",
+                  file=sys.stderr)
+            return 2
     else:
         print(text)
     return 0

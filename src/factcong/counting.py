@@ -22,8 +22,9 @@ A profile (the counts at every lambda) ends in one exact convolution
 X * Y.  A single-lambda count of J, SIGNED, T, Q or R builds the same
 X and Y but evaluates only that last step, at lambda, as the exact dot
 sum_i X[i] Y[lambda - i]; F and I are sums of squares of the full X * Y.
-Each call builds every factorial window and histogram it needs once, and
-only the convolution engine reads the discrete-log table (needs_dlog).
+Each call builds every factorial window and histogram it needs once.  Only
+the convolution engine reads the discrete-log table, which the prime
+context builds (or loads from its cache) on that first read.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ __all__ = [
     "brute_force_count",
     "count_profile",
     "estimate_brute_work",
-    "needs_dlog",
 ]
 
 FAMILIES = ("J", "SIGNED", "F", "I", "T", "Q", "R")
@@ -170,13 +170,6 @@ class CountResult:
     engine: str
     seconds: float
     details: dict = dc_field(default_factory=dict)
-
-
-def needs_dlog(family: str, engine: str) -> bool:
-    """Whether counting family with engine reads the discrete-log table: the
-    convolution engine (or auto, which may pick it) does for every family
-    with a product or exponent histogram, the brute engine never does."""
-    return engine != "brute" and family not in ("J", "SIGNED")
 
 
 _INT64_MAX = 2**63 - 1

@@ -1,7 +1,9 @@
-"""Exception taxonomy shared across the package.
+"""Exception and warning taxonomy shared across the package.
 
-The CLI maps these onto process exit codes: parameter and format problems
-exit 2, resource guards exit 3, and a dual-engine disagreement exits 4.
+The CLI maps the errors onto process exit codes: parameter and format
+problems exit 2, resource guards exit 3, and a dual-engine disagreement
+exits 4.  A FactcongWarning reports a problem that was worked around; the
+CLI copies each one into the report envelope's warnings.
 """
 
 __all__ = [
@@ -11,10 +13,10 @@ __all__ = [
     "WindowRangeError",
     "HypothesisError",
     "CacheFormatError",
-    "DlogTableRequiredError",
     "TableTooLargeError",
     "GuardExceededError",
     "EngineMismatchError",
+    "FactcongWarning",
 ]
 
 
@@ -42,10 +44,6 @@ class CacheFormatError(ParameterError):
     """A binary cache file failed its header, size, or sample verification."""
 
 
-class DlogTableRequiredError(FactcongError):
-    """An operation needs a discrete-log table that has not been built."""
-
-
 class TableTooLargeError(FactcongError):
     """A lookup table would exceed the configured memory limit."""
 
@@ -56,3 +54,8 @@ class GuardExceededError(FactcongError):
 
 class EngineMismatchError(FactcongError):
     """Two independent engines produced different answers for one query."""
+
+
+class FactcongWarning(UserWarning):
+    """A note from a run that still succeeded, such as a cache file that
+    could not be read or written and was recomputed instead."""

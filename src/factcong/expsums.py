@@ -185,9 +185,8 @@ def character_sum(window: FactorialWindow, j: int) -> SpectrumValue:
     """
     p = window.p
     j = int(j) % (p - 1)
-    dlog = window.ctx.require_dlog()
     roots = roots_table(p - 1)
-    phases = (j * dlog[window.values]) % (p - 1)
+    phases = (j * window.ctx.dlog[window.values]) % (p - 1)
     value = complex(roots[phases].sum())
     return SpectrumValue(a=j, value=value, abs_error=_sum_error_bound(window.N))
 

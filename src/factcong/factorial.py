@@ -80,8 +80,7 @@ def value_histogram(window: FactorialWindow) -> Histogram:
 
 def exponent_histogram(window: FactorialWindow) -> Histogram:
     """Window histogram pushed through the discrete log, length p - 1."""
-    dlog = window.ctx.require_dlog()
-    counts = np.bincount(dlog[window.values], minlength=window.p - 1)
+    counts = np.bincount(window.ctx.dlog[window.values], minlength=window.p - 1)
     return Histogram(domain="multiplicative", counts=counts.astype(np.int64))
 
 

@@ -1,25 +1,22 @@
 """Prime fields: primality, primitive roots, and discrete-log tables.
 
-A ``PrimeContext`` fixes the modulus p, the smallest primitive root g, and
-optionally a dense index table mapping every nonzero residue to its
-discrete logarithm base g.  Contexts are immutable; attaching a table
-returns a new context.
+A ``PrimeContext`` fixes the modulus p and the smallest primitive root g.
+Its dense index table, mapping every nonzero residue to its discrete
+logarithm base g, is loaded from the context's cache directory or built
+the first time it is read.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
-from .errors import (
-    CompositeModulusError,
-    DlogTableRequiredError,
-    ParameterError,
-    TableTooLargeError,
-)
+from .errors import CompositeModulusError, ParameterError, TableTooLargeError
 
 __all__ = [
     "DLOG_MEMORY_LIMIT",
@@ -119,24 +116,19 @@ class PrimeContext:
     """Immutable bundle of a prime modulus with its group structure.
 
     ``dlog`` is a dense int64 table of length p with dlog[x] the exponent
-    of the smallest primitive root giving x, and dlog[0] = -1.  It is
-    optional because it costs O(p) memory.
+    of the smallest primitive root giving x, and dlog[0] = -1.  It costs
+    O(p) memory, so it is made on first read: loaded from ``cache_dir``
+    when that holds a good copy, else built (and saved there).
     """
 
     p: int
     g: int
     factors: tuple[tuple[int, int], ...]
-    dlog: np.ndarray | None = dataclasses.field(
-        default=None, compare=False, repr=False
-    )
+    cache_dir: str | os.PathLike | None = dataclasses.field(default=None, compare=False)
 
     @classmethod
-    def create(
-        cls,
-        p: int,
-        with_dlog: bool = False,
-        memory_limit: int = DLOG_MEMORY_LIMIT,
-    ) -> "PrimeContext":
+    def create(cls, p: int, with_dlog: bool = False, cache_dir=None) -> "PrimeContext":
+        """The context for the odd prime p; with_dlog reads the table now."""
         p = int(p)
         if not is_probable_prime(p):
             raise CompositeModulusError(f"{p} is not prime")
@@ -146,46 +138,28 @@ class PrimeContext:
             raise ParameterError(
                 f"p={p} exceeds the 31-bit kernel limit {MAX_CONTEXT_PRIME}"
             )
-        ctx = cls(p=p, g=find_primitive_root(p), factors=factorize(p - 1))
+        ctx = cls(p=p, g=find_primitive_root(p), factors=factorize(p - 1),
+                  cache_dir=cache_dir)
         if with_dlog:
-            ctx = ctx.with_dlog(memory_limit=memory_limit)
+            ctx.dlog  # noqa: B018 -- the read builds or loads the table
         return ctx
 
-    def with_dlog(self, memory_limit: int = DLOG_MEMORY_LIMIT) -> "PrimeContext":
-        """Return a copy carrying the dense discrete-log table."""
-        if self.dlog is not None:
-            return self
-        return dataclasses.replace(
-            self, dlog=build_dlog_table(self, memory_limit=memory_limit)
-        )
+    @functools.cached_property
+    def dlog(self) -> np.ndarray:
+        from . import cache  # cache builds on this module
 
-    def attach_dlog(self, table: np.ndarray) -> "PrimeContext":
-        """Return a copy carrying an externally supplied table (already
-        verified, e.g. loaded from cache)."""
-        if table.shape != (self.p,):
-            raise ParameterError(
-                f"table length {table.shape} does not match p={self.p}"
-            )
-        return dataclasses.replace(self, dlog=np.asarray(table, dtype=np.int64))
-
-    def require_dlog(self) -> np.ndarray:
-        if self.dlog is None:
-            raise DlogTableRequiredError(
-                f"this operation needs the discrete-log table for p={self.p}; "
-                "build the context with with_dlog=True"
-            )
-        return self.dlog
+        return cache.dlog_table(self)
 
     def index(self, x: int) -> int:
-        """Discrete logarithm of x base g (requires the table)."""
+        """Discrete logarithm of x base g."""
         x = int(x) % self.p
         if x == 0:
             raise ParameterError("0 has no discrete logarithm")
-        return int(self.require_dlog()[x])
+        return int(self.dlog[x])
 
     def power_table(self) -> np.ndarray:
         """Inverse permutation of the dlog table: entry e holds g**e mod p."""
-        table = self.require_dlog()
+        table = self.dlog
         out = np.empty(self.p - 1, dtype=np.int64)
         out[table[1:]] = np.arange(1, self.p, dtype=np.int64)
         return out
@@ -200,14 +174,12 @@ class PrimeContext:
         return pow(x, self.p - 2, self.p)
 
 
-def build_dlog_table(
-    ctx: PrimeContext, memory_limit: int = DLOG_MEMORY_LIMIT
-) -> np.ndarray:
+def build_dlog_table(ctx: PrimeContext) -> np.ndarray:
     """Dense discrete-log table for ctx, one sequential pass over the group."""
-    if ctx.p > memory_limit:
+    if ctx.p > DLOG_MEMORY_LIMIT:
         raise TableTooLargeError(
             f"discrete-log table for p={ctx.p} exceeds the limit of "
-            f"{memory_limit} entries"
+            f"{DLOG_MEMORY_LIMIT} entries"
         )
     return kernels.dlog_table(ctx.p, ctx.g)
 

@@ -186,15 +186,13 @@ def test_verify_sweep_threads_match():
     assert seq.series() == par.series()
 
 
-def test_verify_sweep_context_factory_used():
-    calls = []
-
-    def factory(p, with_dlog):
-        calls.append((p, with_dlog))
-        return PrimeContext.create(p, with_dlog=with_dlog)
-
-    verify_sweep("T2.1", [5, 7], params={"ell": 1}, context_factory=factory)
-    assert calls == [(5, False), (7, False)]
+def test_verify_sweep_cache_dir_used(tmp_path):
+    # T2.1 counts by sums alone and reads no table; T4.1 reads one per prime
+    verify_sweep("T2.1", [5, 7], params={"ell": 1}, cache_dir=tmp_path)
+    assert list(tmp_path.iterdir()) == []
+    verify_sweep("T4.1", [53, 59], engine="conv", cache_dir=tmp_path)
+    names = sorted(f.name for f in tmp_path.iterdir())
+    assert names == ["dlog_p53.fcl1", "dlog_p59.fcl1"]
 
 
 # distribution stats

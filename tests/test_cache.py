@@ -1,19 +1,19 @@
 import os
+import warnings
 
 import numpy as np
 import pytest
 
+from factcong import cache, kernels
 from factcong.cache import (
     dlog_cache_path,
-    get_or_build_dlog,
-    get_or_build_window,
     load_dlog_table,
     load_window,
     save_dlog_table,
     save_window,
     window_cache_path,
 )
-from factcong.errors import CacheFormatError
+from factcong.errors import CacheFormatError, FactcongWarning
 from factcong.factorial import build_window
 from factcong.field import PrimeContext
 
@@ -25,10 +25,10 @@ def ctx10007():
 
 def test_dlog_roundtrip_bit_exact(tmp_path, ctx10007):
     path = dlog_cache_path(tmp_path, 10007)
-    save_dlog_table(path, ctx10007)
+    save_dlog_table(path, ctx10007, ctx10007.dlog)
     table, g = load_dlog_table(path, 10007)
     assert g == ctx10007.g
-    np.testing.assert_array_equal(table, ctx10007.require_dlog())
+    np.testing.assert_array_equal(table, ctx10007.dlog)
 
 
 def test_window_roundtrip_p7(tmp_path, ctx7):
@@ -42,7 +42,7 @@ def test_window_roundtrip_p7(tmp_path, ctx7):
 
 def test_dlog_rejects_bad_magic(tmp_path, ctx7):
     path = dlog_cache_path(tmp_path, 7)
-    save_dlog_table(path, ctx7)
+    save_dlog_table(path, ctx7, ctx7.dlog)
     raw = bytearray(path.read_bytes())
     raw[:4] = b"NOPE"
     path.write_bytes(bytes(raw))
@@ -52,7 +52,7 @@ def test_dlog_rejects_bad_magic(tmp_path, ctx7):
 
 def test_dlog_rejects_truncation(tmp_path, ctx10007):
     path = dlog_cache_path(tmp_path, 10007)
-    save_dlog_table(path, ctx10007)
+    save_dlog_table(path, ctx10007, ctx10007.dlog)
     raw = path.read_bytes()
     path.write_bytes(raw[: len(raw) // 2])
     with pytest.raises(CacheFormatError, match="size"):
@@ -64,14 +64,14 @@ def test_dlog_rejects_truncation(tmp_path, ctx10007):
 
 def test_dlog_rejects_wrong_prime(tmp_path, ctx7):
     path = dlog_cache_path(tmp_path, 7)
-    save_dlog_table(path, ctx7)
+    save_dlog_table(path, ctx7, ctx7.dlog)
     with pytest.raises(CacheFormatError, match="wanted"):
         load_dlog_table(path, 11)
 
 
 def test_dlog_rejects_tampered_payload(tmp_path, ctx10007):
     path = dlog_cache_path(tmp_path, 10007)
-    save_dlog_table(path, ctx10007)
+    save_dlog_table(path, ctx10007, ctx10007.dlog)
     raw = bytearray(path.read_bytes())
     # rotate the whole payload one entry: every exponent is now wrong
     # (still in range, so only the sample check can notice)
@@ -123,36 +123,47 @@ def test_missing_file_is_format_error(tmp_path):
         load_dlog_table(tmp_path / "absent.fcl1", 7)
 
 
-def test_get_or_build_window_caches(tmp_path, ctx7):
-    w1, warn1 = get_or_build_window(tmp_path, ctx7, 0, 6)
-    assert warn1 is None
+def test_get_or_build_window_caches(tmp_path):
+    ctx = PrimeContext.create(7, cache_dir=tmp_path)
+    w1 = cache.window(ctx, 0, 6)
     assert window_cache_path(tmp_path, 7, 0, 6).exists()
-    w2, warn2 = get_or_build_window(tmp_path, ctx7, 0, 6)
-    assert warn2 is None
+    w2 = cache.window(ctx, 0, 6)
     np.testing.assert_array_equal(w1.values, w2.values)
 
 
-def test_get_or_build_window_recovers_from_corruption(tmp_path, ctx7):
-    get_or_build_window(tmp_path, ctx7, 0, 6)
+def test_get_or_build_window_recovers_from_corruption(tmp_path):
+    ctx = PrimeContext.create(7, cache_dir=tmp_path)
+    cache.window(ctx, 0, 6)
     path = window_cache_path(tmp_path, 7, 0, 6)
     path.write_bytes(b"garbage")
-    window, warning = get_or_build_window(tmp_path, ctx7, 0, 6)
-    assert warning is not None and "discarding" in warning
+    with pytest.warns(FactcongWarning, match="discarding bad cache file"):
+        window = cache.window(ctx, 0, 6)
     assert window.values.tolist() == [1, 2, 6, 3, 1, 6]
     # the bad file was replaced with a good one
-    _, warn_again = get_or_build_window(tmp_path, ctx7, 0, 6)
-    assert warn_again is None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cache.window(ctx, 0, 6).values.tolist() == [1, 2, 6, 3, 1, 6]
 
 
-def test_get_or_build_dlog_caches(tmp_path):
-    ctx = PrimeContext.create(101)
-    with_table, warn = get_or_build_dlog(tmp_path, ctx)
-    assert warn is None
-    assert with_table.dlog is not None
+def test_get_or_build_dlog_caches(tmp_path, monkeypatch):
+    table = PrimeContext.create(101, cache_dir=tmp_path).dlog
     assert dlog_cache_path(tmp_path, 101).exists()
-    again, warn2 = get_or_build_dlog(tmp_path, PrimeContext.create(101))
-    assert warn2 is None
-    np.testing.assert_array_equal(again.dlog, with_table.dlog)
+
+    def forbidden(*args):
+        raise AssertionError("a cached table was rebuilt")
+
+    monkeypatch.setattr(kernels, "dlog_table", forbidden)
+    again = PrimeContext.create(101, cache_dir=tmp_path)
+    np.testing.assert_array_equal(again.dlog, table)
+
+
+def test_dlog_of_another_generator_is_a_bad_file(tmp_path, ctx7):
+    # 5 generates the group mod 7 as well, so the file passes its own checks
+    other = PrimeContext(p=7, g=5, factors=ctx7.factors)
+    save_dlog_table(dlog_cache_path(tmp_path, 7), other, kernels.dlog_table(7, 5))
+    with pytest.warns(FactcongWarning, match="discarding bad cache file.*generator 5"):
+        table = PrimeContext.create(7, cache_dir=tmp_path).dlog
+    np.testing.assert_array_equal(table, ctx7.dlog)
 
 
 def test_save_window_ignores_stale_tmp_dir(tmp_path, ctx7):
@@ -163,21 +174,32 @@ def test_save_window_ignores_stale_tmp_dir(tmp_path, ctx7):
     assert load_window(path, ctx7, 0, 6).values.tolist() == [1, 2, 6, 3, 1, 6]
 
 
-def test_failed_write_warns_and_leaves_no_temp_file(tmp_path, ctx7, monkeypatch):
-    def refuse(src, dst):
-        raise OSError("disk full")
+def _refuse(src, dst):
+    raise OSError("disk full")
 
-    monkeypatch.setattr(os, "replace", refuse)
-    window, warning = get_or_build_window(tmp_path, ctx7, 0, 6)
+
+def test_failed_write_warns_and_leaves_no_temp_file(tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "replace", _refuse)
+    with pytest.warns(FactcongWarning, match="cache not written"):
+        window = cache.window(PrimeContext.create(7, cache_dir=tmp_path), 0, 6)
     assert window.values.tolist() == [1, 2, 6, 3, 1, 6]
-    assert warning is not None and "cache not written" in warning
-    ctx, warning = get_or_build_dlog(tmp_path, PrimeContext.create(13))
-    assert ctx.dlog is not None
-    assert warning is not None and "disk full" in warning
+    ctx = PrimeContext.create(13, cache_dir=tmp_path)
+    with pytest.warns(FactcongWarning, match="disk full"):
+        assert ctx.dlog.tolist() == kernels.dlog_table(13, ctx.g).tolist()
     assert list(tmp_path.iterdir()) == []
 
 
+def test_bad_file_that_cannot_be_rewritten_warns_twice(tmp_path, monkeypatch):
+    window_cache_path(tmp_path, 7, 0, 6).write_bytes(b"junk")
+    monkeypatch.setattr(os, "replace", _refuse)
+    with pytest.warns(FactcongWarning) as record:
+        cache.window(PrimeContext.create(7, cache_dir=tmp_path), 0, 6)
+    assert [str(w.message).split(":")[0] for w in record] == [
+        "discarding bad cache file", "cache not written"
+    ]
+
+
 def test_get_or_build_dlog_without_dir():
-    ctx, warn = get_or_build_dlog(None, PrimeContext.create(13))
-    assert warn is None
-    assert ctx.dlog is not None
+    ctx = PrimeContext.create(13)
+    assert ctx.cache_dir is None
+    assert ctx.dlog.tolist() == kernels.dlog_table(13, ctx.g).tolist()

@@ -1,9 +1,10 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
-from factcong import cli
+from factcong import cache, cli, factorial, kernels
 from factcong.cli import (
     CommandOutput,
     _cell,
@@ -15,7 +16,7 @@ from factcong.cli import (
     parse_primes,
     parse_signs,
 )
-from factcong.errors import ParameterError
+from factcong.errors import FactcongWarning, ParameterError
 
 
 def run_cli(capsys, *argv):
@@ -362,13 +363,76 @@ def test_cache_dir_that_is_a_file_warns(tmp_path, capsys):
     # the cache cannot be written, so the value is computed without it
     blocker = tmp_path / "not_a_dir"
     blocker.write_text("")
-    code, plain, _ = run_cli(capsys, "count", "T", "--p", "101")
+    # auto counts T at p = 101 by brute force, which reads no cached table
+    code, plain, _ = run_cli(capsys, "count", "T", "--p", "101", "--engine", "conv")
     code2, out, err = run_cli(
-        capsys, "count", "T", "--p", "101", "--cache-dir", str(blocker)
+        capsys, "count", "T", "--p", "101", "--engine", "conv",
+        "--cache-dir", str(blocker),
     )
     assert code == code2 == 0
     assert "cache not written" in err
     assert out == plain
+
+
+def _counting_calls(monkeypatch, module, name):
+    calls = []
+    fn = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a: calls.append(a) or fn(*a))
+    return calls
+
+
+def test_count_builds_the_dlog_only_for_the_convolution_engine(capsys, monkeypatch):
+    monkeypatch.delenv("FACTCONG_CACHE_DIR", raising=False)
+    builds = _counting_calls(monkeypatch, kernels, "dlog_table")
+    code, out, _ = run_cli(capsys, "count", "F", "--p", "101", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["results"][0]["engine"] == "brute-force"
+    assert builds == []
+    code, _, _ = run_cli(capsys, "count", "F", "--p", "101", "--engine", "conv")
+    assert code == 0
+    assert len(builds) == 1
+
+
+def test_brute_count_past_the_dlog_limit(capsys):
+    # the table would exceed DLOG_MEMORY_LIMIT, but auto counts by brute force
+    code, out, err = run_cli(
+        capsys, "count", "T", "--p", "10000019", "--N", "5", "--M", "5",
+        "--format", "json",
+    )
+    assert code == 0, err
+    assert json.loads(out)["results"][0]["engine"] == "brute-force"
+
+
+def test_stats_reads_one_window_when_both_windows_agree(tmp_path, capsys, monkeypatch):
+    argv = ("stats", "--p", "30011", "--H", "100", "--cache-dir", str(tmp_path))
+    assert run_cli(capsys, *argv)[0] == 0
+    loads = _counting_calls(monkeypatch, cache, "load_window")
+    histograms = _counting_calls(monkeypatch, factorial, "exponent_histogram")
+    assert run_cli(capsys, *argv)[0] == 0
+    assert (len(loads), len(histograms)) == (1, 1)
+
+
+@pytest.mark.parametrize("target", ["", "missing/x"])  # a directory, no parent
+def test_out_that_cannot_be_written_exits_2(tmp_path, capsys, target):
+    path = tmp_path / target
+    code, out, err = run_cli(capsys, "factorials", "--p", "7", "--out", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"factcong: cannot write --out {path}: ")
+    assert "Traceback" not in err
+
+
+def test_run_keeps_factcong_warnings_and_shows_others(monkeypatch):
+    def handler(ns):
+        warnings.warn("a note", FactcongWarning)
+        warnings.warn("something else", RuntimeWarning)
+        return CommandOutput({"x": [1]}, lambda: "1")
+
+    monkeypatch.setitem(cli._HANDLERS, "factorials", handler)
+    ns = cli.build_parser().parse_args(["factorials", "--p", "7"])
+    with pytest.warns(RuntimeWarning, match="something else"):
+        envelope, _ = cli.run(ns)
+    assert envelope["warnings"] == ["a note"]
 
 
 def test_version_flag(capsys):

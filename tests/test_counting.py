@@ -17,7 +17,7 @@ from factcong.counting import (
     estimate_brute_work,
 )
 from factcong.cli import main
-from factcong.errors import DlogTableRequiredError, GuardExceededError, ParameterError
+from factcong.errors import GuardExceededError, ParameterError
 from factcong.factorial import build_window, sum_histogram
 from factcong.field import PrimeContext
 
@@ -413,22 +413,6 @@ def test_one_window_per_count_call(ctx101, monkeypatch, family, params):
     assert len(windows) == 1
 
 
-def test_needs_dlog_matches_the_convolution_engine():
-    # the rule names exactly the families whose convolution route fails
-    # without the table
-    ctx = PrimeContext.create(11)
-    for family in counting.FAMILIES:
-        q = CountQuery(family=family, ctx=ctx, lam=3, k=2, signs=(1, -1))
-        try:
-            count_convolution(q)
-            reads = False
-        except DlogTableRequiredError:
-            reads = True
-        for engine in ("auto", "conv", "both"):
-            assert counting.needs_dlog(family, engine) == reads, (family, engine)
-        assert not counting.needs_dlog(family, "brute")
-
-
 # the golden p = 53 count parameters, lambda = 7, and their counts
 GOLDEN_P53 = (
     ("J", {"ell": 2}, 137428),
@@ -452,7 +436,6 @@ def test_brute_engine_reads_no_dlog(monkeypatch, capsys):
     monkeypatch.setattr(kernels, "dlog_table", forbidden)
     monkeypatch.delenv("FACTCONG_CACHE_DIR", raising=False)
     ctx = PrimeContext.create(53)
-    assert ctx.dlog is None
     for family, params, expected in GOLDEN_P53:
         q = CountQuery(family=family, ctx=ctx, lam=7, **params)
         assert brute_force_count(q).count == expected, family

@@ -128,10 +128,14 @@ def test_batch_character_sums_match_single(ctx11):
 
 
 def test_character_sum_needs_dlog():
+    # the table is built on demand, on the sum's first read of it
     ctx = PrimeContext.create(13)
     w = build_window(ctx, 0, 12)
-    with pytest.raises(Exception):
-        character_sum(w, 1)
+    assert "dlog" not in vars(ctx)
+    quadratic = character_sum(w, 6).value
+    assert "dlog" in vars(ctx)
+    legendre = sum(1 if pow(int(x), 6, 13) == 1 else -1 for x in w.values)
+    assert quadratic == pytest.approx(legendre)
 
 
 def test_character_index_wraps(ctx7):

@@ -1,14 +1,9 @@
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from factcong.errors import (
-    CompositeModulusError,
-    DlogTableRequiredError,
-    ParameterError,
-    TableTooLargeError,
-)
+from factcong import field, kernels
+from factcong.errors import CompositeModulusError, ParameterError, TableTooLargeError
 from factcong.field import (
     PrimeContext,
     Residue,
@@ -80,7 +75,7 @@ def test_context_create_validates():
 
 
 def test_context_dlog_roundtrip(ctx101):
-    table = ctx101.require_dlog()
+    table = ctx101.dlog
     assert table[0] == -1
     assert table[1] == 0
     for x in range(1, 101):
@@ -89,27 +84,32 @@ def test_context_dlog_roundtrip(ctx101):
 
 def test_context_power_table_inverts_dlog(ctx101):
     powers = ctx101.power_table()
-    table = ctx101.require_dlog()
+    table = ctx101.dlog
     for x in range(1, 101):
         assert powers[table[x]] == x
 
 
-def test_context_without_dlog_raises():
+def test_context_dlog_built_on_first_read(monkeypatch):
+    builds = []
+    dlog_table = kernels.dlog_table
+    monkeypatch.setattr(kernels, "dlog_table",
+                        lambda *a: builds.append(a) or dlog_table(*a))
     ctx = PrimeContext.create(13)
-    with pytest.raises(DlogTableRequiredError):
-        ctx.require_dlog()
-    with_table = ctx.with_dlog()
-    assert with_table.index(ctx.g) == 1
+    assert builds == []
+    assert ctx.index(ctx.g) == 1
+    assert ctx.dlog is ctx.dlog
+    assert builds == [(13, ctx.g)]
+    PrimeContext.create(13, with_dlog=True)
+    assert len(builds) == 2
 
 
-def test_dlog_memory_limit():
+def test_dlog_memory_limit(monkeypatch):
+    monkeypatch.setattr(field, "DLOG_MEMORY_LIMIT", 50)
     with pytest.raises(TableTooLargeError):
-        PrimeContext.create(101, with_dlog=True, memory_limit=50)
-
-
-def test_attach_dlog_checks_shape(ctx7):
-    with pytest.raises(ParameterError):
-        PrimeContext.create(7).attach_dlog(np.zeros(3, dtype=np.int64))
+        PrimeContext.create(101, with_dlog=True)
+    ctx = PrimeContext.create(101)
+    with pytest.raises(TableTooLargeError):
+        ctx.dlog
 
 
 def test_inverse_and_pow(ctx11):
