@@ -3,10 +3,10 @@ modulo a prime, with numerical monitoring of the known upper bounds.
 
 Quick tour::
 
-    from factcong import PrimeContext, build_window, CountQuery, count
+    from factcong import PrimeContext, CountQuery, count
 
     ctx = PrimeContext.create(7)
-    window = build_window(ctx, 0, 6)     # 1!, 2!, ..., 6! mod 7
+    window = ctx.window(0, 6)            # 1!, 2!, ..., 6! mod 7
     count(CountQuery(family="J", ctx=ctx, ell=1, lam=0)).count  # 10
 """
 
@@ -46,7 +46,6 @@ from .errors import (
     GuardExceededError,
     HypothesisError,
     ParameterError,
-    TableTooLargeError,
     WindowRangeError,
 )
 from .expsums import (
@@ -114,7 +113,6 @@ __all__ = [
     "GuardExceededError",
     "HypothesisError",
     "ParameterError",
-    "TableTooLargeError",
     "WindowRangeError",
     "Spectrum",
     "SpectrumValue",

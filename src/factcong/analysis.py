@@ -34,7 +34,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from . import counting, expsums, factorial, kernels
+from . import counting, expsums, kernels
 from .counting import CountQuery
 from .errors import (
     EngineMismatchError,
@@ -272,10 +272,9 @@ def evaluate_cell(
         # |c - num/den|, exact until the one rounding division
         lhs = abs(c * den - num) / den
     else:
-        wn = factorial.build_window(ctx, resolved["L"], resolved["N"])
+        wn = ctx.window(resolved["L"], resolved["N"])
         if bound_id == "T3.1":
-            K, M = resolved["K"], resolved["M"]
-            wm = wn if (K, M) == (wn.L, wn.N) else factorial.build_window(ctx, K, M)
+            wm = ctx.window(resolved["K"], resolved["M"])
             spectrum = expsums.batch_double_sums(wm, wn)
             if engine == "both":
                 _spot_check_spectrum(spectrum, wm, wn, seed=seed + p)
@@ -309,10 +308,12 @@ def verify_sweep(
     cache_dir=None,
 ) -> SweepResult:
     """Evaluate one bound across primes; cells outside the bound's
-    hypotheses are skipped and recorded rather than raised.
+    hypotheses or past a size or work guard (a brute count too large, a
+    discrete-log table over its limit) are skipped and recorded rather
+    than raised.
 
-    Each prime's context keeps its discrete-log table in cache_dir, if
-    given, when the cell reads one.
+    Each prime's context keeps the windows and the discrete-log table its
+    cell reads in cache_dir, if given.
     """
     _bound(bound_id)  # an unknown id fails before any cell runs
 
@@ -420,16 +421,12 @@ class DiscrepancyReport:
 
 
 def discrepancy_estimate(
-    wm: FactorialWindow,
-    wn: FactorialWindow,
-    H: int | None = None,
-    with_direct: bool | None = None,
+    wm: FactorialWindow, wn: FactorialWindow, H: int | None = None
 ) -> DiscrepancyReport:
     """Spectral upper estimate for the pair-product discrepancy.
 
     Uses the full double-sum spectrum up to frequency H (default p - 1).
-    The exact value is attached when the pair count fits the direct guard,
-    unless with_direct says otherwise.
+    The exact value is attached when the pair count fits the direct guard.
     """
     p = wm.p
     H = p - 1 if H is None else int(H)
@@ -439,10 +436,7 @@ def discrepancy_estimate(
     mags = np.abs(spectrum.values[1 : H + 1])
     estimate = erdos_turan_bound(mags, wm.N * wn.N, H)
     direct = None
-    feasible = wm.N * wn.N <= DIRECT_DISCREPANCY_GUARD
-    if with_direct is None:
-        with_direct = feasible
-    if with_direct:
+    if wm.N * wn.N <= DIRECT_DISCREPANCY_GUARD:
         direct = direct_discrepancy(wm, wn)
     return DiscrepancyReport(
         p=p, M=wm.N, N=wn.N, H=H, estimate=estimate, direct=direct

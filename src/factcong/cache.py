@@ -30,8 +30,9 @@ from pathlib import Path
 
 import numpy as np
 
+from . import factorial
 from .errors import CacheFormatError, FactcongWarning
-from .factorial import FactorialWindow, build_window
+from .factorial import FactorialWindow
 from .field import PrimeContext, build_dlog_table
 
 __all__ = [
@@ -167,10 +168,11 @@ def _verify_window_samples(path, values: np.ndarray, p: int, L: int) -> None:
 
 
 def window(ctx: PrimeContext, L: int, N: int) -> FactorialWindow:
-    """The window (L, L+N] of ctx, through ctx.cache_dir when it is set."""
+    """The window (L, L+N] of ctx, through ctx.cache_dir when it is set;
+    ctx.window reads it once and keeps it."""
     path = ctx.cache_dir and window_cache_path(ctx.cache_dir, ctx.p, L, N)
     return _cached(path, lambda path: load_window(path, ctx, L, N),
-                   lambda: build_window(ctx, L, N), save_window)
+                   lambda: factorial.build_window(ctx, L, N), save_window)
 
 
 def dlog_table(ctx: PrimeContext) -> np.ndarray:

@@ -5,7 +5,7 @@ sums, exact counts, bound verification sweeps, and distribution stats.
 Every run produces a ReportEnvelope whose config echo replays the run
 byte for byte; floating output uses repr so reruns diff clean.
 
-Exit codes: 0 success, 2 validation error, 3 guard or table limit,
+Exit codes: 0 success, 2 validation error, 3 a size or work guard,
 4 engine disagreement.
 """
 
@@ -22,7 +22,7 @@ import warnings
 
 import numpy as np
 
-from . import __version__, analysis, cache, counting, expsums
+from . import __version__, analysis, counting, expsums
 from .analysis import BOUND_IDS
 from .counting import ENGINES, FAMILIES, CountQuery
 from .errors import (
@@ -31,7 +31,6 @@ from .errors import (
     FactcongWarning,
     GuardExceededError,
     ParameterError,
-    TableTooLargeError,
 )
 from .field import PrimeContext, primes_between
 
@@ -335,23 +334,12 @@ def _json_default(value):
     return str(value)
 
 
-def _window(ns, ctx, L_attr="L", N_attr="N", main=None):
-    """The (cached) window named by L_attr and N_attr, or main if it is that."""
-    L = getattr(ns, L_attr)
-    N = getattr(ns, N_attr)
-    if N is None:
-        N = ctx.p - 1 - L
-    if main is not None and (main.L, main.N) == (L, N):
-        return main
-    return cache.window(ctx, L, N)
-
-
 # ---------------------------------------------------------------------------
 # command handlers
 
 
 def _cmd_factorials(ns) -> CommandOutput:
-    window = _window(ns, PrimeContext.create(ns.p, cache_dir=ns.cache_dir))
+    window = PrimeContext.create(ns.p, cache_dir=ns.cache_dir).window(ns.L, ns.N)
     values = window.values.tolist()
     columns = {"n": list(range(window.L + 1, window.L + 1 + len(values))),
                "value": values}
@@ -360,7 +348,7 @@ def _cmd_factorials(ns) -> CommandOutput:
 
 def _cmd_expsum(ns) -> CommandOutput:
     ctx = PrimeContext.create(ns.p, cache_dir=ns.cache_dir)
-    window = _window(ns, ctx)
+    window = ctx.window(ns.L, ns.N)
     if ns.kind == "single":
         sv = expsums.single_sum(window, ns.a)
         return _sum_value_output("a", sv.a, sv)
@@ -375,7 +363,7 @@ def _cmd_expsum(ns) -> CommandOutput:
             default_format="csv",
         )
     if ns.kind == "double":
-        wm = _window(ns, ctx, "K", "M", main=window)
+        wm = ctx.window(ns.K, ns.M)
         sv = expsums.double_sum(wm, window, ns.a)
         return _sum_value_output("a", sv.a, sv)
     j = (ctx.p - 1) // 2 if ns.quadratic else ns.j
@@ -512,7 +500,7 @@ def _cmd_sweep(ns) -> CommandOutput:
 
 def _cmd_stats(ns) -> CommandOutput:
     ctx = PrimeContext.create(ns.p, cache_dir=ns.cache_dir)
-    window = _window(ns, ctx)
+    window = ctx.window(ns.L, ns.N)
     stats = analysis.distinct_stats(window)
     row = {
         "p": stats.p,
@@ -524,7 +512,7 @@ def _cmd_stats(ns) -> CommandOutput:
         "reference_distinct_fraction": stats.reference_distinct_fraction,
     }
     if ns.H is not None:
-        wm = _window(ns, ctx, "K", "M", main=window)
+        wm = ctx.window(ns.K, ns.M)
         report = analysis.discrepancy_estimate(wm, window, H=ns.H)
         row.update({
             "M": report.M,
@@ -658,7 +646,7 @@ def main(argv: list[str] | None = None) -> int:
     except EngineMismatchError as exc:
         print(f"{TOOL}: engine mismatch: {exc}", file=sys.stderr)
         return 4
-    except (TableTooLargeError, GuardExceededError) as exc:
+    except GuardExceededError as exc:
         print(f"{TOOL}: guard exceeded: {exc}", file=sys.stderr)
         return 3
     except (ParameterError, FactcongError) as exc:

@@ -22,9 +22,10 @@ A profile (the counts at every lambda) ends in one exact convolution
 X * Y.  A single-lambda count of J, SIGNED, T, Q or R builds the same
 X and Y but evaluates only that last step, at lambda, as the exact dot
 sum_i X[i] Y[lambda - i]; F and I are sums of squares of the full X * Y.
-Each call builds every factorial window and histogram it needs once.  Only
-the convolution engine reads the discrete-log table, which the prime
-context builds (or loads from its cache) on that first read.
+Each call builds every histogram it needs once.  The prime context builds
+(or loads from its cache) each factorial window, and the discrete-log
+table, on first read and keeps it; only the convolution engine reads the
+table.
 """
 
 from __future__ import annotations
@@ -128,34 +129,32 @@ class CountQuery:
 
 
 class _Inputs:
-    """The windows and sum histograms of one count call, each built once.
+    """The windows and sum histograms of one count call.
 
-    Windows are keyed by (offset, length), so roles that coincide share
-    one.  An instance lives for one call: a CountResult keeps its query,
-    and a sweep keeps many results.
+    Windows come from the query's context, which keeps each one.  Sum
+    histograms are built once per call, keyed by (offset, length, k), so
+    roles that coincide share one.  An instance lives for one call: a
+    CountResult keeps its query, and a sweep keeps many results.
     """
 
     def __init__(self, q: CountQuery):
-        self.q, self._memo = q, {}
-
-    def _once(self, key, build):
-        if key not in self._memo:
-            self._memo[key] = build()
-        return self._memo[key]
+        self.q, self._sums = q, {}
 
     def window(self, role: str) -> FactorialWindow:
         """The main ("n"), second ("m"), plain ("t") or "full" window."""
         q = self.q
         L, N = {"n": (q.L, q.N), "m": (q.K, q.M), "t": (q.S, q.T),
                 "full": (0, q.ctx.p - 1)}[role]
-        return self._once((L, N), lambda: factorial.build_window(q.ctx, L, N))
+        return q.ctx.window(L, N)
 
     def values(self, role: str) -> np.ndarray:
         return self.window(role).values
 
     def sums(self, role: str, k: int) -> np.ndarray:
         w = self.window(role)
-        return self._once((w.L, w.N, k), lambda: factorial.sum_histogram(w, k).counts)
+        if (w.L, w.N, k) not in self._sums:
+            self._sums[w.L, w.N, k] = factorial.sum_histogram(w, k).counts
+        return self._sums[w.L, w.N, k]
 
     def pairs(self) -> np.ndarray:
         return factorial.product_histogram(self.window("m"), self.window("n")).counts

@@ -1,9 +1,10 @@
 """Exception and warning taxonomy shared across the package.
 
 The CLI maps the errors onto process exit codes: parameter and format
-problems exit 2, resource guards exit 3, and a dual-engine disagreement
-exits 4.  A FactcongWarning reports a problem that was worked around; the
-CLI copies each one into the report envelope's warnings.
+problems exit 2, a GuardExceededError (the one class for every size or
+work guard) exits 3, and a dual-engine disagreement exits 4.  A
+FactcongWarning reports a problem that was worked around; the CLI copies
+each one into the report envelope's warnings.
 """
 
 __all__ = [
@@ -13,7 +14,6 @@ __all__ = [
     "WindowRangeError",
     "HypothesisError",
     "CacheFormatError",
-    "TableTooLargeError",
     "GuardExceededError",
     "EngineMismatchError",
     "FactcongWarning",
@@ -44,12 +44,10 @@ class CacheFormatError(ParameterError):
     """A binary cache file failed its header, size, or sample verification."""
 
 
-class TableTooLargeError(FactcongError):
-    """A lookup table would exceed the configured memory limit."""
-
-
 class GuardExceededError(FactcongError):
-    """Estimated work for an exhaustive engine exceeds its safety guard."""
+    """A request would pass a size or work guard: the work of an exhaustive
+    engine, or the memory of a discrete-log table.  A sweep skips the cell
+    and goes on."""
 
 
 class EngineMismatchError(FactcongError):

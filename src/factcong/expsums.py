@@ -157,16 +157,11 @@ def double_sum_direct(wm: FactorialWindow, wn: FactorialWindow, a: int) -> Spect
     return SpectrumValue(a=a, value=value, abs_error=_sum_error_bound(wm.N * wn.N))
 
 
-def batch_double_sums(
-    wm: FactorialWindow,
-    wn: FactorialWindow,
-    product_hist: Histogram | None = None,
-) -> Spectrum:
+def batch_double_sums(wm: FactorialWindow, wn: FactorialWindow) -> Spectrum:
     """All p double sums: the DFT of the product histogram."""
     if wm.ctx.p != wn.ctx.p:
         raise ParameterError("windows live over different primes")
-    if product_hist is None:
-        product_hist = factorial.product_histogram(wm, wn)
+    product_hist = factorial.product_histogram(wm, wn)
     values, err = transform.dft_prime_length(product_hist.counts, sign=1)
     return Spectrum(
         p=wm.p,

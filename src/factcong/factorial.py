@@ -44,7 +44,8 @@ class FactorialWindow:
 
 
 def build_window(ctx: PrimeContext, L: int, N: int) -> FactorialWindow:
-    """Compute one factorial window; requires 0 <= L and L + N <= p - 1."""
+    """Compute one factorial window, the build step of ``ctx.window``;
+    requires 0 <= L and L + N <= p - 1."""
     L, N = int(L), int(N)
     if N < 1:
         raise WindowRangeError(f"window length must be positive, got N={N}")
@@ -109,13 +110,14 @@ def product_histogram(
     """counts[t] = number of pairs (x from wa, y from wb) with x*y = t mod p.
 
     Runs one exact cyclic convolution of length p - 1 in the exponent
-    domain, a self-product when wa is wb.  The zero bin is structurally
-    empty since factorials of arguments below p never vanish mod p.
+    domain, a self-product when both are the same window (L, L+N].  The
+    zero bin is structurally empty since factorials of arguments below p
+    never vanish mod p.
     """
     if wa.ctx.p != wb.ctx.p:
         raise ParameterError("windows live over different primes")
     ea = exponent_histogram(wa)
-    eb = ea if wb is wa else exponent_histogram(wb)
+    eb = ea if (wb.L, wb.N) == (wa.L, wa.N) else exponent_histogram(wb)
     conv = transform.cyclic_convolve_exact(
         ea.counts, eb.counts, bound=wa.N * wb.N
     )

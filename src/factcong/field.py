@@ -2,8 +2,8 @@
 
 A ``PrimeContext`` fixes the modulus p and the smallest primitive root g.
 Its dense index table, mapping every nonzero residue to its discrete
-logarithm base g, is loaded from the context's cache directory or built
-the first time it is read.
+logarithm base g, and its factorial windows are loaded from the context's
+cache directory or built the first time they are read.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import CompositeModulusError, ParameterError, TableTooLargeError
+from .errors import CompositeModulusError, GuardExceededError, ParameterError
 
 __all__ = [
     "DLOG_MEMORY_LIMIT",
@@ -116,15 +116,22 @@ class PrimeContext:
     """Immutable bundle of a prime modulus with its group structure.
 
     ``dlog`` is a dense int64 table of length p with dlog[x] the exponent
-    of the smallest primitive root giving x, and dlog[0] = -1.  It costs
-    O(p) memory, so it is made on first read: loaded from ``cache_dir``
-    when that holds a good copy, else built (and saved there).
+    of the smallest primitive root giving x, and dlog[0] = -1.  It and the
+    factorial windows of ``window`` cost O(p) memory each, so each is made
+    on first read: loaded from ``cache_dir`` when that holds a good copy,
+    else built (and saved there).  The context keeps every window it was
+    asked for; a new context starts empty.
     """
 
     p: int
     g: int
     factors: tuple[tuple[int, int], ...]
     cache_dir: str | os.PathLike | None = dataclasses.field(default=None, compare=False)
+    # read-only window values by (L, N); values, not windows, so that no
+    # context -> window -> context cycle outlives a dropped context
+    _windows: dict = dataclasses.field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     @classmethod
     def create(cls, p: int, with_dlog: bool = False, cache_dir=None) -> "PrimeContext":
@@ -149,6 +156,19 @@ class PrimeContext:
         from . import cache  # cache builds on this module
 
         return cache.dlog_table(self)
+
+    def window(self, L: int = 0, N: int | None = None):
+        """The factorial window (L, L+N], N = p-1-L by default."""
+        from . import cache, factorial
+
+        L = int(L)
+        N = self.p - 1 - L if N is None else int(N)
+        if (L, N) not in self._windows:
+            values = cache.window(self, L, N).values
+            values.flags.writeable = False
+            # threads that race to build one window all keep the first array
+            self._windows.setdefault((L, N), values)
+        return factorial.FactorialWindow(self, L, N, self._windows[L, N])
 
     def index(self, x: int) -> int:
         """Discrete logarithm of x base g."""
@@ -177,7 +197,7 @@ class PrimeContext:
 def build_dlog_table(ctx: PrimeContext) -> np.ndarray:
     """Dense discrete-log table for ctx, one sequential pass over the group."""
     if ctx.p > DLOG_MEMORY_LIMIT:
-        raise TableTooLargeError(
+        raise GuardExceededError(
             f"discrete-log table for p={ctx.p} exceeds the limit of "
             f"{DLOG_MEMORY_LIMIT} entries"
         )

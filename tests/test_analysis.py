@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from factcong import kernels
+from factcong import field, kernels
 from factcong.analysis import (
     BOUND_IDS,
     bound_rhs,
@@ -112,8 +112,9 @@ def test_evaluate_cell_t31_sanity_floor(ctx101):
     assert report.lhs == pytest.approx(436.6493002087084, rel=1e-9)
 
 
-def test_evaluate_cell_t31_builds_one_window(ctx101, monkeypatch):
-    # (K, M) = (L, N) by default, so one window serves both ranges
+def test_evaluate_cell_t31_builds_one_window(monkeypatch):
+    # (K, M) = (L, N) by default, so one window serves both ranges, and
+    # the context keeps it for every later cell
     calls = []
     build = kernels.factorial_window
 
@@ -122,10 +123,13 @@ def test_evaluate_cell_t31_builds_one_window(ctx101, monkeypatch):
         return build(*args)
 
     monkeypatch.setattr(kernels, "factorial_window", counted)
-    evaluate_cell("T3.1", ctx101)
+    ctx = PrimeContext.create(101)
+    evaluate_cell("T3.1", ctx)
     assert len(calls) == 1
-    evaluate_cell("T3.1", ctx101, {"K": 3})
-    assert len(calls) == 3
+    evaluate_cell("T3.1", ctx, {"K": 3})
+    assert calls[1:] == [(101, 3, 97)]
+    evaluate_cell("B-CharSum", ctx)
+    assert len(calls) == 2
 
 
 def test_evaluate_cell_charsum(ctx101):
@@ -186,13 +190,27 @@ def test_verify_sweep_threads_match():
     assert seq.series() == par.series()
 
 
+def _dlog_files(path):
+    return sorted(f.name for f in path.glob("dlog_*"))
+
+
 def test_verify_sweep_cache_dir_used(tmp_path):
-    # T2.1 counts by sums alone and reads no table; T4.1 reads one per prime
+    # every cell caches its windows; T2.1 counts by sums alone and reads
+    # no table, T4.1 reads one per prime
     verify_sweep("T2.1", [5, 7], params={"ell": 1}, cache_dir=tmp_path)
-    assert list(tmp_path.iterdir()) == []
+    assert _dlog_files(tmp_path) == []
+    assert (tmp_path / "window_p7_L0_N6.fcw1").exists()
     verify_sweep("T4.1", [53, 59], engine="conv", cache_dir=tmp_path)
-    names = sorted(f.name for f in tmp_path.iterdir())
-    assert names == ["dlog_p53.fcl1", "dlog_p59.fcl1"]
+    assert _dlog_files(tmp_path) == ["dlog_p53.fcl1", "dlog_p59.fcl1"]
+
+
+def test_verify_sweep_skips_cells_past_the_dlog_limit(monkeypatch):
+    # the table guard is a guard like the brute one: the cell is skipped
+    monkeypatch.setattr(field, "DLOG_MEMORY_LIMIT", 60)
+    result = verify_sweep("T4.1", [53, 59, 61, 67], engine="conv")
+    assert [rep.p for rep in result.reports] == [53, 59]
+    assert [p for p, _ in result.skipped] == [61, 67]
+    assert "exceeds the limit of 60 entries" in result.skipped[0][1]
 
 
 # distribution stats

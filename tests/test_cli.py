@@ -412,6 +412,19 @@ def test_stats_reads_one_window_when_both_windows_agree(tmp_path, capsys, monkey
     assert (len(loads), len(histograms)) == (1, 1)
 
 
+def test_count_loads_its_window_from_the_cache_dir(tmp_path, capsys, monkeypatch):
+    argv = ("count", "F", "--p", "101", "--engine", "conv", "--cache-dir", str(tmp_path))
+    code, first, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert (tmp_path / "window_p101_L0_N100.fcw1").exists()
+    loads = _counting_calls(monkeypatch, cache, "load_window")
+    builds = _counting_calls(monkeypatch, kernels, "factorial_window")
+    code, second, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert (len(loads), builds) == (1, [])
+    assert second == first
+
+
 @pytest.mark.parametrize("target", ["", "missing/x"])  # a directory, no parent
 def test_out_that_cannot_be_written_exits_2(tmp_path, capsys, target):
     path = tmp_path / target

@@ -399,16 +399,16 @@ def test_single_lambda_equals_profile_and_brute(p, family, params):
     ("F", {}),
     ("T", {"r": 2}),
 ))
-def test_one_window_per_count_call(ctx101, monkeypatch, family, params):
-    q = CountQuery(family=family, ctx=ctx101, lam=7, **params)
+def test_one_window_per_count_call(monkeypatch, family, params):
+    q = CountQuery(family=family, ctx=PrimeContext.create(101), lam=7, **params)
     windows = []
     factorial_window = kernels.factorial_window
     monkeypatch.setattr(kernels, "factorial_window",
                         lambda *a: windows.append(a) or factorial_window(*a))
     count_convolution(q)
     assert len(windows) == 1
-    # the brute R inverse table reads the same full window
-    windows.clear()
+    # the context keeps that window, and the brute R inverse table reads
+    # the same full window
     brute_force_count(q)
     assert len(windows) == 1
 

@@ -1,9 +1,13 @@
+import gc
+import weakref
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from factcong import field, kernels
-from factcong.errors import CompositeModulusError, ParameterError, TableTooLargeError
+from factcong.counting import CountQuery, count
+from factcong.errors import CompositeModulusError, GuardExceededError, ParameterError
 from factcong.field import (
     PrimeContext,
     Residue,
@@ -105,11 +109,43 @@ def test_context_dlog_built_on_first_read(monkeypatch):
 
 def test_dlog_memory_limit(monkeypatch):
     monkeypatch.setattr(field, "DLOG_MEMORY_LIMIT", 50)
-    with pytest.raises(TableTooLargeError):
+    with pytest.raises(GuardExceededError):
         PrimeContext.create(101, with_dlog=True)
     ctx = PrimeContext.create(101)
-    with pytest.raises(TableTooLargeError):
+    with pytest.raises(GuardExceededError):
         ctx.dlog
+
+
+def test_two_reads_of_a_window_share_one_read_only_array(monkeypatch):
+    builds = []
+    factorial_window = kernels.factorial_window
+    monkeypatch.setattr(kernels, "factorial_window",
+                        lambda *a: builds.append(a) or factorial_window(*a))
+    ctx = PrimeContext.create(101)
+    first, second = ctx.window(), ctx.window(0, 100)
+    assert (second.L, second.N) == (0, 100)
+    assert first.values is second.values
+    assert builds == [(101, 0, 100)]
+    with pytest.raises(ValueError):
+        first.values[0] = 1
+    assert ctx.window(3, 5).values.tolist() == factorial_window(101, 3, 5).tolist()
+    assert PrimeContext.create(101).window().values is not first.values
+
+
+def test_dropped_context_is_freed_at_once():
+    # the context keeps window values, not windows, so it sits in no
+    # reference cycle and goes as soon as the last reference does
+    gc.disable()
+    try:
+        ctx = PrimeContext.create(101)
+        ctx.window()
+        ctx.dlog  # noqa: B018
+        count(CountQuery(family="F", ctx=ctx), engine="conv")
+        ref = weakref.ref(ctx)
+        del ctx
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_inverse_and_pow(ctx11):
