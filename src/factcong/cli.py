@@ -7,12 +7,17 @@ byte for byte; floating output uses repr so reruns diff clean.
 
 Exit codes: 0 success, 2 validation error, 3 a size or work guard,
 4 engine disagreement.
+
+``main`` may be called any number of times in one process: it builds its
+argument parser on the first call and reuses it.  ``$FACTCONG_CACHE_DIR``
+is read when each command runs, so changing it between calls takes effect.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -130,8 +135,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="output format (default depends on the command)")
     parser.add_argument("--out", default=None, metavar="FILE",
                         help="write output to FILE instead of stdout")
-    parser.add_argument("--cache-dir", default=os.environ.get(CACHE_ENV) or None,
-                        metavar="DIR",
+    parser.add_argument("--cache-dir", default=None, metavar="DIR",
                         help=f"cache directory (default ${CACHE_ENV})")
     parser.add_argument("--threads", type=_positive, default=1)
     parser.add_argument("--seed", type=_nonnegative, default=0,
@@ -259,6 +263,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(st)
 
     return top
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` reuses; parsing leaves no state in it."""
+    return build_parser()
 
 
 # ---------------------------------------------------------------------------
@@ -604,6 +614,7 @@ def render(envelope: dict, output: CommandOutput, fmt: str) -> str:
 def run(ns: argparse.Namespace) -> tuple[dict, CommandOutput]:
     """Dispatch one parsed command; returns (envelope, output).  Its
     FactcongWarnings go into the envelope, other warnings are shown."""
+    ns.cache_dir = ns.cache_dir or os.environ.get(CACHE_ENV) or None
     notes: list[str] = []
     show = warnings.showwarning
 
@@ -636,9 +647,8 @@ def run(ns: argparse.Namespace) -> tuple[dict, CommandOutput]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

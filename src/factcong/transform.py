@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -197,20 +198,37 @@ def _as_int_vector(a) -> tuple[np.ndarray, int]:
 
 
 def _norm_ceiling(arr: np.ndarray) -> float:
-    """Ceiling on the Euclidean norm of a nonnegative integer vector."""
-    if arr.dtype == object:
-        return _as_float(math.isqrt(sum(x * x for x in arr.tolist())) + 1)
-    v = arr.astype(np.float64, copy=False)
-    # covers rounding each entry to float64, its square, and the n-term sum
-    return math.sqrt(float(v @ v) * (1.0 + (v.size + 4) * _EPS)) * (1.0 + 2 * _EPS)
+    """Ceiling on the Euclidean norm of a nonnegative integer vector.
+
+    The sum of squares s is exact, and takes no float BLAS call: int64
+    sums over runs short enough that no run passes 2**63, added as Python
+    integers, or Python integers throughout once one square does not fit.
+    Proof: the float returned has an exact square of at least s, so it is
+    a ceiling; math.sqrt(s) rounds twice (s to float64, then the root), so
+    it starts within about one unit in the last place of sqrt(s) and the
+    loop steps up at most twice.
+    """
+    top = int(arr.max())
+    if top * top > _INT64_MAX:
+        s = sum(x * x for x in arr.tolist())
+    else:
+        run = _INT64_MAX // max(1, top * top)
+        s = sum(np.add.reduceat(arr * arr, np.arange(0, arr.size, run)).tolist())
+    try:
+        root = math.sqrt(s)
+    except OverflowError:
+        return math.inf
+    while Fraction(root) ** 2 < s:
+        root = math.nextafter(root, math.inf)
+    return root
 
 
 def _split_limbs(arr: np.ndarray, limb_bits: int) -> list[np.ndarray]:
     """The limb_bits-bit limbs of every entry, least significant first, as
-    float64 vectors (exact, since limb_bits <= 53)."""
+    int64 vectors."""
     count = max(1, -(-int(arr.max()).bit_length() // limb_bits))
     mask = (1 << limb_bits) - 1
-    return [((arr >> (limb_bits * i)) & mask).astype(np.float64) for i in range(count)]
+    return [(arr >> (limb_bits * i)) & mask for i in range(count)]
 
 
 def _group_error(size: float, terms: int, padded: int) -> float:
@@ -250,9 +268,13 @@ def _shift_groups(norms_a: list[float], norms_b: list[float], padded: int):
 
 
 def _limb_spectra(arr: np.ndarray, plan: ConvolutionPlan):
-    """The rfft of every limb of arr, and a ceiling on every limb's norm."""
+    """The rfft of every limb of arr, and a ceiling on every limb's norm.
+
+    The norms come from the int64 limbs; the float64 cast is exact, since
+    limb_bits <= 53."""
     limbs = _split_limbs(arr, plan.limb_bits)
-    return [np.fft.rfft(v, plan.padded) for v in limbs], list(map(_norm_ceiling, limbs))
+    spectra = [np.fft.rfft(v.astype(np.float64), plan.padded) for v in limbs]
+    return spectra, list(map(_norm_ceiling, limbs))
 
 
 def _cyclic_convolve_fft(a: np.ndarray, b: np.ndarray, plan: ConvolutionPlan):

@@ -347,6 +347,52 @@ def test_cache_env_var(tmp_path, monkeypatch, capsys):
     assert (tmp_path / "window_p101_L0_N100.fcw1").exists()
 
 
+# main keeps one parser for the process; each command reads the cache
+# variable when it runs, and no parse leaves state behind for the next.
+COUNT_I = ("count", "I", "--p", "101", "--engine", "conv")
+
+
+def test_cache_env_var_set_after_the_first_call(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("FACTCONG_CACHE_DIR", raising=False)
+    assert run_cli(capsys, *COUNT_I)[0] == 0
+    monkeypatch.setenv("FACTCONG_CACHE_DIR", str(tmp_path))
+    assert run_cli(capsys, *COUNT_I)[0] == 0
+    assert (tmp_path / "dlog_p101.fcl1").exists()
+
+
+def test_cache_env_var_unset_after_the_first_call(tmp_path, monkeypatch, capsys):
+    cache_dir, cwd = tmp_path / "cache", tmp_path / "cwd"
+    cache_dir.mkdir()
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    monkeypatch.setenv("FACTCONG_CACHE_DIR", str(cache_dir))
+    assert run_cli(capsys, *COUNT_I)[0] == 0
+    assert (cache_dir / "dlog_p101.fcl1").exists()
+    for path in cache_dir.iterdir():
+        path.unlink()
+    monkeypatch.delenv("FACTCONG_CACHE_DIR")
+    assert run_cli(capsys, *COUNT_I)[0] == 0
+    assert list(cache_dir.iterdir()) == list(cwd.iterdir()) == []
+
+
+def test_run_reads_the_cache_env_var(tmp_path, monkeypatch):
+    monkeypatch.setenv("FACTCONG_CACHE_DIR", str(tmp_path))
+    cli.run(cli.build_parser().parse_args(list(COUNT_I)))
+    assert (tmp_path / "dlog_p101.fcl1").exists()
+
+
+def test_no_option_carries_over_to_the_next_call(capsys):
+    argv = ("count", "J", "--p", "101", "--format", "json")
+    first = json.loads(run_cli(capsys, *argv, "--lambda", "3")[1])
+    second = json.loads(run_cli(capsys, *argv)[1])
+    at_zero = json.loads(run_cli(capsys, *argv, "--lambda", "0")[1])
+    assert first["config"]["lam"] == 3
+    assert second["config"]["lam"] is None
+    assert second["results"][0]["lam"] == 0
+    assert second["results"][0]["count"] == at_zero["results"][0]["count"]
+    assert first["results"][0]["count"] != second["results"][0]["count"]
+
+
 def test_corrupt_cache_recovers_with_warning(tmp_path, capsys):
     run_cli(capsys, "factorials", "--p", "101", "--cache-dir", str(tmp_path))
     victim = tmp_path / "window_p101_L0_N100.fcw1"

@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -106,8 +107,13 @@ def test_corrupted_float_product_is_recomputed(corruption, rng, monkeypatch):
         return out
 
     monkeypatch.setattr(np.fft, "irfft", corrupted)
+    bigint = transform._cyclic_convolve_bigint
+    recomputed = []
+    monkeypatch.setattr(transform, "_cyclic_convolve_bigint",
+                        lambda *args: recomputed.append(1) or bigint(*args))
     got = cyclic_convolve_exact(a, b)
     assert calls
+    assert recomputed == [1]
     assert as_ints(got) == as_ints(cyclic_convolve_direct(a, b))
 
 
@@ -182,6 +188,34 @@ def test_shift_splits_when_the_sum_is_not_certified(fft_calls, monkeypatch):
     # shift 1 runs its products (0, 1) and (1, 0) through separate inverses
     assert dict(fft_calls) == {"rfft": 2, "irfft": 4}
     assert as_ints(got) == as_ints(cyclic_convolve_direct(a, a))
+
+
+def assert_tight_norm_ceiling(vec):
+    """_norm_ceiling(vec) squared is at least the exact sum of squares and
+    at most 1 + 1e-12 times it, so plans certify and do not widen."""
+    squares = sum(int(x) ** 2 for x in vec.tolist())
+    ceiling = Fraction(transform._norm_ceiling(vec)) ** 2
+    assert squares <= ceiling <= squares * (1 + Fraction(1, 10**12))
+
+
+@given(st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=64))
+def test_norm_ceiling_of_int64_vectors(values):
+    assert_tight_norm_ceiling(np.array(values, dtype=np.int64))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 1000, 2**18])
+def test_norm_ceiling_of_53_bit_vectors(n):
+    assert_tight_norm_ceiling(np.full(n, 2**53 - 1, dtype=np.int64))
+
+
+@pytest.mark.parametrize("value", [0, 1, 2, 3, 2**31, 2**62 + 1, 2**63 - 1])
+def test_norm_ceiling_of_length_one(value):
+    assert_tight_norm_ceiling(np.array([value], dtype=np.int64))
+
+
+def test_norm_ceiling_past_int64():
+    assert_tight_norm_ceiling(np.array([2**70, 3, 0], dtype=object))
+    assert transform._norm_ceiling(np.array([2**600], dtype=object)) == math.inf
 
 
 def test_group_at_two_to_the_53_is_not_certified():
