@@ -68,7 +68,6 @@ from .factorial import (
 )
 from .field import (
     PrimeContext,
-    Residue,
     is_probable_prime,
     next_prime_at_least,
     primes_between,
@@ -129,7 +128,6 @@ __all__ = [
     "sum_histogram",
     "value_histogram",
     "PrimeContext",
-    "Residue",
     "is_probable_prime",
     "next_prime_at_least",
     "primes_between",

@@ -27,6 +27,8 @@ Catalog (full windows unless overridden; all bounds up to a constant):
 from __future__ import annotations
 
 import dataclasses
+import functools
+import inspect
 import math
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
@@ -64,39 +66,141 @@ __all__ = [
 DIRECT_DISCREPANCY_GUARD = 10**7
 
 
+def _check_window_balance(M: int, N: int) -> None:
+    if M > N * N or M * M < N:
+        raise HypothesisError(
+            f"window lengths M={M}, N={N} violate N**2 >= M >= sqrt(N)"
+        )
+
+
+# Right sides, implied constant 1, each over the parameters it names and
+# raising HypothesisError outside its stated regime.
+
+
+def _c22(k, N):
+    k1, k2 = k // 2, (k + 1) // 2
+    return float(N) ** (k - 1 + 1 / (2 * (k1 + 1)) + 1 / (2 * (k2 + 1)))
+
+
+def _t23(ell, M, N):
+    _check_window_balance(M, N)
+    return float(M) ** (2 * ell - 1 + 1 / (2 * ell)) * float(N) ** (
+        2 * ell - 1 / (2 * (ell + 1))
+    )
+
+
+def _t31(k, ell, M, N, p):
+    return (
+        float(M) ** (1 - 1 / (2 * ell * (k + 1)))
+        * float(N) ** (1 - 1 / (2 * k * (ell + 1)))
+        * float(p) ** (1 / (2 * k * ell))
+    )
+
+
+def _t41(k, ell, r, s, M, N, p):
+    if s < 1 or 2 * s > r:
+        raise HypothesisError("T4.1 needs an integer s with 1 <= s <= r/2")
+    _check_window_balance(M, N)
+    return (
+        float(M) ** (r - 1 + 1 / (2 * s) - (r - 2 * s) / (2 * ell * (k + 1)))
+        * float(N) ** (r - 1 / (2 * (s + 1)) - (r - 2 * s) / (2 * k * (ell + 1)))
+        * float(p) ** ((r - 2 * s) / (2 * k * ell))
+    )
+
+
+def _t42(k, ell, r, M, N, p):
+    r1, r2 = r // 2, (r + 1) // 2
+    return (
+        float(M) ** (1 - 1 / (2 * ell * (k + 1)))
+        * float(N)
+        ** (r + 1 / (2 * (r1 + 1)) + 1 / (2 * (r2 + 1)) - 1 / (2 * k * (ell + 1)))
+        * float(p) ** (1 / (2 * k * ell))
+    )
+
+
+def _t43(k, ell, r, M, N, T, p):
+    return (
+        float(M) ** (k - 0.5 + 1 / (2 * (k + 1)))
+        * float(N) ** (ell - 0.5 + 1 / (2 * (ell + 1)))
+        * float(T) ** (3 * r / 4)
+        * float(p) ** (r / 8)
+        * math.log(p) ** (r / 4)
+    )
+
+
+def _t44(ell, r, s, N, T, p):
+    if not 0 <= s <= r:
+        raise HypothesisError("T4.4 needs an integer s with 0 <= s <= r")
+    return (
+        float(N) ** (ell - 0.5 + 1 / (2 * (ell + 1)))
+        * float(T) ** ((3 * r + s) / 4 - 0.5 + 2.0 ** (-s - 1))
+        * float(p) ** ((r - s) / 8)
+        * math.log(p) ** ((r - s) / 4)
+    )
+
+
+# Spectral left sides: the spectrum over every frequency, a direct
+# evaluator of one frequency for the spot check, and the number of terms
+# in each sum.
+
+
+def _double_sums(ctx: PrimeContext, q: dict):
+    wn = ctx.window(q["L"], q["N"])
+    wm = ctx.window(q["K"], q["M"])
+    return (expsums.batch_double_sums(wm, wn),
+            lambda a: expsums.double_sum_direct(wm, wn, a), wm.N * wn.N)
+
+
+def _character_sums(ctx: PrimeContext, q: dict):
+    wn = ctx.window(q["L"], q["N"])
+    return (expsums.batch_character_sums(wn),
+            lambda j: expsums.character_sum(wn, j), wn.N)
+
+
 @dataclass(frozen=True)
 class _Bound:
-    """How one catalogued bound's left side is computed.
+    """One catalogued bound: both sides and what they may be given.
 
-    params holds the bound's parameters with their defaults.  family is
-    the counting family whose exact count is the left side, or None for
-    the two spectral bounds.  main maps the resolved parameters to the
-    main term (numerator, denominator) the count deviates from, or is None
-    when the left side is the count itself.  fixed holds the query fields
-    the bound pins; a cell that asks for another value is skipped.
+    params holds the bound's parameters with their defaults.  rhs maps
+    the parameters it names to the right side.  The left side is the exact
+    count of family, or the largest nonzero-frequency magnitude of the
+    spectrum sums returns when family is None.  main maps the resolved
+    parameters to the main term (numerator, denominator) the count
+    deviates from, or is None when the left side is the count itself.
+    fixed holds the query fields the bound pins; a cell that asks for
+    another value is skipped.
     """
 
     params: dict
+    rhs: Callable[..., float]
     family: str | None = None
     main: Callable[..., tuple[int, int]] | None = None
     fixed: dict = dc_field(default_factory=dict)
+    sums: Callable[[PrimeContext, dict], tuple] | None = None
+
+    @functools.cached_property
+    def rhs_names(self) -> tuple[str, ...]:
+        return tuple(inspect.signature(self.rhs).parameters)
 
 
 _BOUNDS = {
-    "T2.1": _Bound({"ell": 1, "lam": 0}, "J"),
-    "C2.2": _Bound({"k": 2, "lam": 0}, "SIGNED"),
-    "T2.3": _Bound({"ell": 1}, "F"),
-    "T3.1": _Bound({"k": 2, "ell": 2}),
-    "T4.1": _Bound({"k": 2, "ell": 2, "r": 2, "s": 1, "lam": 0}, "T",
+    "T2.1": _Bound({"ell": 1, "lam": 0},
+                   lambda ell, N: float(N) ** (2 * ell - 1 + 1 / (ell + 1)), "J"),
+    "C2.2": _Bound({"k": 2, "lam": 0}, _c22, "SIGNED"),
+    "T2.3": _Bound({"ell": 1}, _t23, "F"),
+    "T3.1": _Bound({"k": 2, "ell": 2}, _t31, sums=_double_sums),
+    "T4.1": _Bound({"k": 2, "ell": 2, "r": 2, "s": 1, "lam": 0}, _t41, "T",
                    lambda M, N, r, p, **_: ((M * N) ** r, p)),
-    "T4.2": _Bound({"k": 2, "ell": 2, "r": 1, "lam": 0}, "Q",
+    "T4.2": _Bound({"k": 2, "ell": 2, "r": 1, "lam": 0}, _t42, "Q",
                    lambda M, N, r, p, **_: (M * N ** (r + 1), p)),
-    "T4.3": _Bound({"k": 1, "ell": 1, "r": 1, "lam": 1}, "R",
+    "T4.3": _Bound({"k": 1, "ell": 1, "r": 1, "lam": 1}, _t43, "R",
                    lambda M, N, T, k, ell, r, p, **_: (M**k * N**ell * T**r, p - 1)),
-    "T4.4": _Bound({"ell": 1, "r": 1, "s": 0, "lam": 1}, "R",
+    "T4.4": _Bound({"ell": 1, "r": 1, "s": 0, "lam": 1}, _t44, "R",
                    lambda N, T, ell, r, p, **_: (N**ell * T**r, p - 1), {"k": 0}),
-    "B-CharSum": _Bound({}),
-    "B-I": _Bound({"ell": 1}, "I"),
+    "B-CharSum": _Bound({}, lambda N, p: float(N) ** 0.75 * float(p) ** 0.125
+                        * math.log(p) ** 0.25, sums=_character_sums),
+    "B-I": _Bound({"ell": 1}, lambda ell, N: float(N) ** (2 * ell - 1 + 2.0 ** (-ell)),
+                  "I"),
 }
 
 BOUND_IDS = tuple(_BOUNDS)
@@ -125,11 +229,11 @@ class BoundReport:
 
 @dataclass(frozen=True)
 class SweepResult:
-    reports: list[BoundReport]
-    skipped: list[tuple[int, str]] = dc_field(default_factory=list)
+    """A sweep's cells, grouped by bound and in prime order within each;
+    a skipped cell is (bound_id, p, reason)."""
 
-    def series(self) -> list[tuple[int, float]]:
-        return [(r.p, r.ratio) for r in self.reports]
+    reports: list[BoundReport]
+    skipped: list[tuple[str, int, str]] = dc_field(default_factory=list)
 
 
 def _require(params: dict, *names: str) -> list[int]:
@@ -146,95 +250,24 @@ def bound_rhs(bound_id: str, **params) -> float:
     ell, k, r, and the split parameter s.  Raises HypothesisError outside
     the stated parameter regime.
     """
-    _bound(bound_id)
-    if bound_id == "T2.1":
-        (ell, N) = _require(params, "ell", "N")
-        return float(N) ** (2 * ell - 1 + 1 / (ell + 1))
-    if bound_id == "C2.2":
-        (k, N) = _require(params, "k", "N")
-        k1, k2 = k // 2, (k + 1) // 2
-        return float(N) ** (k - 1 + 1 / (2 * (k1 + 1)) + 1 / (2 * (k2 + 1)))
-    if bound_id == "T2.3":
-        (ell, M, N) = _require(params, "ell", "M", "N")
-        _check_window_balance(M, N)
-        return float(M) ** (2 * ell - 1 + 1 / (2 * ell)) * float(N) ** (
-            2 * ell - 1 / (2 * (ell + 1))
-        )
-    if bound_id == "T3.1":
-        (k, ell, M, N, p) = _require(params, "k", "ell", "M", "N", "p")
-        return (
-            float(M) ** (1 - 1 / (2 * ell * (k + 1)))
-            * float(N) ** (1 - 1 / (2 * k * (ell + 1)))
-            * float(p) ** (1 / (2 * k * ell))
-        )
-    if bound_id == "T4.1":
-        (k, ell, r, s, M, N, p) = _require(params, "k", "ell", "r", "s", "M", "N", "p")
-        if s < 1 or 2 * s > r:
-            raise HypothesisError("T4.1 needs an integer s with 1 <= s <= r/2")
-        _check_window_balance(M, N)
-        return (
-            float(M) ** (r - 1 + 1 / (2 * s) - (r - 2 * s) / (2 * ell * (k + 1)))
-            * float(N) ** (r - 1 / (2 * (s + 1)) - (r - 2 * s) / (2 * k * (ell + 1)))
-            * float(p) ** ((r - 2 * s) / (2 * k * ell))
-        )
-    if bound_id == "T4.2":
-        (k, ell, r, M, N, p) = _require(params, "k", "ell", "r", "M", "N", "p")
-        r1, r2 = r // 2, (r + 1) // 2
-        return (
-            float(M) ** (1 - 1 / (2 * ell * (k + 1)))
-            * float(N)
-            ** (r + 1 / (2 * (r1 + 1)) + 1 / (2 * (r2 + 1)) - 1 / (2 * k * (ell + 1)))
-            * float(p) ** (1 / (2 * k * ell))
-        )
-    if bound_id == "T4.3":
-        (k, ell, r, M, N, T, p) = _require(params, "k", "ell", "r", "M", "N", "T", "p")
-        return (
-            float(M) ** (k - 0.5 + 1 / (2 * (k + 1)))
-            * float(N) ** (ell - 0.5 + 1 / (2 * (ell + 1)))
-            * float(T) ** (3 * r / 4)
-            * float(p) ** (r / 8)
-            * math.log(p) ** (r / 4)
-        )
-    if bound_id == "T4.4":
-        (ell, r, s, N, T, p) = _require(params, "ell", "r", "s", "N", "T", "p")
-        if not 0 <= s <= r:
-            raise HypothesisError("T4.4 needs an integer s with 0 <= s <= r")
-        return (
-            float(N) ** (ell - 0.5 + 1 / (2 * (ell + 1)))
-            * float(T) ** ((3 * r + s) / 4 - 0.5 + 2.0 ** (-s - 1))
-            * float(p) ** ((r - s) / 8)
-            * math.log(p) ** ((r - s) / 4)
-        )
-    if bound_id == "B-CharSum":
-        (N, p) = _require(params, "N", "p")
-        return float(N) ** 0.75 * float(p) ** 0.125 * math.log(p) ** 0.25
-    (ell, N) = _require(params, "ell", "N")  # B-I
-    return float(N) ** (2 * ell - 1 + 2.0 ** (-ell))
-
-
-def _check_window_balance(M: int, N: int) -> None:
-    if M > N * N or M * M < N:
-        raise HypothesisError(
-            f"window lengths M={M}, N={N} violate N**2 >= M >= sqrt(N)"
-        )
+    bound = _bound(bound_id)
+    return bound.rhs(*_require(params, *bound.rhs_names))
 
 
 def _default_signs(k: int) -> tuple[int, ...]:
     return tuple(1 if i % 2 == 0 else -1 for i in range(k))
 
 
-def _spot_check_spectrum(
-    spectrum, wm: FactorialWindow, wn: FactorialWindow, seed: int
-) -> None:
-    """Compare a few spectrum entries against the direct pair evaluator."""
+def _spot_check(spectrum, direct, terms: int, seed: int) -> None:
+    """Compare a few nonzero frequencies of spectrum against direct."""
     rng = np.random.default_rng(seed)
-    p = wm.p
-    tol = max(64 * spectrum.abs_error, 1e-9 * wm.N * wn.N, 1e-9)
-    for a in rng.integers(1, p, size=min(8, p - 1)):
-        direct = expsums.double_sum_direct(wm, wn, int(a)).value
-        if abs(direct - complex(spectrum.values[int(a)])) > tol:
+    size = len(spectrum.values)
+    tol = max(64 * spectrum.abs_error, 1e-9 * terms, 1e-9)
+    for x in rng.integers(1, size, size=min(8, size - 1)):
+        if abs(direct(int(x)).value - complex(spectrum.values[int(x)])) > tol:
             raise EngineMismatchError(
-                f"double-sum engines disagree at p={p}, a={int(a)}"
+                f"{spectrum.kind}-sum engines disagree at p={spectrum.p}, "
+                f"frequency {int(x)}"
             )
 
 
@@ -272,34 +305,15 @@ def evaluate_cell(
         # |c - num/den|, exact until the one rounding division
         lhs = abs(c * den - num) / den
     else:
-        wn = ctx.window(resolved["L"], resolved["N"])
-        if bound_id == "T3.1":
-            wm = ctx.window(resolved["K"], resolved["M"])
-            spectrum = expsums.batch_double_sums(wm, wn)
-            if engine == "both":
-                _spot_check_spectrum(spectrum, wm, wn, seed=seed + p)
-        else:  # B-CharSum
-            spectrum = expsums.batch_character_sums(wn)
-            if engine == "both":
-                _spot_check_chars(spectrum, wn, seed=seed + p)
+        spectrum, direct, terms = bound.sums(ctx, resolved)
+        if engine == "both":
+            _spot_check(spectrum, direct, terms, seed=seed + p)
         lhs = abs(spectrum.max_magnitude(skip_zero=True).value)
     return BoundReport(bound_id=bound_id, p=p, params=resolved, lhs=lhs, rhs=rhs)
 
 
-def _spot_check_chars(spectrum, window: FactorialWindow, seed: int) -> None:
-    rng = np.random.default_rng(seed)
-    p = window.p
-    tol = max(64 * spectrum.abs_error, 1e-9 * window.N, 1e-9)
-    for j in rng.integers(1, p - 1, size=min(8, p - 2)):
-        direct = expsums.character_sum(window, int(j)).value
-        if abs(direct - complex(spectrum.values[int(j)])) > tol:
-            raise EngineMismatchError(
-                f"character-sum engines disagree at p={p}, j={int(j)}"
-            )
-
-
 def verify_sweep(
-    bound_id: str,
+    bound_ids: list[str],
     primes: list[int],
     params: dict | None = None,
     engine: str = "conv",
@@ -307,37 +321,35 @@ def verify_sweep(
     seed: int = 0,
     cache_dir=None,
 ) -> SweepResult:
-    """Evaluate one bound across primes; cells outside the bound's
-    hypotheses or past a size or work guard (a brute count too large, a
-    discrete-log table over its limit) are skipped and recorded rather
-    than raised.
+    """Evaluate each listed bound at each prime.
 
-    Each prime's context keeps the windows and the discrete-log table its
-    cell reads in cache_dir, if given.
+    Each prime gets one context, shared by all of its cells; it keeps the
+    windows and the discrete-log table they read, in cache_dir if given.
+    threads > 1 evaluates that many primes at once.  A cell outside its
+    bound's hypotheses or past a size or work guard is skipped and
+    recorded rather than raised.
     """
-    _bound(bound_id)  # an unknown id fails before any cell runs
+    bound_ids = list(bound_ids)
+    for bound_id in bound_ids:
+        _bound(bound_id)  # an unknown id fails before any cell runs
 
-    def cell(p: int):
+    def cells(p: int) -> list:
         ctx = PrimeContext.create(p, cache_dir=cache_dir)
-        return evaluate_cell(bound_id, ctx, params, engine=engine, seed=seed)
-
-    reports: list[BoundReport] = []
-    skipped: list[tuple[int, str]] = []
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {p: pool.submit(cell, p) for p in primes}
-            for p in primes:
-                try:
-                    reports.append(futures[p].result())
-                except (HypothesisError, GuardExceededError) as exc:
-                    skipped.append((p, str(exc)))
-    else:
-        for p in primes:
+        out: list = []
+        for bound_id in bound_ids:
             try:
-                reports.append(cell(p))
+                out.append(evaluate_cell(bound_id, ctx, params, engine=engine, seed=seed))
             except (HypothesisError, GuardExceededError) as exc:
-                skipped.append((p, str(exc)))
-    return SweepResult(reports=reports, skipped=skipped)
+                out.append((bound_id, p, str(exc)))
+        return out
+
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        by_prime = list((pool.map if threads > 1 else map)(cells, primes))
+    by_bound = [cell for column in zip(*by_prime) for cell in column]
+    return SweepResult(
+        reports=[c for c in by_bound if isinstance(c, BoundReport)],
+        skipped=[c for c in by_bound if not isinstance(c, BoundReport)],
+    )
 
 
 # ---------------------------------------------------------------------------

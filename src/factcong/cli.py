@@ -142,25 +142,11 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="seed for sampled spot checks")
 
 
-def _add_n_window(parser):
-    parser.add_argument("--L", type=_nonnegative, default=0,
-                        help="offset of the main window (default 0)")
-    parser.add_argument("--N", type=_positive, default=None,
-                        help="length of the main window (default p-1-L)")
-
-
-def _add_m_window(parser):
-    parser.add_argument("--K", type=_nonnegative, default=0,
-                        help="offset of the second window (default 0)")
-    parser.add_argument("--M", type=_positive, default=None,
-                        help="length of the second window (default p-1-K)")
-
-
-def _add_t_window(parser):
-    parser.add_argument("--S", type=_nonnegative, default=0,
-                        help="offset of the third window (default 0)")
-    parser.add_argument("--T", type=_positive, default=None,
-                        help="length of the third window (default p-1-S)")
+def _add_window(parser, offset: str, length: str, role: str) -> None:
+    parser.add_argument(f"--{offset}", type=_nonnegative, default=0,
+                        help=f"offset of the {role} window (default 0)")
+    parser.add_argument(f"--{length}", type=_positive, default=None,
+                        help=f"length of the {role} window (default p-1-{offset})")
 
 
 def _add_multiplicities(parser):
@@ -185,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     fac = sub.add_parser("factorials", help="factorial window residues")
     fac.add_argument("--p", type=_positive, required=True)
-    _add_n_window(fac)
+    _add_window(fac, "L", "N", "main")
     _add_common(fac)
 
     exp = sub.add_parser("expsum", help="exponential and character sums")
@@ -194,19 +180,19 @@ def build_parser() -> argparse.ArgumentParser:
     single = expsub.add_parser("single", help="one additive sum over the window")
     single.add_argument("--p", type=_positive, required=True)
     single.add_argument("--a", type=int, required=True, help="frequency")
-    _add_n_window(single)
+    _add_window(single, "L", "N", "main")
     _add_common(single)
 
     batch = expsub.add_parser("batch", help="all frequencies at once")
     batch.add_argument("--p", type=_positive, required=True)
-    _add_n_window(batch)
+    _add_window(batch, "L", "N", "main")
     _add_common(batch)
 
     double = expsub.add_parser("double", help="pair-product sum over two windows")
     double.add_argument("--p", type=_positive, required=True)
     double.add_argument("--a", type=int, required=True)
-    _add_n_window(double)
-    _add_m_window(double)
+    _add_window(double, "L", "N", "main")
+    _add_window(double, "K", "M", "second")
     _add_common(double)
 
     char = expsub.add_parser("char", help="multiplicative character sum")
@@ -216,15 +202,15 @@ def build_parser() -> argparse.ArgumentParser:
                        help="character index in [0, p-1)")
     group.add_argument("--quadratic", action="store_true",
                        help="use the quadratic character, j=(p-1)/2")
-    _add_n_window(char)
+    _add_window(char, "L", "N", "main")
     _add_common(char)
 
     cnt = sub.add_parser("count", help="exact solution count for one family")
     cnt.add_argument("family", choices=FAMILIES)
     cnt.add_argument("--p", type=_positive, required=True)
-    _add_n_window(cnt)
-    _add_m_window(cnt)
-    _add_t_window(cnt)
+    _add_window(cnt, "L", "N", "main")
+    _add_window(cnt, "K", "M", "second")
+    _add_window(cnt, "S", "T", "third")
     _add_multiplicities(cnt)
     cnt.add_argument("--engine", choices=ENGINES, default="auto")
     cnt.add_argument("--profile", action="store_true",
@@ -236,9 +222,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help=f"one of {', '.join(BOUND_IDS)}")
     ver.add_argument("--primes", required=True, type=parse_primes,
                      help='range "A..B" or comma list')
-    _add_n_window(ver)
-    _add_m_window(ver)
-    _add_t_window(ver)
+    _add_window(ver, "L", "N", "main")
+    _add_window(ver, "K", "M", "second")
+    _add_window(ver, "S", "T", "third")
     _add_multiplicities(ver)
     ver.add_argument("--engine", choices=ENGINES, default="auto")
     _add_common(ver)
@@ -247,17 +233,17 @@ def build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--bounds", required=True,
                      help=f"comma list from {', '.join(BOUND_IDS)}")
     swp.add_argument("--primes", required=True, type=parse_primes)
-    _add_n_window(swp)
-    _add_m_window(swp)
-    _add_t_window(swp)
+    _add_window(swp, "L", "N", "main")
+    _add_window(swp, "K", "M", "second")
+    _add_window(swp, "S", "T", "third")
     _add_multiplicities(swp)
     swp.add_argument("--engine", choices=ENGINES, default="auto")
     _add_common(swp)
 
     st = sub.add_parser("stats", help="value distribution and discrepancy")
     st.add_argument("--p", type=_positive, required=True)
-    _add_n_window(st)
-    _add_m_window(st)
+    _add_window(st, "L", "N", "main")
+    _add_window(st, "K", "M", "second")
     st.add_argument("--H", type=_positive, default=None,
                     help="spectral cutoff; enables the discrepancy report")
     _add_common(st)
@@ -468,29 +454,28 @@ def _report_columns(reports) -> dict[str, list]:
 
 
 def _run_sweeps(ns, bound_ids) -> CommandOutput:
-    params = _sweep_params(ns)
-    reports = []
-    series: dict[str, list] = {}
-    for bound_id in bound_ids:
-        result = analysis.verify_sweep(
-            bound_id,
-            ns.primes,
-            params,
-            engine=ns.engine,
-            threads=ns.threads,
-            seed=ns.seed,
-            cache_dir=ns.cache_dir,
-        )
-        for p, reason in result.skipped:
-            warnings.warn(f"{bound_id} p={p} skipped: {reason}", FactcongWarning)
-        reports.extend(result.reports)
-        series[bound_id] = [[p, ratio] for p, ratio in result.series()]
-    columns = _report_columns(reports)
+    result = analysis.verify_sweep(
+        bound_ids,
+        ns.primes,
+        _sweep_params(ns),
+        engine=ns.engine,
+        threads=ns.threads,
+        seed=ns.seed,
+        cache_dir=ns.cache_dir,
+    )
+    for bound_id, p, reason in result.skipped:
+        warnings.warn(f"{bound_id} p={p} skipped: {reason}", FactcongWarning)
+    # one ratio per (bound, prime): a repeated bound id repeats its rows,
+    # not its series
+    ratios: dict[str, dict] = {bound_id: {} for bound_id in bound_ids}
+    for rep in result.reports:
+        ratios[rep.bound_id][rep.p] = rep.ratio
+    columns = _report_columns(result.reports)
     return CommandOutput(
         columns,
         lambda: _table_text(columns, _formats(columns), " "),
         default_format="csv",
-        series=series,
+        series={b: [[p, r] for p, r in by_p.items()] for b, by_p in ratios.items()},
     )
 
 

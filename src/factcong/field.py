@@ -25,7 +25,6 @@ __all__ = [
     "find_primitive_root",
     "PrimeContext",
     "build_dlog_table",
-    "Residue",
     "primes_between",
     "next_prime_at_least",
     "primes_nearest",
@@ -184,14 +183,6 @@ class PrimeContext:
         out[table[1:]] = np.arange(1, self.p, dtype=np.int64)
         return out
 
-    def pow(self, x: int, e: int) -> int:
-        return pow(int(x) % self.p, int(e), self.p)
-
-    def inverse(self, x: int) -> int:
-        x = int(x) % self.p
-        if x == 0:
-            raise ParameterError("0 is not invertible")
-        return pow(x, self.p - 2, self.p)
 
 
 def build_dlog_table(ctx: PrimeContext) -> np.ndarray:
@@ -202,20 +193,6 @@ def build_dlog_table(ctx: PrimeContext) -> np.ndarray:
             f"{DLOG_MEMORY_LIMIT} entries"
         )
     return kernels.dlog_table(ctx.p, ctx.g)
-
-
-@dataclass(frozen=True)
-class Residue:
-    """A value together with the prime modulus it lives under."""
-
-    value: int
-    p: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.value < self.p:
-            raise ParameterError(
-                f"residue {self.value} outside [0, {self.p})"
-            )
 
 
 def primes_between(lo: int, hi: int) -> list[int]:

@@ -192,7 +192,7 @@ def test_5_bound_shape_stability():
     notes = []
     ok = True
     for label, bound_id, params in sweeps:
-        result = verify_sweep(bound_id, primes, params)
+        result = verify_sweep([bound_id], primes, params)
         assert not result.skipped, result.skipped
         ratios = [r.ratio for r in result.reports]
         assert all(math.isfinite(x) for x in ratios)

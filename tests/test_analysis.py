@@ -167,27 +167,31 @@ def test_t44_counts_only_k_zero(ctx101):
     assert evaluate_cell("T4.4", ctx101, {"k": 0}).lhs == default.lhs
     with pytest.raises(HypothesisError, match="k=0"):
         evaluate_cell("T4.4", ctx101, {"k": 3})
-    result = verify_sweep("T4.4", [101, 103], params={"k": 3})
+    result = verify_sweep(["T4.4"], [101, 103], params={"k": 3})
     assert result.reports == []
-    assert [p for p, _ in result.skipped] == [101, 103]
+    assert [(b, p) for b, p, _ in result.skipped] == [("T4.4", 101), ("T4.4", 103)]
 
 
 def test_verify_sweep_orders_and_skips():
-    result = verify_sweep("T2.3", [5, 7, 11, 13], params={"M": 2})
-    # M = 2 sits below sqrt(N) for the larger full windows
-    assert all(p in [r[0] for r in result.skipped] for p in (11, 13))
-    kept = [rep.p for rep in result.reports]
-    assert kept == sorted(kept)
+    result = verify_sweep(["T2.3", "T2.1"], [5, 7, 11, 13], params={"M": 2})
+    # M = 2 sits below sqrt(N) for the larger full windows; cells come
+    # back bound by bound, in prime order within each bound
+    assert [(b, p) for b, p, _ in result.skipped] == [
+        ("T2.3", 7), ("T2.3", 11), ("T2.3", 13)
+    ]
+    assert [(r.bound_id, r.p) for r in result.reports] == [
+        ("T2.3", 5), ("T2.1", 5), ("T2.1", 7), ("T2.1", 11), ("T2.1", 13)
+    ]
 
 
 def test_verify_sweep_threads_match():
     primes = [101, 103, 107, 109]
-    seq = verify_sweep("T2.1", primes, params={"ell": 1}, threads=1)
-    par = verify_sweep("T2.1", primes, params={"ell": 1}, threads=4)
+    seq = verify_sweep(["T2.1"], primes, params={"ell": 1}, threads=1)
+    par = verify_sweep(["T2.1"], primes, params={"ell": 1}, threads=4)
     assert [(r.p, r.lhs, r.rhs) for r in seq.reports] == [
         (r.p, r.lhs, r.rhs) for r in par.reports
     ]
-    assert seq.series() == par.series()
+    assert [r.ratio for r in seq.reports] == [r.ratio for r in par.reports]
 
 
 def _dlog_files(path):
@@ -197,20 +201,20 @@ def _dlog_files(path):
 def test_verify_sweep_cache_dir_used(tmp_path):
     # every cell caches its windows; T2.1 counts by sums alone and reads
     # no table, T4.1 reads one per prime
-    verify_sweep("T2.1", [5, 7], params={"ell": 1}, cache_dir=tmp_path)
+    verify_sweep(["T2.1"], [5, 7], params={"ell": 1}, cache_dir=tmp_path)
     assert _dlog_files(tmp_path) == []
     assert (tmp_path / "window_p7_L0_N6.fcw1").exists()
-    verify_sweep("T4.1", [53, 59], engine="conv", cache_dir=tmp_path)
+    verify_sweep(["T4.1"], [53, 59], engine="conv", cache_dir=tmp_path)
     assert _dlog_files(tmp_path) == ["dlog_p53.fcl1", "dlog_p59.fcl1"]
 
 
 def test_verify_sweep_skips_cells_past_the_dlog_limit(monkeypatch):
     # the table guard is a guard like the brute one: the cell is skipped
     monkeypatch.setattr(field, "DLOG_MEMORY_LIMIT", 60)
-    result = verify_sweep("T4.1", [53, 59, 61, 67], engine="conv")
+    result = verify_sweep(["T4.1"], [53, 59, 61, 67], engine="conv")
     assert [rep.p for rep in result.reports] == [53, 59]
-    assert [p for p, _ in result.skipped] == [61, 67]
-    assert "exceeds the limit of 60 entries" in result.skipped[0][1]
+    assert [p for _, p, _ in result.skipped] == [61, 67]
+    assert "exceeds the limit of 60 entries" in result.skipped[0][2]
 
 
 # distribution stats

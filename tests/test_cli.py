@@ -17,6 +17,7 @@ from factcong.cli import (
     parse_signs,
 )
 from factcong.errors import FactcongWarning, ParameterError
+from factcong.field import PrimeContext
 
 
 def run_cli(capsys, *argv):
@@ -283,6 +284,28 @@ def test_sweep_multiple_bounds(capsys):
     lines = out.strip().splitlines()
     assert len(lines) == 5
     assert {line.split(",")[0] for line in lines[1:]} == {"T2.1", "B-I"}
+
+
+def test_sweep_builds_one_context_per_prime(capsys, monkeypatch):
+    # both spectral bounds read one context per prime, and so its windows,
+    # at any thread count
+    create = PrimeContext.create.__func__
+    calls = []
+
+    def counted(cls, p, *args, **kwargs):
+        calls.append(p)
+        return create(cls, p, *args, **kwargs)
+
+    monkeypatch.setattr(PrimeContext, "create", classmethod(counted))
+    argv = ["sweep", "--bounds", "T3.1,B-CharSum", "--primes", "53..73"]
+    out = {}
+    for threads in ("1", "2"):
+        calls.clear()
+        code, out[threads], _ = run_cli(capsys, *argv, "--threads", threads)
+        assert code == 0
+        assert sorted(calls) == [53, 59, 61, 67, 71, 73]
+    assert out["1"] == out["2"]
+    assert len(out["1"].splitlines()) == 1 + 2 * 6
 
 
 def test_sweep_rejects_unknown_bound(capsys):

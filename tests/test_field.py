@@ -10,7 +10,6 @@ from factcong.counting import CountQuery, count
 from factcong.errors import CompositeModulusError, GuardExceededError, ParameterError
 from factcong.field import (
     PrimeContext,
-    Residue,
     factorize,
     find_primitive_root,
     is_probable_prime,
@@ -146,22 +145,6 @@ def test_dropped_context_is_freed_at_once():
         assert ref() is None
     finally:
         gc.enable()
-
-
-def test_inverse_and_pow(ctx11):
-    for x in range(1, 11):
-        assert ctx11.inverse(x) * x % 11 == 1
-    with pytest.raises(ParameterError):
-        ctx11.inverse(0)
-
-
-def test_residue_range():
-    Residue(0, 7)
-    Residue(6, 7)
-    with pytest.raises(ParameterError):
-        Residue(7, 7)
-    with pytest.raises(ParameterError):
-        Residue(-1, 7)
 
 
 def test_primes_between_endpoints():

@@ -7,10 +7,13 @@ SIGNED, T and R profiles) were recorded before the convolution engine
 began reusing limb spectra and evaluating single-lambda counts as an
 exact dot; the all-bounds ``sweep`` digest (every catalogued bound at
 its default parameters under both engines) was recorded before the
-bounds moved into one table.  A change to rendering, row building or the numbers behind
-them shows here as a changed digest.  JSON envelopes are hashed
-without their ``timing_seconds`` line, the only part of stdout that varies
-between runs.
+bounds moved into one table; the two ``sweep ... --k 3`` digests (skip
+warnings in bound order, a repeated bound id with its rows repeated and
+its series once) were recorded before a sweep evaluated prime by prime.
+A change to rendering, row building or the numbers behind them shows
+here as a changed digest.  JSON envelopes are hashed without their
+``timing_seconds`` line, the only part of stdout that varies between
+runs.
 
 Commands marked ``FLOAT`` print floats that come out of numpy's FFT or
 floating-point bound formulas; their last digits depend on the numpy
@@ -87,6 +90,10 @@ GOLDEN = (
     ("sweep --bounds T2.1,C2.2,T2.3,T3.1,T4.1,T4.2,T4.3,T4.4,B-CharSum,B-I "
      "--primes 53..73 --engine both", FLOAT,
      "94e543709b2b3419da2ddb2108debf758cda4a5ba98cda67529b12f014fcdee9"),
+    ("sweep --bounds T2.3,T4.4,T2.3 --primes 5..13 --M 2 --k 3 --format json", FLOAT,
+     "0d9fd356aca006ff88945316c460ddb2d6a78d2f9c177950b9a891289e4ba259"),
+    ("sweep --bounds T2.3,T4.4 --primes 5..13 --M 2 --k 3 --format json --threads 2",
+     FLOAT, "a62936f5e79e16973a7a43f34382a4215ca4756255eec2508a43f184281a546e"),
 )
 
 
