@@ -35,7 +35,7 @@ from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
-from . import factorial, kernels, transform
+from . import factorial, field, kernels, transform
 from .errors import EngineMismatchError, GuardExceededError, ParameterError
 from .factorial import FactorialWindow
 from .field import PrimeContext
@@ -225,9 +225,16 @@ def _conv_profile(q: CountQuery, inp: _Inputs, at: int | None = None):
 
     With at set, only the count at lambda = at: the last convolution X * Y
     is evaluated at that one index as an exact dot.  F and I have no
-    profile: their count is the sum of squares of the full X * Y.
+    profile: their count is the sum of squares of the full X * Y.  Past
+    field.DLOG_MEMORY_LIMIT the engine refuses before its first length-p
+    allocation.
     """
     ctx, fam = q.ctx, q.family
+    if ctx.p > field.DLOG_MEMORY_LIMIT:
+        raise GuardExceededError(
+            f"the convolution engine for p={ctx.p} exceeds the limit of "
+            f"{field.DLOG_MEMORY_LIMIT} entries per length-p histogram"
+        )
     N, M, T = int(q.N), int(q.M), int(q.T)
     diagonal = fam in ("F", "I")
     if diagonal and at is None:

@@ -2,7 +2,11 @@
 
 Each kernel is one vectorized numpy implementation.  The brute-force
 tallies share one chunked outer operation, ``_outer_chunks``, so transient
-memory stays near ``_NUMPY_CHUNK`` entries per step.
+memory stays near ``_NUMPY_CHUNK`` entries per step.  Its operands are
+residues in [0, p).  A product chunk is reduced mod p in place; a sum
+chunk is left unreduced in [0, 2p).  ``_tally`` counts the last level's
+sums over 2p bins and folds the bins onto [0, p) once, and
+``outer_residues`` reduces the sums it materializes.
 
 All modular arithmetic here assumes the modulus fits in 31 bits, so that
 intermediate products stay below 2**62 and int64 never overflows.
@@ -167,17 +171,23 @@ def ntt_inplace(a: np.ndarray, q: int, root: int, invert: bool = False) -> None:
 
 
 def _outer_chunks(a: np.ndarray, b: np.ndarray, op, p: int):
-    """Yield op(x, y) mod p for x in a, y in b, row-major, as flat chunks.
+    """Yield op(x, y) for x in a, y in b, row-major, as flat chunks.
 
-    Each chunk holds whole rows, about _NUMPY_CHUNK entries.
+    a and b hold residues in [0, p).  A product (np.multiply) is reduced
+    mod p in place; a sum (np.add) is left as it is, in [0, 2p).  Each
+    chunk holds whole rows, about _NUMPY_CHUNK entries.
     """
     step = max(1, _NUMPY_CHUNK // max(1, b.size))
     for i in range(0, a.size, step):
-        yield (op(a[i : i + step, None], b) % p).ravel()
+        chunk = op(a[i : i + step, None], b)
+        if op is not np.add:
+            np.remainder(chunk, p, out=chunk)
+        yield chunk.ravel()
 
 
 def outer_residues(a: np.ndarray, b: np.ndarray, op, p: int) -> np.ndarray:
-    """All op(x, y) mod p for x in a, y in b, row-major, as one flat array.
+    """All op(x, y) mod p for x, y residues in a, b, row-major, as one flat
+    array in [0, p).
 
     Raises GuardExceededError past _NUMPY_MATERIALIZE_CAP entries.
     """
@@ -186,24 +196,30 @@ def outer_residues(a: np.ndarray, b: np.ndarray, op, p: int) -> np.ndarray:
             f"a brute-force tally would materialize {a.size * b.size} "
             f"residues, above the materialization cap of {_NUMPY_MATERIALIZE_CAP}"
         )
-    return np.concatenate([a[:0], *_outer_chunks(a, b, op, p)])
+    out = np.concatenate([a[:0], *_outer_chunks(a, b, op, p)])
+    if op is np.add:
+        np.remainder(out, p, out=out)
+    return out
 
 
 def _tally(levels: list[np.ndarray], op, p: int) -> np.ndarray:
     """Histogram mod p of op folded over one entry of each level, all tuples.
 
-    Every level but the last is folded in full; the last is tallied one
-    chunk at a time.
+    Every level holds residues in [0, p).  Every level but the last is
+    folded in full by outer_residues; the last is tallied one chunk at a
+    time.  Its sums lie in [0, 2p), so they are counted over 2p bins, and
+    bin p + x is added to bin x once at the end.
     """
     acc = levels[0]
     for level in levels[1:-1]:
         acc = outer_residues(acc, level, op, p)
     if len(levels) == 1:
         return np.bincount(acc, minlength=p)
-    out = np.zeros(p, dtype=np.int64)
+    bins = 2 * p if op is np.add else p
+    out = np.zeros(bins, dtype=np.int64)
     for chunk in _outer_chunks(acc, levels[-1], op, p):
-        out += np.bincount(chunk, minlength=p)
-    return out
+        out += np.bincount(chunk, minlength=bins)
+    return out.reshape(-1, p).sum(axis=0)
 
 
 def sum_tally(vals: np.ndarray, k: int, signs, p: int) -> np.ndarray:

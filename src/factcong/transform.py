@@ -164,7 +164,8 @@ def plan_cyclic_convolution(
 
 
 def _exact_sum(arr: np.ndarray) -> int:
-    """Exact sum of a nonnegative integer vector (int64 below 2**31 entries)."""
+    """Exact sum of a nonnegative integer vector (int64 or uint64 below
+    2**31 entries)."""
     if arr.dtype == object:
         return sum(arr.tolist())
     return (int((arr >> 32).sum()) << 32) + int((arr & 0xFFFFFFFF).sum())
@@ -197,23 +198,39 @@ def _as_int_vector(a) -> tuple[np.ndarray, int]:
     return arr, _exact_sum(arr)
 
 
+def _sum_of_squares(arr: np.ndarray) -> int:
+    """Exact sum of squares of a nonnegative integer vector, with no float
+    BLAS call.
+
+    While top**2 fits in int64, the squares are summed over runs short
+    enough that no run passes 2**63, and the run sums are added as Python
+    integers.  Past that, each int64 entry splits as x = h * 2**32 + l
+    with h < 2**31 and l < 2**32, so x**2 = h**2 * 2**64 + h * l * 2**33
+    + l**2.  Every h**2 < 2**62, h * l < 2**63 and l**2 < 2**64 is exact
+    in uint64, and _exact_sum sums each of the three vectors exactly.  An
+    object array with an entry past int64 is summed in Python integers.
+    """
+    top = int(arr.max())
+    if top * top <= _INT64_MAX:
+        run = _INT64_MAX // max(1, top * top)
+        return sum(np.add.reduceat(arr * arr, np.arange(0, arr.size, run)).tolist())
+    if arr.dtype == object:
+        return sum(x * x for x in arr.tolist())
+    x = arr.astype(np.uint64)
+    h, l = x >> 32, x & 0xFFFFFFFF
+    return (_exact_sum(h * h) << 64) + (_exact_sum(h * l) << 33) + _exact_sum(l * l)
+
+
 def _norm_ceiling(arr: np.ndarray) -> float:
     """Ceiling on the Euclidean norm of a nonnegative integer vector.
 
-    The sum of squares s is exact, and takes no float BLAS call: int64
-    sums over runs short enough that no run passes 2**63, added as Python
-    integers, or Python integers throughout once one square does not fit.
-    Proof: the float returned has an exact square of at least s, so it is
-    a ceiling; math.sqrt(s) rounds twice (s to float64, then the root), so
-    it starts within about one unit in the last place of sqrt(s) and the
-    loop steps up at most twice.
+    Proof: s, the sum of squares, is exact (_sum_of_squares), and the
+    float returned has an exact square of at least s, so it is a ceiling;
+    math.sqrt(s) rounds twice (s to float64, then the root), so it starts
+    within about one unit in the last place of sqrt(s) and the loop steps
+    up at most twice.
     """
-    top = int(arr.max())
-    if top * top > _INT64_MAX:
-        s = sum(x * x for x in arr.tolist())
-    else:
-        run = _INT64_MAX // max(1, top * top)
-        s = sum(np.add.reduceat(arr * arr, np.arange(0, arr.size, run)).tolist())
+    s = _sum_of_squares(arr)
     try:
         root = math.sqrt(s)
     except OverflowError:

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -192,6 +193,25 @@ def test_exit_3_on_guard(capsys):
     )
     assert code == 3
     assert "guard" in err
+
+
+@pytest.mark.parametrize("extra", [(), ("--engine", "conv"), ("--profile",)])
+def test_convolution_past_the_dlog_limit_exits_3_before_allocating(capsys, extra):
+    # auto picks the convolution engine here; its length-p histograms at
+    # p = 2**31 - 1 would take 16 GiB each, so it refuses before the first
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(
+            capsys, "count", "J", "--p", "2147483647", "--N", "5", *extra
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert out == ""
+    assert err.startswith("factcong: guard exceeded: the convolution engine")
+    assert "Traceback" not in err
+    assert peak < 1 << 26, peak
 
 
 def test_exit_4_on_engine_mismatch(capsys, monkeypatch):

@@ -261,6 +261,40 @@ def test_pair_product_tally(p, data):
         np.testing.assert_array_equal(got, expect, err_msg=f"chunk {chunk}")
 
 
+def signed_sum_reference(vals, signs, p):
+    """Histogram of sum(s * x) mod p over all len(signs)-tuples of vals."""
+    expect = np.zeros(p, dtype=np.int64)
+    for tup in itertools.product(vals.tolist(), repeat=len(signs)):
+        expect[sum(s * x for s, x in zip(signs, tup)) % p] += 1
+    return expect
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 101])
+@pytest.mark.parametrize(
+    "signs", [[1, 1], [1, 1, 1], [1, -1], [-1, -1], [-1, 1, -1], [1, -1, 1]]
+)
+def test_sum_tally_fold_edges(p, signs):
+    # With every entry p - 1, every k-fold sum of the last level reaches
+    # the top of its 2p bins, and every middle level must come back into
+    # [0, p) first; the mixed list hits both ends of [0, p).
+    every_top = np.full(4, p - 1, dtype=np.int64)
+    mixed = np.array([0, p - 1, 1 % p, p // 2, p - 1], dtype=np.int64)
+    for vals in (every_top, mixed):
+        expect = signed_sum_reference(vals, signs, p)
+        for chunk, got in at_each_chunk(kernels.sum_tally, vals, len(signs), signs, p):
+            np.testing.assert_array_equal(got, expect, err_msg=f"{vals} chunk {chunk}")
+
+
+@pytest.mark.parametrize("p", [2, 3, 101])
+@pytest.mark.parametrize("op", [np.add, np.multiply])
+def test_outer_residues_are_reduced(p, op):
+    a = np.array([0, 1 % p, p - 1, p - 1, p // 2], dtype=np.int64)
+    b = np.array([p - 1, 0, p // 2], dtype=np.int64)
+    expect = [int(op(x, y)) % p for x in a.tolist() for y in b.tolist()]
+    for chunk, got in at_each_chunk(kernels.outer_residues, a, b, op, p):
+        assert got.tolist() == expect, chunk
+
+
 def test_materialize_cap_names_the_cap(monkeypatch):
     # k = 3 materializes the 5 x 5 partial sums, which the cap forbids; the
     # last level of k = 2 is only held a chunk at a time, so it passes.
@@ -295,3 +329,15 @@ def test_double_sum_direct_agreement(rng):
     direct = sum(roots[5 * int(x) * int(y) % p] for x in va for y in vb)
     for chunk, got in at_each_chunk(kernels.double_sum_direct, va, vb, 5, roots, p):
         assert abs(got - direct) < 1e-9, chunk
+
+
+@pytest.mark.parametrize("p, a", [(2, 1), (13, 12), (1009, 1008)])
+def test_double_sum_direct_with_top_residues(rng, p, a):
+    # a = p - 1 and an entry p - 1 on each side make a product (p - 1)**2,
+    # the largest any chunk holds before its in-place reduction
+    roots = np.exp(2j * np.pi * np.arange(p) / p)
+    va = np.append(rng.integers(1, p, size=9), p - 1).astype(np.int64)
+    vb = np.append(rng.integers(1, p, size=7), p - 1).astype(np.int64)
+    direct = sum(roots[a * int(x) * int(y) % p] for x in va for y in vb)
+    for chunk, got in at_each_chunk(kernels.double_sum_direct, va, vb, a, roots, p):
+        assert abs(got - direct) < 1e-9, (p, a, chunk)

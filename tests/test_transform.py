@@ -213,6 +213,16 @@ def test_norm_ceiling_of_length_one(value):
     assert_tight_norm_ceiling(np.array([value], dtype=np.int64))
 
 
+@pytest.mark.parametrize("bits", [32, 40, 62, 63])
+def test_sum_of_squares_past_31_bits_is_exact(rng, bits):
+    # entries past 2**31.5 take the split into 32-bit halves in uint64
+    vec = rng.integers(0, 2**bits, size=10_038, dtype=np.int64)
+    vec[:3] = [2**bits - 1, 2**32 - 1, 2**32]
+    squares = sum(int(x) ** 2 for x in vec.tolist())
+    assert transform._sum_of_squares(vec) == squares
+    assert_tight_norm_ceiling(vec)
+
+
 def test_norm_ceiling_past_int64():
     assert_tight_norm_ceiling(np.array([2**70, 3, 0], dtype=object))
     assert transform._norm_ceiling(np.array([2**600], dtype=object)) == math.inf
