@@ -371,7 +371,9 @@ class DistributionStats:
 
 
 def distinct_stats(window: FactorialWindow) -> DistributionStats:
-    distinct = int(np.count_nonzero(np.bincount(window.values, minlength=window.p)))
+    # sorting the N values, not a length-p bincount, keeps a short window
+    # at a huge p small
+    distinct = int(np.count_nonzero(np.diff(np.sort(window.values)))) + 1
     frac = distinct / window.p
     return DistributionStats(
         p=window.p,

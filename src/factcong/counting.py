@@ -15,8 +15,10 @@ histograms with exact cyclic convolutions; the brute-force engine
 enumerates the variable blocks exhaustively with early modular reduction
 and combines block tallies by vectorized direct summation over residues,
 in int64 where a bound proves no partial sum overflows and in Python ints
-past it.  They share no transform code, so their agreement is a
-meaningful consistency check.
+past it.  Where a pair of blocks is symmetric (both sides hold the same
+residues), it still covers every tuple, but enumerates each unordered
+pair once and counts the off-diagonal ones twice.  The engines share no
+transform code, so their agreement is a meaningful consistency check.
 
 A profile (the counts at every lambda) ends in one exact convolution
 X * Y.  A single-lambda count of J, SIGNED, T, Q or R builds the same
@@ -230,11 +232,7 @@ def _conv_profile(q: CountQuery, inp: _Inputs, at: int | None = None):
     allocation.
     """
     ctx, fam = q.ctx, q.family
-    if ctx.p > field.DLOG_MEMORY_LIMIT:
-        raise GuardExceededError(
-            f"the convolution engine for p={ctx.p} exceeds the limit of "
-            f"{field.DLOG_MEMORY_LIMIT} entries per length-p histogram"
-        )
+    field.check_table_limit(ctx.p, f"the convolution engine for p={ctx.p}")
     N, M, T = int(q.N), int(q.M), int(q.T)
     diagonal = fam in ("F", "I")
     if diagonal and at is None:
@@ -327,22 +325,25 @@ def _r_combine(A: np.ndarray, B: np.ndarray, c: np.ndarray, p: int) -> int:
     """sum over nonzero u, v of A[u] * B[v] * c[u v mod p], exact.  With
     c[x] = C[lam / x] that is the family-R combine of tallies A, B and C.
 
-    Direct summation over residues, a chunk of u at a time.  Every entry is
-    a nonnegative count, so sum(A) * sum(B) * sum(c) bounds every partial
-    sum: int64 when it fits, object arrays of Python ints otherwise.
+    Direct summation over the residues where A and B are nonzero, in
+    (u, v) grids of kernels._pair_blocks.  When A equals B the summand is
+    symmetric in u and v, so each unordered pair is taken once and the
+    off-diagonal blocks count twice.  Every entry is a nonnegative count,
+    so sum(A) * sum(B) * sum(c) bounds every partial sum: int64 when it
+    fits, object arrays of Python ints otherwise.
     """
     us = np.flatnonzero(A[1:]) + 1
-    v = np.arange(1, p, dtype=np.int64)
+    vs = np.flatnonzero(B[1:]) + 1
+    symmetric = np.array_equal(A, B)
     if int(A.sum()) * int(B.sum()) * int(c.sum()) > _INT64_MAX:
         A, B, c = A.astype(object), B.astype(object), c.astype(object)
-    b = B[1:]
-    rows = max(1, _GRID_ENTRIES // (p - 1))
+    a, b = A[us], B[vs]
     value = 0
-    for start in range(0, us.size, rows):
-        u = us[start : start + rows]
-        uv = np.multiply.outer(u, v)
+    blocks = kernels._pair_blocks(us.size, vs.size, _GRID_ENTRIES, symmetric)
+    for weight, rows, cols in blocks:
+        uv = np.multiply.outer(us[rows], vs[cols])
         uv %= p
-        value += int(np.dot(A[u], np.dot(c[uv], b)))
+        value += weight * int(np.dot(a[rows], np.dot(c[uv], b[cols])))
     return value
 
 
@@ -351,7 +352,12 @@ def brute_force_count(q: CountQuery) -> CountResult:
 
     Each independent variable block is enumerated in full into a residue
     tally; tallies combine by direct summation over the defining
-    congruence.  Exact, and guarded by BRUTE_FORCE_GUARD.
+    congruence.  Where the last two levels of a tally hold the same
+    residues (m! n! over one window, 2-fold products and all-plus sums)
+    or are each other's negation (a 2-fold difference), and in R's combine
+    when A equals B, each unordered pair is enumerated once, one symmetric
+    block at a time (kernels._pair_blocks).  Exact, and guarded by
+    BRUTE_FORCE_GUARD on the ordered tuple count.
     """
     q = q.resolved()
     work = estimate_brute_work(q)

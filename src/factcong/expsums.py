@@ -5,6 +5,11 @@ e(a * m! * n!), and multiplicative character sums over n!.  Batch variants
 produce the whole spectrum at once through one DFT of the matching
 histogram; each result carries a conservative absolute error bound.
 Throughout, e(z) denotes exp(2*pi*i*z/p).
+
+Past field.DLOG_MEMORY_LIMIT the single-sum spectrum is refused before
+it is allocated; the double sums and the character spectrum read the
+discrete-log table, whose build refuses there itself, as does a direct
+character sum.  A direct single sum allocates only per term.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from . import factorial, kernels, transform
+from . import factorial, field, kernels, transform
 from .errors import ParameterError
 from .factorial import FactorialWindow, Histogram
 
@@ -37,6 +42,18 @@ __all__ = [
 def roots_table(n: int) -> np.ndarray:
     """exp(2*pi*i*t/n) for t in [0, n); shared by every direct evaluator."""
     return np.exp(2j * np.pi * np.arange(int(n)) / int(n))
+
+
+def _roots_at(phases: np.ndarray, n: int) -> np.ndarray:
+    """exp(2*pi*i*t/n) for each t in phases, bit for bit roots_table(n)[phases].
+
+    Read from the cached table when there are at least n / 4 phases, so
+    the table pays for itself; evaluated term by term otherwise, so a
+    short window at a huge n allocates nothing of length n.
+    """
+    if 4 * phases.size >= n:
+        return roots_table(n)[phases]
+    return np.exp(2j * np.pi * phases / n)
 
 
 @dataclass(frozen=True)
@@ -101,14 +118,13 @@ def single_sum(window: FactorialWindow, a: int) -> SpectrumValue:
     """Sum of e(a * n!) for n in the window, evaluated term by term."""
     p = window.p
     a = int(a) % p
-    roots = roots_table(p)
-    phases = (a * window.values) % p
-    value = complex(roots[phases].sum())
+    value = complex(_roots_at((a * window.values) % p, p).sum())
     return SpectrumValue(a=a, value=value, abs_error=_sum_error_bound(window.N))
 
 
 def batch_single_sums(window: FactorialWindow) -> Spectrum:
     """All p single sums at once: the DFT of the window's value histogram."""
+    field.check_table_limit(window.p, f"the single-sum spectrum for p={window.p}")
     hist = factorial.value_histogram(window)
     values, err = transform.dft_prime_length(hist.counts, sign=1)
     return Spectrum(
@@ -180,9 +196,8 @@ def character_sum(window: FactorialWindow, j: int) -> SpectrumValue:
     """
     p = window.p
     j = int(j) % (p - 1)
-    roots = roots_table(p - 1)
     phases = (j * window.ctx.dlog[window.values]) % (p - 1)
-    value = complex(roots[phases].sum())
+    value = complex(_roots_at(phases, p - 1).sum())
     return SpectrumValue(a=j, value=value, abs_error=_sum_error_bound(window.N))
 
 

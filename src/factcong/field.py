@@ -25,6 +25,7 @@ __all__ = [
     "find_primitive_root",
     "PrimeContext",
     "build_dlog_table",
+    "check_table_limit",
     "primes_between",
     "next_prime_at_least",
     "primes_nearest",
@@ -185,13 +186,19 @@ class PrimeContext:
 
 
 
+def check_table_limit(size: int, what: str) -> None:
+    """Refuse what, which needs tables of size entries, past
+    DLOG_MEMORY_LIMIT; callers check before their first such allocation."""
+    if size > DLOG_MEMORY_LIMIT:
+        raise GuardExceededError(
+            f"{what} needs {size} entries, which exceeds the limit of "
+            f"{DLOG_MEMORY_LIMIT} entries per table"
+        )
+
+
 def build_dlog_table(ctx: PrimeContext) -> np.ndarray:
     """Dense discrete-log table for ctx, one sequential pass over the group."""
-    if ctx.p > DLOG_MEMORY_LIMIT:
-        raise GuardExceededError(
-            f"discrete-log table for p={ctx.p} exceeds the limit of "
-            f"{DLOG_MEMORY_LIMIT} entries"
-        )
+    check_table_limit(ctx.p, f"the discrete-log table for p={ctx.p}")
     return kernels.dlog_table(ctx.p, ctx.g)
 
 

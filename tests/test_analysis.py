@@ -232,6 +232,14 @@ def test_distinct_stats_p101(ctx101):
     assert distinct_stats(build_window(ctx101, 0, 100)).distinct_count == 64
 
 
+@pytest.mark.parametrize("p", [3, 7, 101, 1009])
+def test_distinct_stats_count_matches_a_set(p):
+    ctx = PrimeContext.create(p)
+    for L, N in ((0, p - 1), (0, 1), (p // 2, (p - 1) // 2)):
+        w = build_window(ctx, L, N)
+        assert distinct_stats(w).distinct_count == len(set(w.values.tolist()))
+
+
 # discrepancy
 
 

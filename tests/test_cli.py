@@ -214,6 +214,34 @@ def test_convolution_past_the_dlog_limit_exits_3_before_allocating(capsys, extra
     assert peak < 1 << 26, peak
 
 
+@pytest.mark.parametrize(("argv", "code"), [
+    # short windows at p = 2**31 - 1: per-term sums answer; the length-p
+    # tables (the discrete-log table, the spectra, a full second window)
+    # refuse before their first allocation
+    ("stats --p 2147483647 --N 5", 0),
+    ("expsum single --p 2147483647 --N 5 --a 1", 0),
+    ("expsum char --p 2147483647 --N 5 --j 1", 3),
+    ("expsum batch --p 2147483647 --N 5", 3),
+    ("stats --p 2147483647 --N 5 --H 3", 3),
+    ("stats --p 2147483647 --N 5 --M 5 --H 3", 3),
+])
+def test_short_windows_at_a_huge_prime_answer_or_refuse_without_allocating(
+    capsys, argv, code
+):
+    tracemalloc.start()
+    try:
+        got, out, err = run_cli(capsys, *argv.split())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == code, err
+    assert "Traceback" not in err
+    if code == 3:
+        assert out == ""
+        assert err.startswith("factcong: guard exceeded: "), err
+    assert peak < 1 << 26, peak
+
+
 def test_exit_4_on_engine_mismatch(capsys, monkeypatch):
     import factcong.counting as counting_mod
 

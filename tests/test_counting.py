@@ -358,6 +358,49 @@ def test_r_combine_wide_tallies_match_python():
 
 # single-lambda counts against the profile and the brute engine
 
+def r_combine_reference(A, B, c, p):
+    return sum(int(A[u]) * int(B[v]) * int(c[u * v % p])
+               for u in range(1, p) for v in range(1, p))
+
+
+@pytest.mark.parametrize("p", [2, 3, 13, 31])
+@pytest.mark.parametrize("symmetric", [True, False])
+def test_r_combine_matches_a_direct_sum(monkeypatch, p, symmetric):
+    # A equal to B takes each unordered (u, v) once; zeros in A and B drop
+    # rows and columns, so the grids are ragged
+    rng = np.random.default_rng(p)
+    A = rng.integers(0, 5, size=p, dtype=np.int64)
+    A[rng.random(p) < 0.4] = 0
+    B = A.copy() if symmetric else rng.integers(0, 5, size=p, dtype=np.int64)
+    c = rng.integers(0, 50, size=p, dtype=np.int64)
+    expected = r_combine_reference(A, B, c, p)
+    for block in (kernels._ROW_BLOCK, 1, 2, 3):
+        for grid in (counting._GRID_ENTRIES, 1, 7):
+            monkeypatch.setattr(kernels, "_ROW_BLOCK", block)
+            monkeypatch.setattr(counting, "_GRID_ENTRIES", grid)
+            assert counting._r_combine(A, B, c, p) == expected, (block, grid)
+    monkeypatch.setattr(counting, "_INT64_MAX", 0)
+    assert counting._r_combine(A, B, c, p) == expected
+
+
+@pytest.mark.parametrize(("k", "ell", "K", "M"), [
+    (1, 1, 0, None),  # equal brackets: the symmetric combine
+    (2, 2, 0, None),
+    (1, 2, 0, None),  # k != ell
+    (1, 1, 3, 5),     # equal k and ell over different windows
+])
+def test_r_brute_matches_conv_with_equal_and_unequal_brackets(
+    monkeypatch, k, ell, K, M
+):
+    ctx = PrimeContext.create(31, with_dlog=True)
+    for lam in (1, 7, 30):
+        q = CountQuery(family="R", ctx=ctx, k=k, ell=ell, r=1, lam=lam, K=K, M=M)
+        expected = count_convolution(q).count
+        for block in (kernels._ROW_BLOCK, 1, 5):
+            monkeypatch.setattr(kernels, "_ROW_BLOCK", block)
+            assert brute_force_count(q).count == expected, (lam, block)
+
+
 SINGLE_LAMBDA_CASES = (
     ("J", {"ell": 1}),
     ("J", {"ell": 2}),

@@ -10,6 +10,7 @@ from factcong.expsums import (
     character_sum,
     double_sum,
     double_sum_direct,
+    roots_table,
     single_sum,
 )
 from factcong.factorial import build_window
@@ -145,3 +146,17 @@ def test_character_index_wraps(ctx7):
     assert character_sum(w, -3).value == pytest.approx(
         character_sum(w, 3).value, abs=1e-12
     )
+
+
+@pytest.mark.parametrize("N", [5, 250, 1008])
+def test_direct_sums_match_the_roots_table_bit_for_bit(N):
+    # a short window evaluates its roots term by term, a long one reads the
+    # cached table; both give the same bits
+    ctx = PrimeContext.create(1009, with_dlog=True)
+    w = build_window(ctx, 0, N)
+    for a in (1, 5, 1008):
+        table = roots_table(1009)[(a * w.values) % 1009]
+        assert single_sum(w, a).value == complex(table.sum())
+    for j in (1, 504, 1007):
+        table = roots_table(1008)[(j * ctx.dlog[w.values]) % 1008]
+        assert character_sum(w, j).value == complex(table.sum())

@@ -295,6 +295,88 @@ def test_outer_residues_are_reduced(p, op):
         assert got.tolist() == expect, chunk
 
 
+# The unordered enumeration: a level that meets itself (or, for sums, its
+# negation) is tallied one unordered pair at a time, in row blocks of
+# _ROW_BLOCK.  The default block first, then blocks of one to four rows,
+# so n = 1 to 9 falls below, on and off a multiple of the block.
+ROW_BLOCKS = [kernels._ROW_BLOCK, 1, 2, 3, 4]
+
+
+def at_each_block(fn, *args):
+    """[((block, chunk), fn(*args))] over every row block and chunk size."""
+    out = []
+    for block in ROW_BLOCKS:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernels, "_ROW_BLOCK", block)
+            out += [((block, chunk), got) for chunk, got in at_each_chunk(fn, *args)]
+    return out
+
+
+def pair_reference(va, vb, op, p):
+    """Histogram of op(x, y) mod p over all ordered pairs, by itertools."""
+    expect = np.zeros(p, dtype=np.int64)
+    for x, y in itertools.product(va.tolist(), vb.tolist()):
+        expect[op(x, y) % p] += 1
+    return expect
+
+
+@pytest.mark.parametrize("n", range(0, 10))
+@pytest.mark.parametrize("block", [1, 2, 3, 4, 64])
+@pytest.mark.parametrize("entries", [1, 5, 10**6])
+def test_pair_blocks_cover_each_unordered_pair_once(monkeypatch, n, block, entries):
+    monkeypatch.setattr(kernels, "_ROW_BLOCK", block)
+    weights = np.zeros((n, n), dtype=np.int64)
+    for weight, rows, cols in kernels._pair_blocks(n, n, entries, symmetric=True):
+        cells = weights[rows, cols]
+        assert cells.size <= max(entries, cols.stop - cols.start)
+        assert rows.stop - rows.start <= block
+        assert not cells.any(), "a block overlaps an earlier one"
+        cells += weight
+    # a weight-2 cell stands for itself and its transpose
+    np.testing.assert_array_equal(weights + weights.T, 2)
+    ordered = np.zeros((n, n + 1), dtype=np.int64)
+    for weight, rows, cols in kernels._pair_blocks(n, n + 1, entries):
+        assert weight == 1
+        ordered[rows, cols] += 1
+    np.testing.assert_array_equal(ordered, 1)
+
+
+@given(st.sampled_from([2, 3, 5, 7, 11]), st.data())
+def test_unordered_tallies_match_itertools(p, data):
+    # draws from a few residues, so levels repeat entries
+    n = data.draw(st.integers(1, 9), label="n")
+    residues = st.integers(0, min(p - 1, 3))
+    va = np.array(data.draw(st.lists(residues, min_size=n, max_size=n)), dtype=np.int64)
+    vb = np.array(data.draw(st.lists(residues, min_size=n, max_size=n)), dtype=np.int64)
+    square = pair_reference(va, va, lambda x, y: x * y, p)
+    cases = [
+        # equal levels: one unordered pair each
+        (kernels.pair_product_tally, (va, va.copy(), p), square),
+        (kernels.prod_tally, (va, 2, p), square),
+        # unequal levels (equal only when the draw says so): every ordered pair
+        (kernels.pair_product_tally, (va, vb, p),
+         pair_reference(va, vb, lambda x, y: x * y, p)),
+    ]
+    for signs in ([1, 1], [1, -1], [-1, 1], [-1, -1]):
+        # equal levels for ++ and --, one the other's negation for +- and -+
+        cases.append((kernels.sum_tally, (va, 2, signs, p),
+                      signed_sum_reference(va, signs, p)))
+    for fn, args, expect in cases:
+        for where, got in at_each_block(fn, *args):
+            np.testing.assert_array_equal(got, expect, err_msg=f"{fn.__name__} {where}")
+
+
+@pytest.mark.parametrize("p", [2, 7, 101])
+@pytest.mark.parametrize("op", [np.add, np.multiply])
+def test_outer_residues_keep_every_ordered_pair_of_one_level(p, op):
+    # outer_residues materializes a level that later steps combine entry by
+    # entry, so the same array on both sides still gives all n**2 residues
+    x = np.array([0, 1 % p, p - 1, p // 2, 1 % p], dtype=np.int64)
+    expect = [int(op(a, b)) % p for a in x.tolist() for b in x.tolist()]
+    for where, got in at_each_block(kernels.outer_residues, x, x, op, p):
+        assert got.tolist() == expect, where
+
+
 def test_materialize_cap_names_the_cap(monkeypatch):
     # k = 3 materializes the 5 x 5 partial sums, which the cap forbids; the
     # last level of k = 2 is only held a chunk at a time, so it passes.
