@@ -37,7 +37,7 @@ from .errors import (
     GuardExceededError,
     ParameterError,
 )
-from .field import PrimeContext, primes_between
+from .field import PrimeContext, check_table_limit, primes_between
 
 __all__ = ["main", "build_parser", "config_to_argv"]
 
@@ -507,6 +507,9 @@ def _cmd_stats(ns) -> CommandOutput:
         "reference_distinct_fraction": stats.reference_distinct_fraction,
     }
     if ns.H is not None:
+        # the double-sum spectrum has length p; refuse it before the second
+        # window, by default p - 1 entries, is built
+        check_table_limit(ctx.p, f"the double-sum spectrum for p={ctx.p}")
         wm = ctx.window(ns.K, ns.M)
         report = analysis.discrepancy_estimate(wm, window, H=ns.H)
         row.update({

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import kernels, transform
 from .errors import ParameterError, WindowRangeError
-from .field import PrimeContext, check_table_limit
+from .field import PrimeContext
 
 __all__ = [
     "FactorialWindow",
@@ -45,7 +45,7 @@ class FactorialWindow:
 
 def build_window(ctx: PrimeContext, L: int, N: int) -> FactorialWindow:
     """Compute one factorial window, the build step of ``ctx.window``;
-    requires 0 <= L and L + N <= p - 1, and N within the table limit."""
+    requires 0 <= L and L + N <= p - 1."""
     L, N = int(L), int(N)
     if N < 1:
         raise WindowRangeError(f"window length must be positive, got N={N}")
@@ -53,7 +53,6 @@ def build_window(ctx: PrimeContext, L: int, N: int) -> FactorialWindow:
         raise WindowRangeError(
             f"window (L, L+N] = ({L}, {L + N}] must stay inside (0, {ctx.p})"
         )
-    check_table_limit(N, f"the factorial window ({L}, {L + N}] mod {ctx.p}")
     return FactorialWindow(ctx=ctx, L=L, N=N, values=kernels.factorial_window(ctx.p, L, N))
 
 

@@ -11,12 +11,15 @@ sums over 2p bins and folds the bins onto [0, p) once, and
 When the last level of a tally holds the same residues as the level it
 meets, every pair and its transpose land in the same bin, so each
 unordered pair is enumerated once (``_pair_blocks``): the rows are cut
-into blocks of ``_ROW_BLOCK``, each block's own square is tallied with
-weight 1 and the pairs to its right with weight 2.  When the last level
-is the other's negation (a difference x - y), the transpose lands in the
-negated bin instead, and the weight-2 tally is added once as it is and
-once mirrored.  Cross-block pairs cost half as much; the diagonal blocks
-add about n * _ROW_BLOCK / 2 entries.
+into blocks, each block's own square is tallied with weight 1 and the
+pairs to its right with weight 2.  When the last level is the other's
+negation (a difference x - y), the transpose lands in the negated bin
+instead, and the weight-2 tally is added once as it is and once
+mirrored.  Cross-block pairs cost half as much; the diagonal blocks add
+about n * rows / 2 entries.  A block holds _ROW_BLOCK rows, or enough
+rows that its pairs outnumber the bins each chunk is counted into, so a
+short window at a large p does not pay a length-p bincount for every
+_ROW_BLOCK rows.
 
 All modular arithmetic here assumes the modulus fits in 31 bits, so that
 intermediate products stay below 2**62 and int64 never overflows.
@@ -46,9 +49,9 @@ __all__ = [
 # only ever held a chunk of _NUMPY_CHUNK entries at a time.
 _NUMPY_MATERIALIZE_CAP = 60_000_000
 _NUMPY_CHUNK = 4_000_000
-# Rows per block when a level meets itself (see _pair_blocks): the
-# diagonal blocks add about n * _ROW_BLOCK / 2 entries, and each block pays
-# two chunks' fixed cost.  48 to 128 rows measured alike at p = 1009.
+# Rows per block, at least, when a level meets itself (see _pair_blocks):
+# the diagonal blocks add about n * _ROW_BLOCK / 2 entries, and each block
+# pays two chunks' fixed cost.  48 to 128 rows measured alike at p = 1009.
 _ROW_BLOCK = 64
 # Integers per chunk when reducing L! mod p, and exponents per row of the
 # dlog table: transient memory stays a few hundred KiB.
@@ -184,23 +187,26 @@ def ntt_inplace(a: np.ndarray, q: int, root: int, invert: bool = False) -> None:
         a[:] = a * n_inv % qi
 
 
-def _pair_blocks(n: int, m: int, entries: int, symmetric: bool = False):
+def _pair_blocks(n: int, m: int, entries: int, symmetric: bool = False, bins: int = 0):
     """Yield (weight, rows, cols) slices that cover an n x m grid of pairs,
     at most `entries` cells per block (at least one row).
 
     Ordered: runs of whole rows, each with weight 1, so every pair once.
     Symmetric (n == m, both sides holding the same entries): rows are cut
-    into blocks of at most _ROW_BLOCK; each block's own square comes with
-    weight 1 and the pairs to its right with weight 2, which stands for
-    those pairs and their transposes.  Each unordered pair is then covered
-    once.
+    into blocks of max(_ROW_BLOCK, ceil(bins / n)) rows, where `bins` is
+    the length of the histogram each chunk is counted into, so a block's
+    pairs outnumber its bins.  Each block's own square comes with weight 1
+    and the pairs to its right with weight 2, which stands for those
+    pairs and their transposes.  Each unordered pair is then covered
+    once.  When one block holds every row, that is the ordered pass.
     """
     if not symmetric:
         step = max(1, entries // max(1, m))
         for i in range(0, n, step):
             yield 1, slice(i, i + step), slice(0, m)
         return
-    step = max(1, min(_ROW_BLOCK, entries // max(1, n)))
+    rows = max(_ROW_BLOCK, -(-bins // max(1, n)))
+    step = max(1, min(rows, entries // max(1, n)))
     for i in range(0, n, step):
         j = min(n, i + step)
         yield 1, slice(i, j), slice(i, j)
@@ -213,12 +219,14 @@ def _outer_chunks(a: np.ndarray, b: np.ndarray, op, p: int, symmetric: bool = Fa
     each chunk flat and row-major.
 
     a and b hold residues in [0, p).  A product (np.multiply) is reduced
-    mod p in place; a sum (np.add) is left as it is, in [0, 2p).  Each
-    chunk holds about _NUMPY_CHUNK entries at most.  Ordered, every pair
-    comes once with weight 1; symmetric, a weight-2 chunk stands for its
-    pairs and their transposes.
+    mod p in place, into p bins; a sum (np.add) is left as it is, in
+    [0, 2p), so 2p bins.  Each chunk holds about _NUMPY_CHUNK entries at
+    most.  Ordered, every pair comes once with weight 1; symmetric, a
+    weight-2 chunk stands for its pairs and their transposes.
     """
-    for weight, rows, cols in _pair_blocks(a.size, b.size, _NUMPY_CHUNK, symmetric):
+    bins = 2 * p if op is np.add else p
+    blocks = _pair_blocks(a.size, b.size, _NUMPY_CHUNK, symmetric, bins)
+    for weight, rows, cols in blocks:
         chunk = op(a[rows, None], b[cols])
         if op is not np.add:
             np.remainder(chunk, p, out=chunk)
@@ -264,12 +272,27 @@ def _tally(levels: list[np.ndarray], op, p: int) -> np.ndarray:
     same = np.array_equal(acc, last)
     mirrored = not same and op is np.add and np.array_equal(acc, (p - last) % p)
     bins = 2 * p if op is np.add else p
-    out = np.zeros((2, bins), dtype=np.int64)
+    # counts[w] sums the bincounts of the weight-w chunks; the first one
+    # is the accumulator, so no zeroed length-bins array is allocated
+    counts = [None, None, None]
     for weight, chunk in _outer_chunks(acc, last, op, p, same or mirrored):
-        out[weight - 1] += np.bincount(chunk, minlength=bins)
-    once, twice = out.reshape(2, -1, p).sum(axis=1)
-    # the transpose of x + (p - y) is y + (p - x): the residue negated
-    return once + twice + (np.roll(twice[::-1], 1) if mirrored else twice)
+        c = np.bincount(chunk, minlength=bins)
+        if counts[weight] is None:
+            counts[weight] = c
+        else:
+            counts[weight] += c
+    once, twice = (c if c is None or bins == p else c[:p] + c[p:] for c in counts[1:])
+    if once is None:  # an empty level: no pairs
+        return np.zeros(p, dtype=np.int64)
+    if twice is not None:
+        once += twice
+        if mirrored:
+            # the transpose of x + (p - y) is y + (p - x): the residue negated
+            once[0] += twice[0]
+            once[1:] += twice[:0:-1]
+        else:
+            once += twice
+    return once
 
 
 def sum_tally(vals: np.ndarray, k: int, signs, p: int) -> np.ndarray:
@@ -322,6 +345,6 @@ def double_sum_direct(
     vb = np.asarray(vb, dtype=np.int64)
     p = int(p)
     acc = 0.0 + 0.0j
-    for weight, idx in _outer_chunks(int(a) * va % p, vb, np.multiply, p):
-        acc += weight * roots[idx].sum()
+    for _, idx in _outer_chunks(int(a) * va % p, vb, np.multiply, p):
+        acc += roots[idx].sum()
     return complex(acc)

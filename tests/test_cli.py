@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from factcong import cache, cli, factorial, kernels
+from factcong import cache, cli, factorial, field, kernels
 from factcong.cli import (
     CommandOutput,
     _cell,
@@ -240,6 +240,21 @@ def test_short_windows_at_a_huge_prime_answer_or_refuse_without_allocating(
         assert out == ""
         assert err.startswith("factcong: guard exceeded: "), err
     assert peak < 1 << 26, peak
+
+
+def test_the_table_limit_refuses_spectra_not_windows(capsys, monkeypatch):
+    # the limit guards length-p tables: with it at 100, windows of 1008
+    # entries still answer, and only the spectrum of stats --H refuses
+    monkeypatch.setattr(field, "DLOG_MEMORY_LIMIT", 100)
+    for argv in ("stats --p 1009", "expsum single --p 1009 --a 1",
+                 "factorials --p 1009"):
+        code, out, err = run_cli(capsys, *argv.split())
+        assert code == 0, (argv, err)
+        assert out
+    code, out, err = run_cli(capsys, *"stats --p 1009 --N 5 --H 3".split())
+    assert code == 3
+    assert out == ""
+    assert err.startswith("factcong: guard exceeded: the double-sum spectrum"), err
 
 
 def test_exit_4_on_engine_mismatch(capsys, monkeypatch):

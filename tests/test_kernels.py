@@ -297,16 +297,25 @@ def test_outer_residues_are_reduced(p, op):
 
 # The unordered enumeration: a level that meets itself (or, for sums, its
 # negation) is tallied one unordered pair at a time, in row blocks of
-# _ROW_BLOCK.  The default block first, then blocks of one to four rows,
-# so n = 1 to 9 falls below, on and off a multiple of the block.
+# _ROW_BLOCK rows or of bins / n, whichever is more.  The default block
+# first, with that rule; then blocks of one to four rows with the bins
+# rule off, so n = 1 to 9 falls below, on and off a multiple of the block
+# even at a tiny p.
 ROW_BLOCKS = [kernels._ROW_BLOCK, 1, 2, 3, 4]
 
 
 def at_each_block(fn, *args):
     """[((block, chunk), fn(*args))] over every row block and chunk size."""
+    real = kernels._pair_blocks
+
+    def rows_only(n, m, entries, symmetric=False, bins=0):
+        return real(n, m, entries, symmetric)
+
     out = []
     for block in ROW_BLOCKS:
         with pytest.MonkeyPatch.context() as mp:
+            if block != kernels._ROW_BLOCK:
+                mp.setattr(kernels, "_pair_blocks", rows_only)
             mp.setattr(kernels, "_ROW_BLOCK", block)
             out += [((block, chunk), got) for chunk, got in at_each_chunk(fn, *args)]
     return out
@@ -323,13 +332,14 @@ def pair_reference(va, vb, op, p):
 @pytest.mark.parametrize("n", range(0, 10))
 @pytest.mark.parametrize("block", [1, 2, 3, 4, 64])
 @pytest.mark.parametrize("entries", [1, 5, 10**6])
-def test_pair_blocks_cover_each_unordered_pair_once(monkeypatch, n, block, entries):
+@pytest.mark.parametrize("bins", [0, 7, 40])
+def test_pair_blocks_cover_each_unordered_pair_once(monkeypatch, n, block, entries, bins):
     monkeypatch.setattr(kernels, "_ROW_BLOCK", block)
     weights = np.zeros((n, n), dtype=np.int64)
-    for weight, rows, cols in kernels._pair_blocks(n, n, entries, symmetric=True):
+    for weight, rows, cols in kernels._pair_blocks(n, n, entries, True, bins):
         cells = weights[rows, cols]
         assert cells.size <= max(entries, cols.stop - cols.start)
-        assert rows.stop - rows.start <= block
+        assert rows.stop - rows.start <= max(block, -(-bins // n))
         assert not cells.any(), "a block overlaps an earlier one"
         cells += weight
     # a weight-2 cell stands for itself and its transpose
@@ -339,6 +349,29 @@ def test_pair_blocks_cover_each_unordered_pair_once(monkeypatch, n, block, entri
         assert weight == 1
         ordered[rows, cols] += 1
     np.testing.assert_array_equal(ordered, 1)
+
+
+@pytest.mark.parametrize(("n", "bins", "rows"), [
+    # count J --ell 2 --N 2000 --p 1000003: sums over 2p bins; blocks of
+    # _ROW_BLOCK rows would make 63 chunks, each paying a bincount of 2p
+    # bins, for 4e6 pairs
+    (2000, 2 * 1000003, 1001),
+    # n * n below the bins: one block, the ordered pass
+    (500, 2 * 1000003, 500),
+    # the benchmark's primes near 1000: the row block stands
+    (1008, 1009, kernels._ROW_BLOCK),
+    (1008, 2 * 1009, kernels._ROW_BLOCK),
+    (5000, 2 * 1000003, 401),
+    # the chunk cap still bounds a block
+    (4000, 2 * 10000019, kernels._NUMPY_CHUNK // 4000),
+])
+def test_symmetric_blocks_outnumber_their_bins(n, bins, rows):
+    blocks = list(kernels._pair_blocks(n, n, kernels._NUMPY_CHUNK, True, bins))
+    assert blocks[0][1] == slice(0, rows)
+    tops = -(-n // rows)
+    assert len(blocks) == 2 * tops - 1
+    if tops == 1:
+        assert blocks == [(1, slice(0, n), slice(0, n))]
 
 
 @given(st.sampled_from([2, 3, 5, 7, 11]), st.data())
