@@ -13,12 +13,23 @@ Seven families, each counting tuples drawn from factorial windows:
 Each family has two independent engines.  The convolution engine folds
 histograms with exact cyclic convolutions; the brute-force engine
 enumerates the variable blocks exhaustively with early modular reduction
-and combines block tallies by vectorized direct summation over residues,
-in int64 where a bound proves no partial sum overflows and in Python ints
-past it.  Where a pair of blocks is symmetric (both sides hold the same
+and combines block tallies by vectorized direct summation, in int64
+where a bound proves no partial sum overflows and in Python ints past
+it.  Where a pair of blocks is symmetric (both sides hold the same
 residues), it still covers every tuple, but enumerates each unordered
 pair once and counts the off-diagonal ones twice.  The engines share no
 transform code, so their agreement is a meaningful consistency check.
+
+The brute-force engine takes products over exponents: a product tally
+of two levels or more, and R's combine over its nonzero (u, v), when
+kernels._use_exponents says the pairs repay the table: 128 p pairs or
+more, for p below 2**18 (kernels._product_tally, _r_combine).  The
+exponents come from the engine's own power table (_power_table): a scan
+of the powers of the context's generator by kernels.power_table, never
+the context's discrete-log table, checked in O(p) before any tally reads
+it and built at most once per count.  Fewer
+pairs, larger primes, a single product level and the pair products that
+T and F materialize for r or ell >= 2 stay over residues.
 
 A profile (the counts at every lambda) ends in one exact convolution
 X * Y.  A single-lambda count of J, SIGNED, T, Q or R builds the same
@@ -32,6 +43,7 @@ table.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field as dc_field, replace
 
@@ -63,6 +75,11 @@ ENGINES = ("auto", "conv", "brute", "both")
 # work level below which automatic selection prefers it.
 BRUTE_FORCE_GUARD = 10**9
 AUTO_BRUTE_THRESHOLD = 10**7
+# Largest p whose length-p histograms the exhaustive engine allocates.  It
+# holds a few such histograms and no discrete-log table, so it is looser
+# than field.DLOG_MEMORY_LIMIT: a brute count at p = 10000019 answers,
+# while p = 2**31 - 1 would take 16 GiB per histogram.
+BRUTE_TALLY_LIMIT = 60_000_000
 
 
 @dataclass(frozen=True)
@@ -321,30 +338,72 @@ def estimate_brute_work(q: CountQuery) -> int:
     return (M**q.k if q.k else 1) + N**q.ell + T**q.r + p * p  # R
 
 
-def _r_combine(A: np.ndarray, B: np.ndarray, c: np.ndarray, p: int) -> int:
+def _r_combine(A: np.ndarray, B: np.ndarray, c: np.ndarray, p: int, powers=None) -> int:
     """sum over nonzero u, v of A[u] * B[v] * c[u v mod p], exact.  With
     c[x] = C[lam / x] that is the family-R combine of tallies A, B and C.
 
-    Direct summation over the residues where A and B are nonzero, in
-    (u, v) grids of kernels._pair_blocks.  When A equals B the summand is
+    Direct summation over the (u, v) where A and B are nonzero, in grids
+    of kernels._pair_blocks.  powers is as in kernels._product_tally:
+    when kernels._use_exponents of the number of such pairs, u = g**e and
+    v = g**f are taken by their exponents, and each grid gathers
+    c[g**(e + f)] from c over exponents written twice, with no remainder;
+    otherwise each grid reduces u v mod p.  When A equals B the summand is
     symmetric in u and v, so each unordered pair is taken once and the
-    off-diagonal blocks count twice.  Every entry is a nonnegative count,
-    so sum(A) * sum(B) * sum(c) bounds every partial sum: int64 when it
-    fits, object arrays of Python ints otherwise.
+    off-diagonal blocks count twice.  Every entry is a nonnegative
+    count, so sum(A) * sum(B) * sum(c) bounds every partial sum: int64
+    when it fits, object arrays of Python ints otherwise.
     """
-    us = np.flatnonzero(A[1:]) + 1
-    vs = np.flatnonzero(B[1:]) + 1
     symmetric = np.array_equal(A, B)
-    if int(A.sum()) * int(B.sum()) * int(c.sum()) > _INT64_MAX:
+    wide = int(A.sum()) * int(B.sum()) * int(c.sum()) > _INT64_MAX
+    us, vs = np.flatnonzero(A[1:]) + 1, np.flatnonzero(B[1:]) + 1
+    exponents = powers is not None and kernels._use_exponents(us.size * vs.size, p)
+    if exponents:
+        P = powers()
+        A, B, c = A[P], B[P], np.concatenate([c[P], c[P]])
+        us, vs = np.flatnonzero(A), np.flatnonzero(B)
+    if wide:
         A, B, c = A.astype(object), B.astype(object), c.astype(object)
     a, b = A[us], B[vs]
     value = 0
     blocks = kernels._pair_blocks(us.size, vs.size, _GRID_ENTRIES, symmetric)
     for weight, rows, cols in blocks:
-        uv = np.multiply.outer(us[rows], vs[cols])
-        uv %= p
+        if exponents:
+            uv = np.add.outer(us[rows], vs[cols])
+        else:
+            uv = np.multiply.outer(us[rows], vs[cols])
+            uv %= p
         value += weight * int(np.dot(a[rows], np.dot(c[uv], b[cols])))
     return value
+
+
+def _power_table(ctx: PrimeContext) -> np.ndarray:
+    """P[e] = g**e mod p for e in [0, p - 1), the brute engine's own table.
+
+    Built by kernels.power_table, never from the discrete-log table, and
+    checked in O(p) before any tally reads it: P[0] = 1, P[e + 1] = g P[e]
+    mod p for every e, and P holds each of 1, ..., p - 1 once.  A table
+    that fails raises EngineMismatchError and is not used.
+    """
+    p, g = ctx.p, ctx.g
+    P = kernels.power_table(p, g)
+    ok = P.shape == (p - 1,) and P[0] == 1
+    # the recurrence a block at a time, so its temporaries stay a few
+    # hundred KiB; it puts every entry in [0, p), so P can index the flags
+    block = 1 << 16
+    for i in range(0, p - 2 if ok else 0, block):
+        j = min(i + block, p - 2)
+        if not np.array_equal(P[i + 1 : j + 1], g * P[i:j] % p):
+            ok = False
+            break
+    if ok:
+        seen = np.zeros(p, dtype=bool)
+        seen[P] = True
+        ok = bool(seen[1:].all())
+    if not ok:
+        raise EngineMismatchError(
+            f"the brute-force power table of g={g} mod p={p} failed its check"
+        )
+    return P
 
 
 def brute_force_count(q: CountQuery) -> CountResult:
@@ -356,10 +415,19 @@ def brute_force_count(q: CountQuery) -> CountResult:
     residues (m! n! over one window, 2-fold products and all-plus sums)
     or are each other's negation (a 2-fold difference), and in R's combine
     when A equals B, each unordered pair is enumerated once, one symmetric
-    block at a time (kernels._pair_blocks).  Exact, and guarded by
+    block at a time (kernels._pair_blocks).  Products go over exponents
+    as the module docstring says, through one checked power table
+    (_power_table) built on first use.  Exact; refused past
+    BRUTE_TALLY_LIMIT on p before any tally, and guarded by
     BRUTE_FORCE_GUARD on the ordered tuple count.
     """
     q = q.resolved()
+    p = q.ctx.p
+    if p > BRUTE_TALLY_LIMIT:
+        raise GuardExceededError(
+            f"the brute-force tallies for p={p} need {p} bins per histogram, "
+            f"above the limit of {BRUTE_TALLY_LIMIT}"
+        )
     work = estimate_brute_work(q)
     if work > BRUTE_FORCE_GUARD:
         raise GuardExceededError(
@@ -367,9 +435,9 @@ def brute_force_count(q: CountQuery) -> CountResult:
             f"above the guard of {BRUTE_FORCE_GUARD}"
         )
     started = time.perf_counter()
-    p = q.ctx.p
     fam = q.family
     values = _Inputs(q).values
+    powers = functools.cache(lambda: _power_table(q.ctx))
     plus = np.ones(max(q.ell, q.k, q.r), dtype=np.int64)
     if fam == "J":
         tally = kernels.sum_tally(values("n"), q.ell, plus[: q.ell], p)
@@ -382,16 +450,16 @@ def brute_force_count(q: CountQuery) -> CountResult:
     elif fam in ("F", "T"):
         reps = q.ell if fam == "F" else q.r
         if reps == 1:
-            tally = kernels.pair_product_tally(values("m"), values("n"), p)
+            tally = kernels.pair_product_tally(values("m"), values("n"), p, powers)
         else:
             pairs = kernels.outer_residues(values("m"), values("n"), np.multiply, p)
             tally = kernels.sum_tally(pairs, reps, plus[:reps], p)
         value = _sum_squares(tally) if fam == "F" else int(tally[q.lam])
     elif fam == "I":
-        tally = kernels.prod_tally(values("n"), q.ell, p)
+        tally = kernels.prod_tally(values("n"), q.ell, p, powers)
         value = _sum_squares(tally)
     elif fam == "Q":
-        pair_tally = kernels.pair_product_tally(values("m"), values("n"), p)
+        pair_tally = kernels.pair_product_tally(values("m"), values("n"), p, powers)
         fold_tally = kernels.sum_tally(values("n"), q.r, plus[: q.r], p)
         value = _convolution_at(pair_tally, fold_tally, q.lam)
     else:  # R
@@ -401,9 +469,9 @@ def brute_force_count(q: CountQuery) -> CountResult:
             A = np.zeros(p, dtype=np.int64)
             A[1] = 1
         B = kernels.sum_tally(values("n"), q.ell, plus[: q.ell], p)
-        C = kernels.prod_tally(values("t"), q.r, p)
+        C = kernels.prod_tally(values("t"), q.r, p, powers)
         inv = kernels.inverse_table(values("full"), p)
-        value = _r_combine(A, B, C[q.lam * inv % p], p)
+        value = _r_combine(A, B, C[q.lam * inv % p], p, powers)
     return CountResult(
         query=q,
         count=int(value),

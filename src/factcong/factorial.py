@@ -25,7 +25,6 @@ __all__ = [
     "exponent_histogram",
     "sum_histogram",
     "product_histogram",
-    "product_histogram_direct",
 ]
 
 
@@ -124,16 +123,3 @@ def product_histogram(
     return Histogram(
         domain="additive", counts=_exponents_to_residues(wa.ctx, conv)
     )
-
-
-def product_histogram_direct(
-    wa: FactorialWindow, wb: FactorialWindow
-) -> Histogram:
-    """Same contract as product_histogram via the O(M*N) pair tally.
-
-    Independent of the transform machinery; used as a cross-check oracle.
-    """
-    if wa.ctx.p != wb.ctx.p:
-        raise ParameterError("windows live over different primes")
-    counts = kernels.pair_product_tally(wa.values, wb.values, wa.p)
-    return Histogram(domain="additive", counts=counts)

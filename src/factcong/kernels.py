@@ -8,18 +8,31 @@ chunk is left unreduced in [0, 2p).  ``_tally`` counts the last level's
 sums over 2p bins and folds the bins onto [0, p) once, and
 ``outer_residues`` reduces the sums it materializes.
 
-When the last level of a tally holds the same residues as the level it
+Product tallies of two levels or more go over exponents when the caller
+hands them a power table and ``_use_exponents`` says the tuples repay it
+(``_product_tally``).  Every nonzero residue is g**e for a generator g, so
+a product of entries is g to the sum of their exponents: the tally is
+``_tally`` of the exponents with np.add mod p - 1, one add and one fold
+with no remainder per entry, scattered back to residues through the
+table.  Zero entries drop out, and bin 0 gets the tuples that hold one.
+The table comes from ``power_table``, the same blocked scan as
+``dlog_table``; the caller checks it before it hands it over.  Fewer
+tuples than about 128 p, a prime past 2**18, a single level and
+``outer_residues`` stay over residues: there the table costs more than
+it saves.
+
+When the last level of a tally holds the same entries as the level it
 meets, every pair and its transpose land in the same bin, so each
 unordered pair is enumerated once (``_pair_blocks``): the rows are cut
 into blocks, each block's own square is tallied with weight 1 and the
-pairs to its right with weight 2.  When the last level is the other's
-negation (a difference x - y), the transpose lands in the negated bin
-instead, and the weight-2 tally is added once as it is and once
-mirrored.  Cross-block pairs cost half as much; the diagonal blocks add
-about n * rows / 2 entries.  A block holds _ROW_BLOCK rows, or enough
-rows that its pairs outnumber the bins each chunk is counted into, so a
-short window at a large p does not pay a length-p bincount for every
-_ROW_BLOCK rows.
+pairs to its right with weight 2.  This holds over residues and over
+exponents alike.  When the last level is the other's negation (a
+difference x - y), the transpose lands in the negated bin instead, and
+the weight-2 tally is added once as it is and once mirrored.
+Cross-block pairs cost half as much; the diagonal blocks add about n *
+rows / 2 entries.  A block holds _ROW_BLOCK rows, or enough rows that its
+pairs outnumber the bins each chunk is counted into, so a short window at
+a large p does not pay a length-p bincount for every _ROW_BLOCK rows.
 
 All modular arithmetic here assumes the modulus fits in 31 bits, so that
 intermediate products stay below 2**62 and int64 never overflows.
@@ -36,6 +49,7 @@ from .errors import GuardExceededError
 __all__ = [
     "factorial_window",
     "dlog_table",
+    "power_table",
     "ntt_inplace",
     "outer_residues",
     "sum_tally",
@@ -57,6 +71,15 @@ _ROW_BLOCK = 64
 # dlog table: transient memory stays a few hundred KiB.
 _PRODUCT_CHUNK = 1 << 16
 _DLOG_ROW = 1 << 14
+# A product goes over exponents (_use_exponents) once it enumerates at
+# least _EXPONENT_PAIRS_PER_P * p pairs, and only for p below
+# _EXPONENT_MAX_P.  The power table costs O(p) and some fifty numpy calls
+# to build, check and invert, against a few ns saved per pair.  Timed with
+# the table, the exponent path broke even near 128 p pairs at p = 211 and
+# between 8 p and 64 p from 1009 to 300007; at 1000003 a symmetric pair
+# tally was still slower at 128 p, its 2(p - 1) count bins out of cache.
+_EXPONENT_PAIRS_PER_P = 128
+_EXPONENT_MAX_P = 1 << 18
 
 
 def _product_range(lo: int, hi: int, p: int) -> int:
@@ -111,17 +134,15 @@ def factorial_window(p: int, L: int, N: int) -> np.ndarray:
     return buf[:N]
 
 
-def dlog_table(p: int, g: int) -> np.ndarray:
-    """Full index table of the cyclic group generated by g mod p.
-
-    out[x] = e with g**e = x mod p, and out[0] = -1.
+def _power_rows(p: int, g: int):
+    """Yield (start, row), row[j] = g**(start + j) mod p, for the rows of
+    _DLOG_ROW exponents that cover [0, p - 1); each row is the same buffer.
 
     g**(i*s + j) = (g**s)**i * g**j: one row of the s powers g**j, built by
-    doubling, is scaled by (g**s)**i and scattered into out for each i.
+    doubling, is scaled by (g**s)**i for each i.
     """
     p, g = int(p), int(g)
     n = p - 1
-    out = np.full(p, -1, dtype=np.int64)
     s = min(n, _DLOG_ROW)
     powers = np.ones(s, dtype=np.int64)
     k = 1
@@ -131,15 +152,34 @@ def dlog_table(p: int, g: int) -> np.ndarray:
         np.remainder(powers[k : k + m], p, out=powers[k : k + m])
         k += m
     step = pow(g, s, p)
-    exponents = np.arange(s, dtype=np.int64)
     row = np.empty(s, dtype=np.int64)
     scale = 1
     for start in range(0, n, s):
         k = min(s, n - start)
         np.multiply(powers[:k], scale, out=row[:k])
         np.remainder(row[:k], p, out=row[:k])
-        out[row[:k]] = exponents[:k] + start
+        yield start, row[:k]
         scale = scale * step % p
+
+
+def dlog_table(p: int, g: int) -> np.ndarray:
+    """Full index table of the cyclic group generated by g mod p.
+
+    out[x] = e with g**e = x mod p, and out[0] = -1.  Each row of powers
+    is scattered into out as it is made, so memory stays one table.
+    """
+    out = np.full(int(p), -1, dtype=np.int64)
+    for start, row in _power_rows(p, g):
+        out[row] = np.arange(start, start + row.size, dtype=np.int64)
+    return out
+
+
+def power_table(p: int, g: int) -> np.ndarray:
+    """out[e] = g**e mod p for e in [0, p - 1): the inverse of dlog_table,
+    by the same blocked scan."""
+    out = np.empty(int(p) - 1, dtype=np.int64)
+    for start, row in _power_rows(p, g):
+        out[start : start + row.size] = row
     return out
 
 
@@ -303,17 +343,50 @@ def sum_tally(vals: np.ndarray, k: int, signs, p: int) -> np.ndarray:
     return _tally([s * vals % p for s in signs[: int(k)]], np.add, p)
 
 
-def prod_tally(vals: np.ndarray, k: int, p: int) -> np.ndarray:
-    """Histogram of all k-fold products of entries of vals mod p."""
+def _use_exponents(pairs: int, p: int) -> bool:
+    """Whether a product mod p that enumerates `pairs` pairs (or tuples)
+    takes a power table and goes over exponents.  The one rule for
+    _product_tally and counting._r_combine."""
+    return p < _EXPONENT_MAX_P and pairs >= _EXPONENT_PAIRS_PER_P * p
+
+
+def _product_tally(levels: list[np.ndarray], p: int, powers=None) -> np.ndarray:
+    """Histogram mod p of the product of one entry of each level, all tuples.
+
+    powers, when set, is a zero-argument callable that returns a checked
+    power table P, P[e] = g**e mod p.  It is called only for two levels or
+    more, when _use_exponents(tuples, p).  Then the exponents of the nonzero
+    entries are tallied as sums mod p - 1, out[P] maps the counts back to
+    residues, and bin 0 gets the tuples that hold a zero.  Otherwise the
+    products are tallied over residues.
+    """
+    tuples = math.prod(level.size for level in levels)
+    if powers is None or len(levels) < 2 or not _use_exponents(tuples, p):
+        return _tally(levels, np.multiply, p)
+    P = powers()
+    logs = np.empty(p, dtype=np.int64)
+    logs[P] = np.arange(p - 1, dtype=np.int64)
+    exponents = [logs[level[level != 0]] for level in levels]
+    del logs  # a length-p table the tally below does not need
+    out = np.empty(p, dtype=np.int64)
+    out[P] = _tally(exponents, np.add, p - 1)
+    out[0] = tuples - math.prod(e.size for e in exponents)
+    return out
+
+
+def prod_tally(vals: np.ndarray, k: int, p: int, powers=None) -> np.ndarray:
+    """Histogram of all k-fold products of entries of vals mod p; over
+    exponents when _product_tally says so."""
     p = int(p)
-    return _tally([np.asarray(vals, dtype=np.int64) % p] * int(k), np.multiply, p)
+    return _product_tally([np.asarray(vals, dtype=np.int64) % p] * int(k), p, powers)
 
 
-def pair_product_tally(va: np.ndarray, vb: np.ndarray, p: int) -> np.ndarray:
-    """Histogram of x*y mod p over all pairs from two value lists."""
+def pair_product_tally(va: np.ndarray, vb: np.ndarray, p: int, powers=None) -> np.ndarray:
+    """Histogram of x*y mod p over all pairs from two value lists; over
+    exponents when _product_tally says so."""
     va = np.asarray(va, dtype=np.int64)
     vb = np.asarray(vb, dtype=np.int64)
-    return _tally([va, vb], np.multiply, int(p))
+    return _product_tally([va, vb], int(p), powers)
 
 
 def inverse_table(full: np.ndarray, p: int) -> np.ndarray:

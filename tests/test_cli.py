@@ -214,6 +214,26 @@ def test_convolution_past_the_dlog_limit_exits_3_before_allocating(capsys, extra
     assert peak < 1 << 26, peak
 
 
+@pytest.mark.parametrize("argv", [
+    # auto picks brute force for 25 tuples
+    "count T --p 2147483647 --N 5 --M 5 --lambda 1",
+    "count SIGNED --k 2 --signs +- --p 2147483647 --N 5 --engine brute",
+])
+def test_brute_tallies_at_a_huge_prime_exit_3_before_allocating(capsys, argv):
+    # the tallies are length-p histograms, 16 GiB each at p = 2**31 - 1
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, *argv.split())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert out == ""
+    assert err.startswith("factcong: guard exceeded: the brute-force tallies"), err
+    assert "Traceback" not in err
+    assert peak < 1 << 26, peak
+
+
 @pytest.mark.parametrize(("argv", "code"), [
     # short windows at p = 2**31 - 1: per-term sums answer; the length-p
     # tables (the discrete-log table, the spectra, a full second window)

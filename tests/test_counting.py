@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -5,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from factcong import counting, kernels, transform
+from factcong import counting, factorial, kernels, transform
 from factcong.counting import (
     AUTO_BRUTE_THRESHOLD,
     BRUTE_FORCE_GUARD,
@@ -17,9 +19,9 @@ from factcong.counting import (
     estimate_brute_work,
 )
 from factcong.cli import main
-from factcong.errors import GuardExceededError, ParameterError
+from factcong.errors import EngineMismatchError, GuardExceededError, ParameterError
 from factcong.factorial import build_window, sum_histogram
-from factcong.field import PrimeContext
+from factcong.field import PrimeContext, find_primitive_root
 
 PRIMES = [5, 7, 11, 13]
 
@@ -340,9 +342,10 @@ def test_r_brute_object_path_matches_int64_and_conv(contexts, monkeypatch):
             assert brute_force_count(q).count == expected, (limit, grid)
 
 
-def test_r_combine_wide_tallies_match_python():
+def test_r_combine_wide_tallies_match_python(monkeypatch):
     # tallies this wide overflow int64 in the sum, so only the object path
-    # can be right
+    # can be right; a power table is taken at any size
+    monkeypatch.setattr(kernels, "_EXPONENT_PAIRS_PER_P", 0)
     p, lam = 13, 5
     rng = np.random.default_rng(7)
     A, B, C = (rng.integers(0, 2**40, size=p, dtype=np.int64) for _ in range(3))
@@ -353,34 +356,85 @@ def test_r_combine_wide_tallies_match_python():
     )
     assert expected > INT64_MAX
     inv = kernels.inverse_table(kernels.factorial_window(p, 0, p - 1), p)
-    assert counting._r_combine(A, B, C[lam * inv % p], p) == expected
+    for powers in (None, power_table_of(p)):
+        assert counting._r_combine(A, B, C[lam * inv % p], p, powers) == expected
 
 
 # single-lambda counts against the profile and the brute engine
 
 def r_combine_reference(A, B, c, p):
     return sum(int(A[u]) * int(B[v]) * int(c[u * v % p])
-               for u in range(1, p) for v in range(1, p))
+               for u, v in itertools.product(range(1, p), repeat=2))
+
+
+def power_table_of(p):
+    """A powers callable as the brute engine passes it: the table of the
+    smallest generator mod p."""
+    table = kernels.power_table(p, find_primitive_root(p))
+    return lambda: table
 
 
 @pytest.mark.parametrize("p", [2, 3, 13, 31])
 @pytest.mark.parametrize("symmetric", [True, False])
 def test_r_combine_matches_a_direct_sum(monkeypatch, p, symmetric):
     # A equal to B takes each unordered (u, v) once; zeros in A and B drop
-    # rows and columns, so the grids are ragged
+    # rows and columns, so the grids are ragged; with a power table the
+    # grids run over exponents, at any size
+    monkeypatch.setattr(kernels, "_EXPONENT_PAIRS_PER_P", 0)
     rng = np.random.default_rng(p)
     A = rng.integers(0, 5, size=p, dtype=np.int64)
     A[rng.random(p) < 0.4] = 0
     B = A.copy() if symmetric else rng.integers(0, 5, size=p, dtype=np.int64)
     c = rng.integers(0, 50, size=p, dtype=np.int64)
     expected = r_combine_reference(A, B, c, p)
-    for block in (kernels._ROW_BLOCK, 1, 2, 3):
-        for grid in (counting._GRID_ENTRIES, 1, 7):
-            monkeypatch.setattr(kernels, "_ROW_BLOCK", block)
-            monkeypatch.setattr(counting, "_GRID_ENTRIES", grid)
-            assert counting._r_combine(A, B, c, p) == expected, (block, grid)
-    monkeypatch.setattr(counting, "_INT64_MAX", 0)
-    assert counting._r_combine(A, B, c, p) == expected
+    for powers in (None, power_table_of(p)):
+        for block in (kernels._ROW_BLOCK, 1, 2, 3):
+            for grid in (counting._GRID_ENTRIES, 1, 7):
+                monkeypatch.setattr(kernels, "_ROW_BLOCK", block)
+                monkeypatch.setattr(counting, "_GRID_ENTRIES", grid)
+                got = counting._r_combine(A, B, c, p, powers)
+                assert got == expected, (powers, block, grid)
+        with monkeypatch.context() as mp:
+            mp.setattr(counting, "_INT64_MAX", 0)
+            assert counting._r_combine(A, B, c, p, powers) == expected
+
+
+@given(st.sampled_from([2, 3, 5, 7, 11, 13]), st.booleans(), st.data())
+def test_r_combine_over_exponents_matches_itertools(p, symmetric, data):
+    # sparse tallies with repeated counts; below the pair threshold the
+    # combine stays over residues and builds no table
+    counts = st.lists(st.sampled_from([0, 0, 1, 3]), min_size=p, max_size=p)
+    A = np.array(data.draw(counts, label="A"), dtype=np.int64)
+    B = A.copy() if symmetric else np.array(data.draw(counts, label="B"), dtype=np.int64)
+    c = np.array(data.draw(st.lists(st.integers(0, 9), min_size=p, max_size=p),
+                           label="c"), dtype=np.int64)
+    table = kernels.power_table(p, find_primitive_root(p))
+    expected = r_combine_reference(A, B, c, p)
+    pairs = np.count_nonzero(A[1:]) * np.count_nonzero(B[1:])
+    # the threshold as it is, and 0 so that every size takes the table
+    for per_p in (0, kernels._EXPONENT_PAIRS_PER_P):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernels, "_EXPONENT_PAIRS_PER_P", per_p)
+            calls = []
+            got = counting._r_combine(A, B, c, p, lambda: calls.append(1) or table)
+            assert got == expected, per_p
+            assert bool(calls) == kernels._use_exponents(pairs, p)
+
+
+def test_r_combine_takes_the_table_from_the_pair_threshold(monkeypatch):
+    # at p = 13 and 2 pairs per unit of p the threshold is 26 nonzero
+    # (u, v): 5 x 5 stays over residues, 3 x 9 takes the table
+    p = 13
+    monkeypatch.setattr(kernels, "_EXPONENT_PAIRS_PER_P", 2)
+    table = kernels.power_table(p, find_primitive_root(p))
+    c = np.arange(p, dtype=np.int64)
+    for nu, nv in ((5, 5), (3, 9)):
+        A, B = np.zeros(p, dtype=np.int64), np.zeros(p, dtype=np.int64)
+        A[1 : nu + 1], B[1 : nv + 1] = 2, 3
+        calls = []
+        got = counting._r_combine(A, B, c, p, lambda: calls.append(1) or table)
+        assert got == r_combine_reference(A, B, c, p)
+        assert bool(calls) == (nu * nv >= 2 * p), (nu, nv)
 
 
 @pytest.mark.parametrize(("k", "ell", "K", "M"), [
@@ -477,13 +531,103 @@ def test_brute_engine_reads_no_dlog(monkeypatch, capsys):
                  "index_reversed"):
         monkeypatch.setattr(transform, name, forbidden)
     monkeypatch.setattr(kernels, "dlog_table", forbidden)
+    monkeypatch.setattr(factorial, "exponent_histogram", forbidden)
+    # reading any of these attributes fails, not only calling them
+    for name in ("dlog", "power_table", "index"):
+        monkeypatch.setattr(PrimeContext, name, property(forbidden))
+    # the brute engine's own power table is still built, by its own scan;
+    # one pair per unit of p sends every product at p = 53 over exponents
+    monkeypatch.setattr(kernels, "_EXPONENT_PAIRS_PER_P", 1)
+    scans = []
+    power_table = kernels.power_table
+    monkeypatch.setattr(kernels, "power_table",
+                        lambda *a: scans.append(a) or power_table(*a))
     monkeypatch.delenv("FACTCONG_CACHE_DIR", raising=False)
     ctx = PrimeContext.create(53)
     for family, params, expected in GOLDEN_P53:
         q = CountQuery(family=family, ctx=ctx, lam=7, **params)
         assert brute_force_count(q).count == expected, family
+    # I, Q and R go over exponents; F with ell = 2 keeps its residue pairs
+    assert len(scans) == 3
     assert main(["verify", "T4.3", "--primes", "53..73", "--engine", "brute"]) == 0
     assert capsys.readouterr().out.count("T4.3,") == 6
+
+
+POWER_TABLE = kernels.power_table
+
+
+def swapped_table(p, g):
+    table = POWER_TABLE(p, g)
+    table[[3, 7]] = table[[7, 3]]
+    return table
+
+
+CORRUPTED_TABLES = {
+    # two entries swapped: still a permutation, but not the powers of g
+    "swapped": swapped_table,
+    # the powers of 4, a square, which generates half the group
+    "wrong generator": lambda p, g: POWER_TABLE(p, 4),
+}
+
+
+@pytest.mark.parametrize("corrupted", sorted(CORRUPTED_TABLES))
+@pytest.mark.parametrize(("family", "params"), [
+    ("I", {"ell": 2}),
+    ("F", {"ell": 1}),
+    ("Q", {"r": 1}),
+    ("R", {"k": 1, "ell": 1, "r": 1}),
+])
+def test_a_corrupted_power_table_raises_before_a_tally_reads_it(
+    monkeypatch, corrupted, family, params
+):
+    monkeypatch.setattr(kernels, "_EXPONENT_PAIRS_PER_P", 1)
+    built = []
+    make = CORRUPTED_TABLES[corrupted]
+    monkeypatch.setattr(kernels, "power_table", lambda *a: built.append(1) or make(*a))
+
+    def before_the_table(fn):
+        def checked(*args, **kwargs):
+            assert not built, "a tally ran after the corrupted table was built"
+            return fn(*args, **kwargs)
+        return checked
+
+    # every tally and every combine grid passes through one of these
+    for name in ("_tally", "_pair_blocks"):
+        monkeypatch.setattr(kernels, name, before_the_table(getattr(kernels, name)))
+    q = CountQuery(family=family, ctx=PrimeContext.create(53), lam=7, **params)
+    with pytest.raises(EngineMismatchError, match="power table"):
+        brute_force_count(q)
+    assert built == [1]
+
+
+def test_a_context_with_a_wrong_generator_fails_the_permutation_check(monkeypatch):
+    # the scan and the recurrence agree with g = 4, but its powers repeat
+    monkeypatch.setattr(kernels, "_EXPONENT_PAIRS_PER_P", 1)
+    ctx = dataclasses.replace(PrimeContext.create(53), g=4)
+    with pytest.raises(EngineMismatchError, match="power table of g=4"):
+        brute_force_count(CountQuery(family="I", ctx=ctx, ell=2))
+
+
+def test_the_power_table_check_reads_every_block(monkeypatch):
+    # a swap past the first 2**16 entries: still a permutation, but the
+    # recurrence breaks in the second block of the check
+    p = 2**17 - 1
+    ctx = PrimeContext.create(p)
+    table = POWER_TABLE(p, ctx.g)
+    monkeypatch.setattr(kernels, "power_table", lambda *a: table.copy())
+    counting._power_table(ctx)
+    table[[70000, 70001]] = table[[70001, 70000]]
+    with pytest.raises(EngineMismatchError, match="power table"):
+        counting._power_table(ctx)
+
+
+def test_a_corrupted_power_table_exits_4(monkeypatch, capsys):
+    monkeypatch.setattr(kernels, "_EXPONENT_PAIRS_PER_P", 1)
+    monkeypatch.setattr(kernels, "power_table", swapped_table)
+    argv = ["count", "I", "--ell", "2", "--p", "53", "--engine", "brute"]
+    assert main(argv) == 4
+    err = capsys.readouterr().err
+    assert "power table" in err and "Traceback" not in err
 
 
 # dropped_zero_mass values recorded before the R count reused its bracket

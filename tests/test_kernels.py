@@ -8,6 +8,7 @@ many chunks.
 """
 
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -397,6 +398,107 @@ def test_unordered_tallies_match_itertools(p, data):
     for fn, args, expect in cases:
         for where, got in at_each_block(fn, *args):
             np.testing.assert_array_equal(got, expect, err_msg=f"{fn.__name__} {where}")
+
+
+# The exponent path: with a power table, a product tally of two levels or
+# more counts sums of exponents instead once _use_exponents says so.
+
+EXPONENT_PRIMES = [2, 3, 5, 7, 11, 13]
+# the pair threshold as it is, and lowered to 0 so that every size takes
+# the exponent path, not only those past 128 p tuples
+PAIRS_PER_P = [0, kernels._EXPONENT_PAIRS_PER_P]
+
+
+def counted_powers(p):
+    """(powers, calls): a callable that hands out the power table of the
+    smallest generator mod p, and the list its calls append to."""
+    table = kernels.power_table(p, find_primitive_root(p))
+    calls = []
+    return (lambda: calls.append(1) or table), calls
+
+
+def draw_levels(data, p, sizes, count):
+    """count value lists of the drawn sizes, with zeros and repeats; with a
+    drawn flag, every list is the first (the symmetric blocks)."""
+    # a few residues at a time, so entries repeat
+    pool = data.draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=3), label="pool")
+    n = data.draw(st.integers(*sizes), label="n")
+    first = np.array(data.draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)),
+                     dtype=np.int64)
+    if data.draw(st.booleans(), label="equal"):
+        return [first.copy() for _ in range(count)]
+    m = data.draw(st.integers(*sizes), label="m")
+    rest = [np.array(data.draw(st.lists(st.integers(0, p - 1), min_size=m, max_size=m)),
+                     dtype=np.int64) for _ in range(count - 1)]
+    return [first, *rest]
+
+
+def test_power_table_is_the_inverse_of_the_dlog_table():
+    for p in [2, *EXPONENT_PRIMES[1:], 101, 997]:
+        g = find_primitive_root(p)
+        table = kernels.power_table(p, g)
+        assert table.tolist() == [pow(g, e, p) for e in range(p - 1)], p
+        assert kernels.dlog_table(p, g)[table].tolist() == list(range(p - 1)), p
+
+
+@given(st.sampled_from(EXPONENT_PRIMES), st.data())
+def test_pair_product_tally_over_exponents(p, data):
+    va, vb = draw_levels(data, p, (1, 8), 2)
+    expect = pair_reference(va, vb, lambda x, y: x * y, p)
+    for per_p in PAIRS_PER_P:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernels, "_EXPONENT_PAIRS_PER_P", per_p)
+            powers, calls = counted_powers(p)
+            for where, got in at_each_block(kernels.pair_product_tally, va, vb, p, powers):
+                np.testing.assert_array_equal(got, expect, err_msg=f"{per_p} {where}")
+            # below the threshold the pairs stay over residues, with no table
+            assert bool(calls) == kernels._use_exponents(va.size * vb.size, p)
+
+
+@given(st.sampled_from(EXPONENT_PRIMES), st.sampled_from([1, 2, 3]), st.data())
+def test_prod_tally_over_exponents(p, k, data):
+    (vals,) = draw_levels(data, p, (1, 5), 1)
+    expect = np.zeros(p, dtype=np.int64)
+    for tup in itertools.product(vals.tolist(), repeat=k):
+        expect[math.prod(tup) % p] += 1
+    for per_p in PAIRS_PER_P:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernels, "_EXPONENT_PAIRS_PER_P", per_p)
+            powers, calls = counted_powers(p)
+            for where, got in at_each_block(kernels.prod_tally, vals, k, p, powers):
+                np.testing.assert_array_equal(got, expect, err_msg=f"{per_p} {where}")
+            # a single level is one bincount and takes no table
+            assert bool(calls) == (k > 1 and kernels._use_exponents(vals.size**k, p))
+
+
+@pytest.mark.parametrize("p", [13, 211])
+def test_the_exponent_path_starts_at_the_pair_threshold(p):
+    # one pair short of _EXPONENT_PAIRS_PER_P * p stays over residues;
+    # at the threshold the table is taken, and the tallies agree
+    per_p = kernels._EXPONENT_PAIRS_PER_P
+    va = kernels.factorial_window(p, 0, p - 1)
+    for pairs in (per_p * p - 1, per_p * p):
+        # a long level of repeated factorials against 2! alone
+        a, b = np.resize(va, pairs), va[1:2]
+        powers, calls = counted_powers(p)
+        got = kernels.pair_product_tally(a, b, p, powers)
+        assert bool(calls) == (pairs >= per_p * p) == kernels._use_exponents(pairs, p)
+        np.testing.assert_array_equal(got, kernels.pair_product_tally(a, b, p))
+    # so do the k-fold products: 3-fold at n**3 around the threshold
+    n = math.ceil((per_p * p) ** (1 / 3))
+    for size in (n - 1, n):
+        vals = np.resize(va, size)
+        powers, calls = counted_powers(p)
+        kernels.prod_tally(vals, 3, p, powers)
+        assert bool(calls) == (size**3 >= per_p * p)
+
+
+def test_the_exponent_path_stops_at_the_cap_on_p():
+    cap = kernels._EXPONENT_MAX_P
+    many = 10 * kernels._EXPONENT_PAIRS_PER_P * cap
+    assert kernels._use_exponents(many, cap - 1)
+    assert not kernels._use_exponents(many, cap)
+    assert not kernels._use_exponents(many, 2**31 - 1)
 
 
 @pytest.mark.parametrize("p", [2, 7, 101])
