@@ -75,11 +75,6 @@ ENGINES = ("auto", "conv", "brute", "both")
 # work level below which automatic selection prefers it.
 BRUTE_FORCE_GUARD = 10**9
 AUTO_BRUTE_THRESHOLD = 10**7
-# Largest p whose length-p histograms the exhaustive engine allocates.  It
-# holds a few such histograms and no discrete-log table, so it is looser
-# than field.DLOG_MEMORY_LIMIT: a brute count at p = 10000019 answers,
-# while p = 2**31 - 1 would take 16 GiB per histogram.
-BRUTE_TALLY_LIMIT = 60_000_000
 
 
 @dataclass(frozen=True)
@@ -213,8 +208,9 @@ def _exact_dot(a: np.ndarray, b: np.ndarray) -> int:
 
 def _convolution_at(x: np.ndarray, y: np.ndarray, at: int) -> int:
     """sum over i of x[i] * y[at - i], exact: one entry of the cyclic
-    convolution of x and y."""
-    return _exact_dot(x, y[(at - np.arange(x.size)) % x.size])
+    convolution of x and y, for 0 <= at < len(x).  y[at - i] for i = 0..n-1
+    is y[at], ..., y[0], then y[n-1], ..., y[at+1]: two reversed slices."""
+    return _exact_dot(x, np.concatenate([y[at::-1], y[:at:-1]]))
 
 
 def _sum_squares(vec: np.ndarray) -> int:
@@ -418,15 +414,15 @@ def brute_force_count(q: CountQuery) -> CountResult:
     block at a time (kernels._pair_blocks).  Products go over exponents
     as the module docstring says, through one checked power table
     (_power_table) built on first use.  Exact; refused past
-    BRUTE_TALLY_LIMIT on p before any tally, and guarded by
+    field.BRUTE_TALLY_LIMIT on p before any tally, and guarded by
     BRUTE_FORCE_GUARD on the ordered tuple count.
     """
     q = q.resolved()
     p = q.ctx.p
-    if p > BRUTE_TALLY_LIMIT:
+    if p > field.BRUTE_TALLY_LIMIT:
         raise GuardExceededError(
             f"the brute-force tallies for p={p} need {p} bins per histogram, "
-            f"above the limit of {BRUTE_TALLY_LIMIT}"
+            f"above the limit of {field.BRUTE_TALLY_LIMIT}"
         )
     work = estimate_brute_work(q)
     if work > BRUTE_FORCE_GUARD:

@@ -13,8 +13,8 @@ from typing import Literal
 
 import numpy as np
 
-from . import kernels, transform
-from .errors import ParameterError, WindowRangeError
+from . import field, kernels, transform
+from .errors import GuardExceededError, ParameterError, WindowRangeError
 from .field import PrimeContext
 
 __all__ = [
@@ -44,13 +44,19 @@ class FactorialWindow:
 
 def build_window(ctx: PrimeContext, L: int, N: int) -> FactorialWindow:
     """Compute one factorial window, the build step of ``ctx.window``;
-    requires 0 <= L and L + N <= p - 1."""
+    requires 0 <= L and L + N <= p - 1.  Refused before any allocation
+    past field.BRUTE_TALLY_LIMIT entries."""
     L, N = int(L), int(N)
     if N < 1:
         raise WindowRangeError(f"window length must be positive, got N={N}")
     if L < 0 or L + N >= ctx.p:
         raise WindowRangeError(
             f"window (L, L+N] = ({L}, {L + N}] must stay inside (0, {ctx.p})"
+        )
+    if N > field.BRUTE_TALLY_LIMIT:
+        raise GuardExceededError(
+            f"the factorial window ({L}, {L + N}] mod p={ctx.p} needs {N} "
+            f"entries, above the limit of {field.BRUTE_TALLY_LIMIT}"
         )
     return FactorialWindow(ctx=ctx, L=L, N=N, values=kernels.factorial_window(ctx.p, L, N))
 

@@ -20,6 +20,7 @@ from .errors import CompositeModulusError, GuardExceededError, ParameterError
 
 __all__ = [
     "DLOG_MEMORY_LIMIT",
+    "BRUTE_TALLY_LIMIT",
     "is_probable_prime",
     "factorize",
     "find_primitive_root",
@@ -32,6 +33,12 @@ __all__ = [
 ]
 
 DLOG_MEMORY_LIMIT = 10_000_000
+# Largest p whose length-p histograms the exhaustive engine allocates, and
+# the most entries a factorial window may hold.  The engine holds a few
+# such histograms and no discrete-log table, so it is looser than
+# DLOG_MEMORY_LIMIT: a brute count at p = 10000019 answers, while
+# p = 2**31 - 1 would take 16 GiB per histogram or full window.
+BRUTE_TALLY_LIMIT = 60_000_000
 
 # Contexts are capped at 31-bit moduli so kernel products fit in int64.
 MAX_CONTEXT_PRIME = 2**31 - 1

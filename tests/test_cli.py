@@ -1,6 +1,7 @@
 import json
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from factcong.cli import (
     parse_primes,
     parse_signs,
 )
+from factcong.counting import CountQuery, count
 from factcong.errors import FactcongWarning, ParameterError
 from factcong.field import PrimeContext
 
@@ -237,7 +239,10 @@ def test_brute_tallies_at_a_huge_prime_exit_3_before_allocating(capsys, argv):
 @pytest.mark.parametrize(("argv", "code"), [
     # short windows at p = 2**31 - 1: per-term sums answer; the length-p
     # tables (the discrete-log table, the spectra, a full second window)
-    # refuse before their first allocation
+    # and the full window itself (16 GiB) refuse before their first
+    # allocation
+    ("stats --p 2147483647", 3),
+    ("factorials --p 2147483647", 3),
     ("stats --p 2147483647 --N 5", 0),
     ("expsum single --p 2147483647 --N 5 --a 1", 0),
     ("expsum char --p 2147483647 --N 5 --j 1", 3),
@@ -275,6 +280,52 @@ def test_the_table_limit_refuses_spectra_not_windows(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert err.startswith("factcong: guard exceeded: the double-sum spectrum"), err
+
+
+@pytest.fixture
+def mallopt_calls(monkeypatch):
+    """A glibc whose mallopt records its calls, and a fresh _tune_malloc."""
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 1
+
+    monkeypatch.setattr(cli.platform, "libc_ver", lambda: ("glibc", "2.36"))
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=mallopt))
+    cli._tune_malloc.cache_clear()
+    yield calls
+    cli._tune_malloc.cache_clear()
+
+
+def test_main_sets_the_malloc_thresholds_once_per_process(capsys, mallopt_calls):
+    for _ in range(3):
+        assert run_cli(capsys, "factorials", "--p", "7")[0] == 0
+    assert mallopt_calls == [(-3, 32 << 20), (-1, 32 << 20)]
+
+
+def test_malloc_tuning_is_a_no_op_off_glibc(capsys, monkeypatch, mallopt_calls):
+    monkeypatch.setattr(cli.platform, "libc_ver", lambda: ("", ""))
+    assert run_cli(capsys, "factorials", "--p", "7")[0] == 0
+    assert mallopt_calls == []
+
+
+def _no_libc(name):
+    raise OSError("no C library")
+
+
+@pytest.mark.parametrize("cdll", [lambda name: SimpleNamespace(), _no_libc])
+def test_malloc_tuning_is_a_no_op_without_mallopt(capsys, monkeypatch, mallopt_calls, cdll):
+    monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+    assert run_cli(capsys, "factorials", "--p", "7")[0] == 0
+    assert mallopt_calls == []
+
+
+def test_the_library_api_leaves_malloc_alone(mallopt_calls):
+    q = CountQuery(family="J", ctx=PrimeContext.create(101), lam=3)
+    for engine in ("conv", "brute"):
+        count(q, engine=engine)
+    assert mallopt_calls == []
 
 
 def test_exit_4_on_engine_mismatch(capsys, monkeypatch):

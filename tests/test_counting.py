@@ -330,6 +330,18 @@ def test_exact_combines_match_python(vectors):
         assert counting._convolution_at(a, b, lam) == expected
 
 
+@pytest.mark.parametrize("dtype", [np.int64, object])
+@pytest.mark.parametrize("n", [1, 2, 1009])
+def test_convolution_at_matches_the_modulo_gather(rng, dtype, n):
+    x = rng.integers(-(2**20), 2**20, n).astype(dtype)
+    y = rng.integers(-(2**20), 2**20, n).astype(dtype)
+    if dtype is object:
+        x, y = x * 2**70, y * 3**40
+    for at in sorted({0, 1 % n, n // 2, n - 1}):
+        gathered = y[(at - np.arange(n)) % n]
+        assert counting._convolution_at(x, y, at) == counting._exact_dot(x, gathered)
+
+
 def test_r_brute_object_path_matches_int64_and_conv(contexts, monkeypatch):
     q = CountQuery(family="R", ctx=contexts[13], k=2, ell=2, r=2, lam=5)
     expected = count_convolution(q).count

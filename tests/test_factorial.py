@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from factcong import kernels
-from factcong.errors import WindowRangeError
+from factcong import field, kernels
+from factcong.errors import GuardExceededError, WindowRangeError
 from factcong.factorial import (
     build_window,
     product_histogram,
@@ -49,6 +49,14 @@ def test_window_rejects_out_of_range(ctx7):
         build_window(ctx7, 0, 0)
     with pytest.raises(WindowRangeError):
         build_window(ctx7, -1, 2)
+
+
+def test_window_limit_admits_its_own_length(monkeypatch, ctx101):
+    monkeypatch.setattr(field, "BRUTE_TALLY_LIMIT", 50)
+    window = build_window(ctx101, 10, 50)
+    assert window.values.tolist() == [math.factorial(n) % 101 for n in range(11, 61)]
+    with pytest.raises(GuardExceededError, match="51 entries"):
+        build_window(ctx101, 10, 51)
 
 
 @given(window_strategy())
