@@ -60,7 +60,6 @@ from .expsums import (
 )
 from .factorial import (
     FactorialWindow,
-    Histogram,
     build_window,
     product_histogram,
     sum_histogram,
@@ -122,7 +121,6 @@ __all__ = [
     "double_sum",
     "single_sum",
     "FactorialWindow",
-    "Histogram",
     "build_window",
     "product_histogram",
     "sum_histogram",

@@ -308,7 +308,7 @@ def evaluate_cell(
         spectrum, direct, terms = bound.sums(ctx, resolved)
         if engine == "both":
             _spot_check(spectrum, direct, terms, seed=seed + p)
-        lhs = abs(spectrum.max_magnitude(skip_zero=True).value)
+        lhs = abs(spectrum.max_magnitude().value)
     return BoundReport(bound_id=bound_id, p=p, params=resolved, lhs=lhs, rhs=rhs)
 
 
@@ -431,7 +431,6 @@ class DiscrepancyReport:
     H: int
     estimate: float
     direct: float | None
-    constants: tuple[float, float] = (3.0, 3.0)
 
 
 def discrepancy_estimate(

@@ -167,11 +167,11 @@ class _Inputs:
     def sums(self, role: str, k: int) -> np.ndarray:
         w = self.window(role)
         if (w.L, w.N, k) not in self._sums:
-            self._sums[w.L, w.N, k] = factorial.sum_histogram(w, k).counts
+            self._sums[w.L, w.N, k] = factorial.sum_histogram(w, k)
         return self._sums[w.L, w.N, k]
 
     def pairs(self) -> np.ndarray:
-        return factorial.product_histogram(self.window("m"), self.window("n")).counts
+        return factorial.product_histogram(self.window("m"), self.window("n"))
 
 
 @dataclass(frozen=True)
@@ -211,10 +211,6 @@ def _convolution_at(x: np.ndarray, y: np.ndarray, at: int) -> int:
     convolution of x and y, for 0 <= at < len(x).  y[at - i] for i = 0..n-1
     is y[at], ..., y[0], then y[n-1], ..., y[at+1]: two reversed slices."""
     return _exact_dot(x, np.concatenate([y[at::-1], y[:at:-1]]))
-
-
-def _sum_squares(vec: np.ndarray) -> int:
-    return _exact_dot(vec, vec)
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +260,7 @@ def _conv_profile(q: CountQuery, inp: _Inputs, at: int | None = None):
     elif fam == "R":
         # bracket sums projected onto exponents, dropping bin 0
         exps = ctx.power_table()
-        u = factorial.exponent_histogram(inp.window("t")).counts
+        u = factorial.exponent_histogram(inp.window("t"))
         parts = [(inp.sums("m", q.k)[exps], M**q.k)] if q.k else []
         parts += [
             (inp.sums("n", q.ell)[exps], N**q.ell),
@@ -273,14 +269,14 @@ def _conv_profile(q: CountQuery, inp: _Inputs, at: int | None = None):
     elif fam == "F":
         parts = [(inp.pairs(), M * N)] * q.ell
     else:  # I
-        parts = [(factorial.exponent_histogram(inp.window("n")).counts, N)] * q.ell
+        parts = [(factorial.exponent_histogram(inp.window("n")), N)] * q.ell
     X, Y, bound = _fold(parts)
     if at is not None and not diagonal:
         i = ctx.index(at) if fam == "R" else at
         return int(X[i]) if Y is None else _convolution_at(X, Y, i)
     acc = X if Y is None else transform.cyclic_convolve_exact(X, Y, bound=bound)
     if diagonal:
-        return _sum_squares(acc)
+        return _exact_dot(acc, acc)
     return factorial._exponents_to_residues(ctx, acc) if fam == "R" else acc
 
 
@@ -434,14 +430,11 @@ def brute_force_count(q: CountQuery) -> CountResult:
     fam = q.family
     values = _Inputs(q).values
     powers = functools.cache(lambda: _power_table(q.ctx))
-    plus = np.ones(max(q.ell, q.k, q.r), dtype=np.int64)
     if fam == "J":
-        tally = kernels.sum_tally(values("n"), q.ell, plus[: q.ell], p)
-        value = _exact_dot(tally, tally[(np.arange(p) - q.lam) % p])
+        tally = kernels.sum_tally(values("n"), (1,) * q.ell, p)
+        value = _exact_dot(tally, np.roll(tally, q.lam))
     elif fam == "SIGNED":
-        tally = kernels.sum_tally(
-            values("n"), q.k, np.asarray(q.signs, dtype=np.int64), p
-        )
+        tally = kernels.sum_tally(values("n"), q.signs, p)
         value = int(tally[q.lam])
     elif fam in ("F", "T"):
         reps = q.ell if fam == "F" else q.r
@@ -449,22 +442,22 @@ def brute_force_count(q: CountQuery) -> CountResult:
             tally = kernels.pair_product_tally(values("m"), values("n"), p, powers)
         else:
             pairs = kernels.outer_residues(values("m"), values("n"), np.multiply, p)
-            tally = kernels.sum_tally(pairs, reps, plus[:reps], p)
-        value = _sum_squares(tally) if fam == "F" else int(tally[q.lam])
+            tally = kernels.sum_tally(pairs, (1,) * reps, p)
+        value = _exact_dot(tally, tally) if fam == "F" else int(tally[q.lam])
     elif fam == "I":
         tally = kernels.prod_tally(values("n"), q.ell, p, powers)
-        value = _sum_squares(tally)
+        value = _exact_dot(tally, tally)
     elif fam == "Q":
         pair_tally = kernels.pair_product_tally(values("m"), values("n"), p, powers)
-        fold_tally = kernels.sum_tally(values("n"), q.r, plus[: q.r], p)
+        fold_tally = kernels.sum_tally(values("n"), (1,) * q.r, p)
         value = _convolution_at(pair_tally, fold_tally, q.lam)
     else:  # R
         if q.k >= 1:
-            A = kernels.sum_tally(values("m"), q.k, plus[: q.k], p)
+            A = kernels.sum_tally(values("m"), (1,) * q.k, p)
         else:
             A = np.zeros(p, dtype=np.int64)
             A[1] = 1
-        B = kernels.sum_tally(values("n"), q.ell, plus[: q.ell], p)
+        B = kernels.sum_tally(values("n"), (1,) * q.ell, p)
         C = kernels.prod_tally(values("t"), q.r, p, powers)
         inv = kernels.inverse_table(values("full"), p)
         value = _r_combine(A, B, C[q.lam * inv % p], p, powers)

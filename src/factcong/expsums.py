@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import factorial, field, kernels, transform
 from .errors import ParameterError
-from .factorial import FactorialWindow, Histogram
+from .factorial import FactorialWindow
 
 __all__ = [
     "SpectrumValue",
@@ -86,20 +86,15 @@ class Spectrum:
     kind: str
     values: np.ndarray
     abs_error: float
-    params: dict = dc_field(default_factory=dict)
 
     def value(self, a: int) -> SpectrumValue:
         return SpectrumValue(
             a=int(a), value=complex(self.values[a]), abs_error=self.abs_error
         )
 
-    def max_magnitude(self, skip_zero: bool = True) -> SpectrumValue:
-        mags = np.abs(self.values)
-        if skip_zero:
-            idx = 1 + int(np.argmax(mags[1:]))
-        else:
-            idx = int(np.argmax(mags))
-        return self.value(idx)
+    def max_magnitude(self) -> SpectrumValue:
+        """The largest |value| at a nonzero frequency."""
+        return self.value(1 + int(np.argmax(np.abs(self.values[1:]))))
 
     def to_rows(self) -> tuple[list[int], list[float], list[float], list[float]]:
         """Columns a, re, im and |value| as lists of Python scalars.
@@ -130,30 +125,29 @@ def single_sum(window: FactorialWindow, a: int) -> SpectrumValue:
     return SpectrumValue(a=a, value=value, abs_error=_sum_error_bound(window.N))
 
 
+def _spectrum(p: int, kind: str, hist: np.ndarray) -> Spectrum:
+    """The Spectrum of one histogram: its DFT and that DFT's error bound."""
+    values, err = transform.dft_prime_length(hist, sign=1)
+    return Spectrum(p=p, kind=kind, values=values, abs_error=err)
+
+
 def batch_single_sums(window: FactorialWindow) -> Spectrum:
     """All p single sums at once: the DFT of the window's value histogram."""
     field.check_table_limit(window.p, f"the single-sum spectrum for p={window.p}")
-    hist = factorial.value_histogram(window)
-    values, err = transform.dft_prime_length(hist.counts, sign=1)
-    return Spectrum(
-        p=window.p,
-        kind="single",
-        values=values,
-        abs_error=err,
-        params={"L": window.L, "N": window.N},
-    )
+    return _spectrum(window.p, "single", factorial.value_histogram(window))
 
 
 def double_sum(
     wm: FactorialWindow,
     wn: FactorialWindow,
     a: int,
-    product_hist: Histogram | None = None,
+    product_hist: np.ndarray | None = None,
 ) -> SpectrumValue:
     """Sum of e(a * m! * n!) over both windows via the product histogram.
 
     O(p) per frequency once the histogram is built; pass product_hist when
-    evaluating several frequencies against the same window pair.
+    evaluating several frequencies against the same window pair: the
+    array factorial.product_histogram(wm, wn) returns.
     """
     if wm.ctx.p != wn.ctx.p:
         raise ParameterError("windows live over different primes")
@@ -163,7 +157,7 @@ def double_sum(
         product_hist = factorial.product_histogram(wm, wn)
     roots = roots_table(p)
     idx = (a * np.arange(p, dtype=np.int64)) % p
-    value = complex((product_hist.counts.astype(np.float64) * roots[idx]).sum())
+    value = complex((product_hist.astype(np.float64) * roots[idx]).sum())
     return SpectrumValue(
         a=a, value=value, abs_error=_sum_error_bound(wm.N * wn.N)
     )
@@ -183,17 +177,7 @@ def double_sum_direct(wm: FactorialWindow, wn: FactorialWindow, a: int) -> Spect
 
 def batch_double_sums(wm: FactorialWindow, wn: FactorialWindow) -> Spectrum:
     """All p double sums: the DFT of the product histogram."""
-    if wm.ctx.p != wn.ctx.p:
-        raise ParameterError("windows live over different primes")
-    product_hist = factorial.product_histogram(wm, wn)
-    values, err = transform.dft_prime_length(product_hist.counts, sign=1)
-    return Spectrum(
-        p=wm.p,
-        kind="double",
-        values=values,
-        abs_error=err,
-        params={"K": wm.L, "M": wm.N, "L": wn.L, "N": wn.N},
-    )
+    return _spectrum(wm.p, "double", factorial.product_histogram(wm, wn))
 
 
 def character_sum(window: FactorialWindow, j: int) -> SpectrumValue:
@@ -212,12 +196,4 @@ def character_sum(window: FactorialWindow, j: int) -> SpectrumValue:
 
 def batch_character_sums(window: FactorialWindow) -> Spectrum:
     """All p - 1 character sums: a DFT over the exponent domain."""
-    hist = factorial.exponent_histogram(window)
-    values, err = transform.dft_prime_length(hist.counts, sign=1)
-    return Spectrum(
-        p=window.p,
-        kind="character",
-        values=values,
-        abs_error=err,
-        params={"L": window.L, "N": window.N},
-    )
+    return _spectrum(window.p, "character", factorial.exponent_histogram(window))

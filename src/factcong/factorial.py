@@ -3,13 +3,14 @@
 A window holds n! mod p for n in the range (L, L+N].  Because n < p
 throughout, no value ever hits 0, so the multiplicative structure stays
 available: histograms can live over residues (additive questions) or over
-discrete-log exponents (multiplicative questions).
+discrete-log exponents (multiplicative questions).  A histogram is its
+count array: length p over residues, p - 1 over exponents; int64, or
+Python integers in an object array once exact convolution passes int64.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal
 
 import numpy as np
 
@@ -20,7 +21,6 @@ from .field import PrimeContext
 __all__ = [
     "FactorialWindow",
     "build_window",
-    "Histogram",
     "value_histogram",
     "exponent_histogram",
     "sum_histogram",
@@ -61,36 +61,18 @@ def build_window(ctx: PrimeContext, L: int, N: int) -> FactorialWindow:
     return FactorialWindow(ctx=ctx, L=L, N=N, values=kernels.factorial_window(ctx.p, L, N))
 
 
-Domain = Literal["additive", "multiplicative"]
-
-
-@dataclass(frozen=True, eq=False)
-class Histogram:
-    """Integer counts over a cyclic index domain.
-
-    domain "additive" means counts[x] for residues x mod p (length p);
-    "multiplicative" means counts[e] for discrete-log exponents e mod p-1
-    (length p-1).  Counts are int64 until exact convolution arithmetic
-    promotes them to Python integers.
-    """
-
-    domain: Domain
-    counts: np.ndarray
-
-
-def value_histogram(window: FactorialWindow) -> Histogram:
+def value_histogram(window: FactorialWindow) -> np.ndarray:
     """counts[x] = multiplicity of residue x among the window values."""
-    counts = np.bincount(window.values, minlength=window.p)
-    return Histogram(domain="additive", counts=counts.astype(np.int64))
+    return np.bincount(window.values, minlength=window.p).astype(np.int64)
 
 
-def exponent_histogram(window: FactorialWindow) -> Histogram:
+def exponent_histogram(window: FactorialWindow) -> np.ndarray:
     """Window histogram pushed through the discrete log, length p - 1."""
     counts = np.bincount(window.ctx.dlog[window.values], minlength=window.p - 1)
-    return Histogram(domain="multiplicative", counts=counts.astype(np.int64))
+    return counts.astype(np.int64)
 
 
-def sum_histogram(window: FactorialWindow, k: int) -> Histogram:
+def sum_histogram(window: FactorialWindow, k: int) -> np.ndarray:
     """counts[s] = number of k-tuples from the window whose factorials sum
     to s mod p.  Exact for any k; totals grow like N**k."""
     k = int(k)
@@ -99,8 +81,7 @@ def sum_histogram(window: FactorialWindow, k: int) -> Histogram:
     base = value_histogram(window)
     if k == 1:
         return base
-    counts = transform.cyclic_convolution_power(base.counts, k, total=window.N)
-    return Histogram(domain="additive", counts=counts)
+    return transform.cyclic_convolution_power(base, k, total=window.N)
 
 
 def _exponents_to_residues(ctx: PrimeContext, vec: np.ndarray) -> np.ndarray:
@@ -109,9 +90,7 @@ def _exponents_to_residues(ctx: PrimeContext, vec: np.ndarray) -> np.ndarray:
     return out
 
 
-def product_histogram(
-    wa: FactorialWindow, wb: FactorialWindow
-) -> Histogram:
+def product_histogram(wa: FactorialWindow, wb: FactorialWindow) -> np.ndarray:
     """counts[t] = number of pairs (x from wa, y from wb) with x*y = t mod p.
 
     Runs one exact cyclic convolution of length p - 1 in the exponent
@@ -123,9 +102,5 @@ def product_histogram(
         raise ParameterError("windows live over different primes")
     ea = exponent_histogram(wa)
     eb = ea if (wb.L, wb.N) == (wa.L, wa.N) else exponent_histogram(wb)
-    conv = transform.cyclic_convolve_exact(
-        ea.counts, eb.counts, bound=wa.N * wb.N
-    )
-    return Histogram(
-        domain="additive", counts=_exponents_to_residues(wa.ctx, conv)
-    )
+    conv = transform.cyclic_convolve_exact(ea, eb, bound=wa.N * wb.N)
+    return _exponents_to_residues(wa.ctx, conv)

@@ -132,7 +132,6 @@ class PrimeContext:
 
     p: int
     g: int
-    factors: tuple[tuple[int, int], ...]
     cache_dir: str | os.PathLike | None = dataclasses.field(default=None, compare=False)
     # read-only window values by (L, N); values, not windows, so that no
     # context -> window -> context cycle outlives a dropped context
@@ -152,8 +151,7 @@ class PrimeContext:
             raise ParameterError(
                 f"p={p} exceeds the 31-bit kernel limit {MAX_CONTEXT_PRIME}"
             )
-        ctx = cls(p=p, g=find_primitive_root(p), factors=factorize(p - 1),
-                  cache_dir=cache_dir)
+        ctx = cls(p=p, g=find_primitive_root(p), cache_dir=cache_dir)
         if with_dlog:
             ctx.dlog  # noqa: B018 -- the read builds or loads the table
         return ctx

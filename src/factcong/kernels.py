@@ -335,12 +335,13 @@ def _tally(levels: list[np.ndarray], op, p: int) -> np.ndarray:
     return once
 
 
-def sum_tally(vals: np.ndarray, k: int, signs, p: int) -> np.ndarray:
-    """Histogram of all sign-weighted k-fold sums of entries of vals mod p."""
+def sum_tally(vals: np.ndarray, signs, p: int) -> np.ndarray:
+    """Histogram of all sums of signs[i] * x_i mod p, one entry x_i of vals
+    per sign."""
     vals = np.asarray(vals, dtype=np.int64)
     signs = np.asarray(signs, dtype=np.int64)
     p = int(p)
-    return _tally([s * vals % p for s in signs[: int(k)]], np.add, p)
+    return _tally([s * vals % p for s in signs], np.add, p)
 
 
 def _use_exponents(pairs: int, p: int) -> bool:

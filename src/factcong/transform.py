@@ -107,25 +107,13 @@ def _fft_error_factor(padded: int, adds: int = 0) -> float:
     return math.expm1(growth) * (1.0 + 2.0**-20)
 
 
-def _as_float(x: int) -> float:
-    """float(x), or infinity where x is past the float range."""
-    try:
-        return float(x)
-    except OverflowError:
-        return math.inf
-
-
 def plan_cyclic_convolution(
-    length: int,
-    bound: int,
-    norm_a: float | None = None,
-    norm_b: float | None = None,
+    length: int, bound: int, norm_a: float, norm_b: float
 ) -> ConvolutionPlan:
     """Pick the engine, transform size and limb split for one convolution.
 
     norm_a and norm_b are ceilings on the Euclidean norms of the two
-    inputs.  When left out they follow from the bound: no entry exceeds
-    it, so no norm exceeds sqrt(length) * bound.  The plan takes the
+    inputs, infinite where they pass the float range.  The plan takes the
     fewest limbs per input, at most MAX_LIMBS, for which every limb is
     exact in float64 and the product of any two limbs is certified to
     within 1/2 of its exact value and stays below 2**53; when no split
@@ -144,8 +132,7 @@ def plan_cyclic_convolution(
     else:
         padded = _next_pow2(2 * length - 1)
     bigint = ConvolutionPlan(length, padded, "bigint", bound)
-    implied = math.sqrt(length) * _as_float(bound)
-    norms = [implied if v is None else float(v) for v in (norm_a, norm_b)]
+    norms = [float(norm_a), float(norm_b)]
     if not all(math.isfinite(v) for v in norms):
         return bigint
     factor = _fft_error_factor(padded)

@@ -119,12 +119,12 @@ def test_3_mass_conservation_on_random_cells():
 
         window = build_window(ctx, L, N)
         G = sum_histogram(window, ell)
-        if sum(G.counts.tolist()) != N**ell:
+        if sum(G.tolist()) != N**ell:
             failures.append((p, "G mass"))
         j_profile = count_profile(CountQuery(family="J", ctx=ctx, ell=ell, L=L, N=N))
         if sum(int(x) for x in j_profile) != N ** (2 * ell):
             failures.append((p, "J mass"))
-        if sum(int(x) ** 2 for x in G.counts) != int(j_profile[0]):
+        if sum(int(x) ** 2 for x in G) != int(j_profile[0]):
             failures.append((p, "G squares vs J(0)"))
         t_profile = count_profile(
             CountQuery(family="T", ctx=ctx, r=r, L=L, N=N, K=K, M=M)

@@ -302,7 +302,6 @@ def test_discrepancy_report_p101(ctx101):
     assert report.estimate == pytest.approx(0.2380917596139654, rel=1e-10)
     assert report.direct == pytest.approx(0.016854455445544647, rel=1e-12)
     assert report.estimate >= report.direct
-    assert report.constants == (3.0, 3.0)
 
 
 def test_discrepancy_estimate_validates_h(ctx101):

@@ -159,7 +159,7 @@ def test_get_or_build_dlog_caches(tmp_path, monkeypatch):
 
 def test_dlog_of_another_generator_is_a_bad_file(tmp_path, ctx7):
     # 5 generates the group mod 7 as well, so the file passes its own checks
-    other = PrimeContext(p=7, g=5, factors=ctx7.factors)
+    other = PrimeContext(p=7, g=5)
     save_dlog_table(dlog_cache_path(tmp_path, 7), other, kernels.dlog_table(7, 5))
     with pytest.warns(FactcongWarning, match="discarding bad cache file.*generator 5"):
         table = PrimeContext.create(7, cache_dir=tmp_path).dlog

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from factcong.errors import ParameterError
 from factcong.expsums import (
     batch_character_sums,
     batch_double_sums,
@@ -13,7 +14,7 @@ from factcong.expsums import (
     roots_table,
     single_sum,
 )
-from factcong.factorial import build_window
+from factcong.factorial import build_window, product_histogram
 from factcong.field import PrimeContext
 
 PRIMES = [5, 7, 11, 13, 17]
@@ -74,10 +75,14 @@ def test_parseval_identity(ctx7):
 def test_double_sum_routes_agree(ctx11):
     wm = build_window(ctx11, 0, 10)
     wn = build_window(ctx11, 1, 8)
+    hist = product_histogram(wm, wn)
     for a in range(11):
         fast = double_sum(wm, wn, a)
         slow = double_sum_direct(wm, wn, a)
         assert abs(fast.value - slow.value) < 1e-9
+        # the histogram passed positionally, as callers sharing one
+        # histogram across frequencies do, gives the same value bit for bit
+        assert double_sum(wm, wn, a, hist) == fast
 
 
 def test_batch_double_sums_agree(ctx11):
@@ -86,6 +91,8 @@ def test_batch_double_sums_agree(ctx11):
     spectrum = batch_double_sums(wm, wn)
     for a in range(11):
         assert abs(complex(spectrum.values[a]) - double_sum_direct(wm, wn, a).value) < 1e-8
+    with pytest.raises(ParameterError, match="different primes"):
+        batch_double_sums(wm, build_window(PrimeContext.create(13), 0, 10))
 
 
 def test_double_sum_zero_frequency_counts_pairs(ctx11):
@@ -97,7 +104,7 @@ def test_double_sum_zero_frequency_counts_pairs(ctx11):
 def test_max_magnitude_skips_zero(ctx101):
     w = build_window(ctx101, 0, 100)
     spectrum = batch_single_sums(w)
-    best = spectrum.max_magnitude(skip_zero=True)
+    best = spectrum.max_magnitude()
     assert best.a != 0
     # frequency zero carries the full window mass, always the raw maximum
     assert abs(complex(spectrum.values[0])) > abs(best.value)

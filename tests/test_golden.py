@@ -9,7 +9,9 @@ exact dot; the all-bounds ``sweep`` digest (every catalogued bound at
 its default parameters under both engines) was recorded before the
 bounds moved into one table; the two ``sweep ... --k 3`` digests (skip
 warnings in bound order, a repeated bound id with its rows repeated and
-its series once) were recorded before a sweep evaluated prime by prime.
+its series once) were recorded before a sweep evaluated prime by prime;
+the ``expsum double`` digest was recorded before the histograms became
+plain count arrays.
 A change to rendering, row building or the numbers behind them shows
 here as a changed digest.  JSON envelopes are hashed without their
 ``timing_seconds`` line, the only part of stdout that varies between
@@ -47,6 +49,8 @@ GOLDEN = (
      "42bfdfa9db70875df03c9eaebe2b51851f0d7497094de12c7b1af49b8ecff7fc"),
     ("expsum single --p 10007 --a 5 --format csv", FLOAT,
      "be7cd3743d7323f250a427c7bcff95cfa061f2360dffb7003ef4eb878f907c6c"),
+    ("expsum double --p 1009 --a 5 --N 300 --M 200 --format csv", FLOAT,
+     "94d9b41cf274d216046f83d6c53a6041698d8fdb7071c9b112decca77da220fc"),
     ("count J --ell 2 --p 1009 --profile --format csv", EXACT,
      "d477befe04cba39e9f2e971b283a058deea1c301fbda2f1df4b52b7fc885b528"),
     ("count J --ell 2 --p 1009 --profile --format plain", EXACT,

@@ -221,7 +221,7 @@ def test_sum_tally_matches_itertools(p, k, data):
         total = sum(int(signs[i]) * int(vals[j]) for i, j in enumerate(tup))
         expect[total % p] += 1
     assert expect.sum() == n**k
-    for chunk, got in at_each_chunk(kernels.sum_tally, vals, k, signs, p):
+    for chunk, got in at_each_chunk(kernels.sum_tally, vals, signs, p):
         np.testing.assert_array_equal(got, expect, err_msg=f"chunk {chunk}")
 
 
@@ -282,7 +282,7 @@ def test_sum_tally_fold_edges(p, signs):
     mixed = np.array([0, p - 1, 1 % p, p // 2, p - 1], dtype=np.int64)
     for vals in (every_top, mixed):
         expect = signed_sum_reference(vals, signs, p)
-        for chunk, got in at_each_chunk(kernels.sum_tally, vals, len(signs), signs, p):
+        for chunk, got in at_each_chunk(kernels.sum_tally, vals, signs, p):
             np.testing.assert_array_equal(got, expect, err_msg=f"{vals} chunk {chunk}")
 
 
@@ -393,7 +393,7 @@ def test_unordered_tallies_match_itertools(p, data):
     ]
     for signs in ([1, 1], [1, -1], [-1, 1], [-1, -1]):
         # equal levels for ++ and --, one the other's negation for +- and -+
-        cases.append((kernels.sum_tally, (va, 2, signs, p),
+        cases.append((kernels.sum_tally, (va, signs, p),
                       signed_sum_reference(va, signs, p)))
     for fn, args, expect in cases:
         for where, got in at_each_block(fn, *args):
@@ -517,9 +517,9 @@ def test_materialize_cap_names_the_cap(monkeypatch):
     # last level of k = 2 is only held a chunk at a time, so it passes.
     monkeypatch.setattr(kernels, "_NUMPY_MATERIALIZE_CAP", 17)
     vals = np.arange(5, dtype=np.int64)
-    assert kernels.sum_tally(vals, 2, [1, 1], 7).sum() == 25
+    assert kernels.sum_tally(vals, [1, 1], 7).sum() == 25
     with pytest.raises(GuardExceededError) as info:
-        kernels.sum_tally(vals, 3, [1, 1, 1], 7)
+        kernels.sum_tally(vals, [1, 1, 1], 7)
     message = str(info.value)
     assert "cap" in message and "17" in message, message
     assert "backend" not in message, message

@@ -63,7 +63,7 @@ def test_plan_falls_back_to_bigint(rng):
     b = (rng.integers(1, 2**40, size=33).astype(object)) ** 4
     bound = int(sum(a)) * int(sum(b))
     assert plan_cyclic_convolution(33, bound, norm(a), norm(b)).engine == "bigint"
-    assert plan_cyclic_convolution(16, 10**300).engine == "bigint"
+    assert plan_cyclic_convolution(16, 10**300, math.inf, math.inf).engine == "bigint"
 
 
 @given(st.integers(1, 40), st.sampled_from([2**62, 2**100]), st.data())
@@ -265,7 +265,7 @@ def test_bigint_fallback_matches_direct(rng):
     got = cyclic_convolve_exact(a, b)
     want = cyclic_convolve_direct(a, b)
     assert as_ints(got) == as_ints(want)
-    assert plan_cyclic_convolution(33, int(sum(a)) * int(sum(b))).engine == "bigint"
+    assert plan_cyclic_convolution(33, int(sum(a)) * int(sum(b)), norm(a), norm(b)).engine == "bigint"
 
 
 def test_wide_values_stay_exact():
