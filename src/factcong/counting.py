@@ -35,7 +35,13 @@ A profile (the counts at every lambda) ends in one exact convolution
 X * Y.  A single-lambda count of J, SIGNED, T, Q or R builds the same
 X and Y but evaluates only that last step, at lambda, as the exact dot
 sum_i X[i] Y[lambda - i]; F and I are sums of squares of the full X * Y.
-Each call builds every histogram it needs once.  The prime context builds
+SIGNED and J share one correlation of sum histograms: a plus signs and
+b minus signs count sum_x S_a[x] S_b[x - lambda], and J with ell is a =
+b = ell.  Each call builds every histogram it needs once, and runs each
+distinct exact convolution once: convolutions are kept per pair of
+operand objects, and roles on one window share their histograms, so R
+with k = ell = 1 over the default windows convolves u * u once for both
+A * B and u^(*2).  The prime context builds
 (or loads from its cache) each factorial window, and the discrete-log
 table, on first read and keeps it; only the convolution engine reads the
 table.
@@ -143,16 +149,19 @@ class CountQuery:
 
 
 class _Inputs:
-    """The windows and sum histograms of one count call.
+    """The windows, histograms and exact convolutions of one count call.
 
-    Windows come from the query's context, which keeps each one.  Sum
-    histograms are built once per call, keyed by (offset, length, k), so
-    roles that coincide share one.  An instance lives for one call: a
-    CountResult keeps its query, and a sweep keeps many results.
+    Windows come from the query's context, which keeps each one.  Each
+    histogram is built once per call and kept per window, so roles that
+    coincide share one object.  Each exact convolution runs once per call:
+    convolve keeps its results, keyed by operand identity, and sums and
+    power chain through it, so S_2 = h * h serves S_3 = S_2 * h, and two
+    roles on one window share every step.  An instance lives for one call:
+    a CountResult keeps its query, and a sweep keeps many results.
     """
 
     def __init__(self, q: CountQuery):
-        self.q, self._sums = q, {}
+        self.q, self._kept, self._convs = q, {}, {}
 
     def window(self, role: str) -> FactorialWindow:
         """The main ("n"), second ("m"), plain ("t") or "full" window."""
@@ -164,11 +173,44 @@ class _Inputs:
     def values(self, role: str) -> np.ndarray:
         return self.window(role).values
 
-    def sums(self, role: str, k: int) -> np.ndarray:
+    def _keep(self, kind: str, role: str, build, k: int = 1) -> np.ndarray:
         w = self.window(role)
-        if (w.L, w.N, k) not in self._sums:
-            self._sums[w.L, w.N, k] = factorial.sum_histogram(w, k)
-        return self._sums[w.L, w.N, k]
+        if (kind, w.L, w.N, k) not in self._kept:
+            self._kept[kind, w.L, w.N, k] = build(w)
+        return self._kept[kind, w.L, w.N, k]
+
+    def convolve(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """a * b, exact; run once per pair of operand objects.  The kept
+        entry holds a and b, so their ids stay unique for the call."""
+        key = (id(a), id(b)) if id(a) <= id(b) else (id(b), id(a))
+        if key not in self._convs:
+            self._convs[key] = (a, b, transform.cyclic_convolve_exact(a, b))
+        return self._convs[key][2]
+
+    def power(self, vec: np.ndarray, k: int) -> np.ndarray:
+        """vec convolved with itself k times, one step at a time."""
+        acc = vec
+        for _ in range(k - 1):
+            acc = self.convolve(acc, vec)
+        return acc
+
+    def sums(self, role: str, k: int) -> np.ndarray:
+        """The k-fold sum histogram of the window, over residues."""
+        h = self._keep("residues", role, factorial.value_histogram)
+        return self.power(h, k)
+
+    def exponents(self, role: str) -> np.ndarray:
+        """The window's histogram over exponents."""
+        return self._keep("exponents", role, factorial.exponent_histogram)
+
+    def brackets(self, role: str, k: int) -> np.ndarray:
+        """The k-fold sum histogram over exponents, bin 0 dropped: a
+        single factorial never vanishes, so k = 1 is the exponent
+        histogram, shared with every role on the same window."""
+        if k == 1:
+            return self.exponents(role)
+        exps = self.q.ctx.power_table()
+        return self._keep("brackets", role, lambda w: self.sums(role, k)[exps], k)
 
     def pairs(self) -> np.ndarray:
         return factorial.product_histogram(self.window("m"), self.window("n"))
@@ -217,64 +259,62 @@ def _convolution_at(x: np.ndarray, y: np.ndarray, at: int) -> int:
 # convolution engine
 
 
-def _fold(parts: list[tuple[np.ndarray, int]]):
-    """Convolve all but the last of parts, (vector, total) pairs, into X.
-    Returns (X, Y, bound): all parts convolve to X * Y, or to X when Y is
-    None, and bound, the product of the totals, ceils every entry."""
-    acc, bound = parts[0]
-    for vec, total in parts[1:-1]:
-        acc = transform.cyclic_convolve_exact(acc, vec, bound=bound * total)
-        bound *= total
-    if len(parts) == 1:
-        return acc, None, bound
-    return acc, parts[-1][0], bound * parts[-1][1]
+def _correlation(inp: _Inputs, plus: int, minus: int) -> list[np.ndarray]:
+    """Parts whose convolution at lambda counts the plus-fold sums minus
+    the minus-fold sums of window factorials that equal lambda: the
+    correlation sum_x S_plus[x] S_minus[x - lambda], as S_plus *
+    rev(S_minus).  A side with no terms is left out, and a lone side S_k
+    goes as S_(k-1) * S_1, so a single-lambda count still ends in a dot."""
+    sides = [(plus, 1), (minus, -1)]
+    if not (plus and minus):
+        k, sign = max(sides)  # the side with terms
+        sides = [(k - 1, sign), (1, sign)] if k > 1 else [(1, sign)]
+    sums = [(inp.sums("n", k), sign) for k, sign in sides]
+    return [S if sign == 1 else transform.index_reversed(S) for S, sign in sums]
 
 
 def _conv_profile(q: CountQuery, inp: _Inputs, at: int | None = None):
     """Exact counts for every lambda at once (length p; family R works on
     exponents and maps back to residues with a structurally empty zero bin).
 
-    With at set, only the count at lambda = at: the last convolution X * Y
-    is evaluated at that one index as an exact dot.  F and I have no
-    profile: their count is the sum of squares of the full X * Y.  Past
+    Every family convolves a list of parts: all but the last fold into X,
+    and the last is Y.  J and SIGNED are one correlation of sum histograms
+    (_correlation); J is SIGNED with ell plus and ell minus signs.  With
+    at set, only the count at lambda = at: X * Y is evaluated at that one
+    index as an exact dot.  F and I have no profile: their count is the
+    sum of squares of the full X * Y.  Every convolution goes through
+    inp.convolve, so a count runs each distinct one once.  Past
     field.DLOG_MEMORY_LIMIT the engine refuses before its first length-p
     allocation.
     """
     ctx, fam = q.ctx, q.family
     field.check_table_limit(ctx.p, f"the convolution engine for p={ctx.p}")
-    N, M, T = int(q.N), int(q.M), int(q.T)
     diagonal = fam in ("F", "I")
     if diagonal and at is None:
         raise ParameterError(f"family {fam} is a single diagonal count, not a profile")
     if fam == "J":
-        G = inp.sums("n", q.ell)
-        parts = [(G, N**q.ell), (transform.index_reversed(G), N**q.ell)]
+        parts = _correlation(inp, q.ell, q.ell)
     elif fam == "SIGNED":
-        h = inp.sums("n", 1)
-        rev = transform.index_reversed(h)
-        parts = [(h if s == 1 else rev, N) for s in q.signs]
-    elif fam == "T":
-        parts = [(inp.pairs(), M * N)] * q.r
+        parts = _correlation(inp, q.signs.count(1), q.signs.count(-1))
+    elif fam in ("T", "F"):
+        parts = [inp.pairs()] * (q.r if fam == "T" else q.ell)
     elif fam == "Q":
-        parts = [(inp.pairs(), M * N), (inp.sums("n", q.r), N**q.r)]
+        parts = [inp.pairs(), inp.sums("n", q.r)]
     elif fam == "R":
-        # bracket sums projected onto exponents, dropping bin 0
-        exps = ctx.power_table()
-        u = factorial.exponent_histogram(inp.window("t"))
-        parts = [(inp.sums("m", q.k)[exps], M**q.k)] if q.k else []
-        parts += [
-            (inp.sums("n", q.ell)[exps], N**q.ell),
-            (transform.cyclic_convolution_power(u, q.r, total=T), T**q.r),
-        ]
-    elif fam == "F":
-        parts = [(inp.pairs(), M * N)] * q.ell
+        # bracket sums over exponents; the default windows make all three
+        # k = ell = 1 roles one object, so A * B is the first step of u^r
+        parts = [inp.brackets("m", q.k)] if q.k else []
+        parts += [inp.brackets("n", q.ell), inp.power(inp.exponents("t"), q.r)]
     else:  # I
-        parts = [(factorial.exponent_histogram(inp.window("n")), N)] * q.ell
-    X, Y, bound = _fold(parts)
+        parts = [inp.exponents("n")] * q.ell
+    X = parts[0]
+    for vec in parts[1:-1]:
+        X = inp.convolve(X, vec)
+    Y = parts[-1] if len(parts) > 1 else None
     if at is not None and not diagonal:
         i = ctx.index(at) if fam == "R" else at
         return int(X[i]) if Y is None else _convolution_at(X, Y, i)
-    acc = X if Y is None else transform.cyclic_convolve_exact(X, Y, bound=bound)
+    acc = X if Y is None else inp.convolve(X, Y)
     if diagonal:
         return _exact_dot(acc, acc)
     return factorial._exponents_to_residues(ctx, acc) if fam == "R" else acc
@@ -298,11 +338,14 @@ def count_convolution(q: CountQuery) -> CountResult:
 
 def _r_dropped_mass(q: CountQuery, inp: _Inputs) -> int:
     """Tuples of family R that land on lambda = 0 because a bracket
-    vanishes; reported since the profile only covers nonzero lambda.  Reads
-    the bracket histograms the count built; their totals are M**k, N**ell."""
-    a0, a_tot = (int(inp.sums("m", q.k)[0]), int(q.M) ** q.k) if q.k else (0, 1)
-    b0, b_tot = int(inp.sums("n", q.ell)[0]), int(q.N) ** q.ell
-    return (a0 * b_tot + (a_tot - a0) * b0) * int(q.T) ** q.r
+    vanishes; reported since the profile only covers nonzero lambda.  A
+    bracket's zero mass is its total, M**k or N**ell, less the mass of the
+    bracket histogram the count built, which drops bin 0."""
+    M, N = int(q.M), int(q.N)
+    a_tot = M**q.k
+    a0 = a_tot - int(inp.brackets("m", q.k).sum()) if q.k else 0
+    b0 = N**q.ell - int(inp.brackets("n", q.ell).sum())
+    return (a0 * N**q.ell + (a_tot - a0) * b0) * int(q.T) ** q.r
 
 
 # ---------------------------------------------------------------------------

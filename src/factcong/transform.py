@@ -7,10 +7,16 @@ the product, but only where a proven rounding bound keeps every error
 below 1/2: Percival's bound for radix-2 FFT multiplication (Math. Comp.
 72, 2003) in the form of Brent, Percival and Zimmermann (Math. Comp. 76,
 2007).  Inputs too wide for one certified product are split into limbs of
-a few bits.  Each limb is transformed once, and a self-product (two
-inputs equal by content) transforms only one side.  Limb products of the
-same shift i + j are added in the frequency domain and share one inverse
-transform, in groups whose summed bound stays below 1/2.  Inputs that
+a few bits.  Each distinct input is validated, normed and split once,
+and each limb is transformed once: a self-product (two inputs equal by
+content) transforms only one side, and an input whose top entry fits in
+one limb is its own limb, with the norm the plan already took.  Limb
+products of the same shift i + j are added in the frequency domain and
+share one inverse transform, in groups whose summed bound stays below
+1/2; a lone group is the result as it rounds.  Callers ask for each
+distinct convolution once: the counting engine keeps every convolution of
+a count, and takes the correlations of J and SIGNED as one convolution
+with an ``index_reversed`` sum histogram.  Inputs that
 would need more than ``MAX_LIMBS`` limbs take exact big-integer
 arithmetic by Kronecker packing.  numpy's FFT runs mixed radix passes
 over real data, not the textbook radix-2 transform the bound is proved
@@ -229,8 +235,10 @@ def _norm_ceiling(arr: np.ndarray) -> float:
 
 def _split_limbs(arr: np.ndarray, limb_bits: int) -> list[np.ndarray]:
     """The limb_bits-bit limbs of every entry, least significant first, as
-    int64 vectors."""
-    count = max(1, -(-int(arr.max()).bit_length() // limb_bits))
+    int64 vectors; [arr] itself when its top entry fits in one limb."""
+    count = -(-int(arr.max()).bit_length() // limb_bits)
+    if count <= 1:
+        return [arr]
     mask = (1 << limb_bits) - 1
     return [(arr >> (limb_bits * i)) & mask for i in range(count)]
 
@@ -271,30 +279,38 @@ def _shift_groups(norms_a: list[float], norms_b: list[float], padded: int):
         yield shift, pairs, _group_error(size, len(pairs), padded)
 
 
-def _limb_spectra(arr: np.ndarray, plan: ConvolutionPlan):
+def _limb_spectra(arr: np.ndarray, norm: float, plan: ConvolutionPlan):
     """The rfft of every limb of arr, and a ceiling on every limb's norm.
 
-    The norms come from the int64 limbs; the float64 cast is exact, since
-    limb_bits <= 53."""
+    An input of one limb is its own limb, and norm, the ceiling already
+    taken for the plan, is its limb's.  Otherwise the norms come from the
+    int64 limbs.  The float64 cast is exact, since limb_bits <= 53."""
     limbs = _split_limbs(arr, plan.limb_bits)
-    spectra = [np.fft.rfft(v.astype(np.float64), plan.padded) for v in limbs]
-    return spectra, list(map(_norm_ceiling, limbs))
+    norms = [norm] if len(limbs) == 1 else list(map(_norm_ceiling, limbs))
+    return [np.fft.rfft(v.astype(np.float64), plan.padded) for v in limbs], norms
 
 
-def _cyclic_convolve_fft(a: np.ndarray, b: np.ndarray, plan: ConvolutionPlan):
+def _cyclic_convolve_fft(a: np.ndarray, b: np.ndarray, plan: ConvolutionPlan,
+                         norm_a: float, norm_b: float):
     """Exact cyclic convolution by float FFT products of limbs.
 
-    One spectrum per limb, shared by both sides when b is a; one inverse
-    per group of ``_shift_groups``.  The rounded groups of a shift are
-    summed in int64 (each is below 2**53).  Returns None when a group is
-    not certified below 1/2, or a rounded entry sat farther from its
-    integer than its group's certified error allows.
+    norm_a and norm_b are the ceilings the plan was made from.  One
+    spectrum per limb, shared by both sides when b is a; one inverse per
+    group of ``_shift_groups``.  A lone group (both inputs of one limb) is
+    the result as it rounds; otherwise the rounded groups of a shift are
+    summed in int64 (each is below 2**53) and the shifts are combined.
+    Returns an int64 or object vector, or None when a group is not
+    certified below 1/2, or a rounded entry sat farther from its integer
+    than its group's certified error allows.
     """
     n, padded, width = plan.length, plan.padded, plan.limb_bits
-    spectra_a, norms_a = _limb_spectra(a, plan)
-    spectra_b, norms_b = (spectra_a, norms_a) if b is a else _limb_spectra(b, plan)
+    spectra_a, norms_a = _limb_spectra(a, norm_a, plan)
+    spectra_b, norms_b = (
+        (spectra_a, norms_a) if b is a else _limb_spectra(b, norm_b, plan)
+    )
+    groups = list(_shift_groups(norms_a, norms_b, padded))
     shifts: dict[int, np.ndarray] = {}
-    for shift, pairs, error in _shift_groups(norms_a, norms_b, padded):
+    for shift, pairs, error in groups:
         if error >= 0.5:
             return None
         y = np.fft.irfft(sum(spectra_a[i] * spectra_b[j] for i, j in pairs), padded)
@@ -305,13 +321,17 @@ def _cyclic_convolve_fft(a: np.ndarray, b: np.ndarray, plan: ConvolutionPlan):
         if padded != n:
             # exact: a cyclic output of the group is below 2**53
             rounded[: n - 1] += rounded[n : 2 * n - 1]
-        shifts[shift] = shifts.get(shift, 0) + rounded[:n].astype(np.int64)
+        group = rounded[:n].astype(np.int64)
+        if len(groups) == 1:
+            return group
+        if shift in shifts:
+            shifts[shift] += group
+        else:
+            shifts[shift] = group
     top = sum(int(v.max()) << (width * s) for s, v in shifts.items())
     if top <= _INT64_MAX:
-        out = sum(v << (width * s) for s, v in shifts.items())
-    else:
-        out = sum(v.astype(object) << (width * s) for s, v in shifts.items())
-    return _finalize(out, plan.bound)
+        return sum(v << (width * s) for s, v in shifts.items())
+    return sum(v.astype(object) << (width * s) for s, v in shifts.items())
 
 
 def _pack_bigint(values: list[int], limb_bytes: int) -> int:
@@ -339,8 +359,9 @@ def _cyclic_convolve_bigint(a: np.ndarray, b: np.ndarray, bound: int) -> list[in
 
 
 def _finalize(values: np.ndarray, bound: int) -> np.ndarray:
-    """A copy of values as int64 when the bound fits, else as Python ints."""
-    return values.astype(np.int64 if bound <= _INT64_MAX else object)
+    """values as int64 when the bound fits, else as Python ints; values
+    itself when it already has that dtype."""
+    return values.astype(np.int64 if bound <= _INT64_MAX else object, copy=False)
 
 
 def cyclic_convolve_exact(a, b, bound: int | None = None) -> np.ndarray:
@@ -350,10 +371,12 @@ def cyclic_convolve_exact(a, b, bound: int | None = None) -> np.ndarray:
     int64 when the certified bound fits, otherwise Python integers.  The
     default bound sum(a) * sum(b) is always valid for nonnegative input.
     A float result must also have the exact total sum(a) * sum(b), or it is
-    recomputed by big integers.
+    recomputed by big integers.  Each distinct input is validated, normed
+    and split once: b passed as a, or equal to a by content, is a
+    self-product.
     """
     arr_a, total_a = _as_int_vector(a)
-    arr_b, total_b = _as_int_vector(b)
+    arr_b, total_b = (arr_a, total_a) if b is a else _as_int_vector(b)
     if arr_a.size != arr_b.size:
         raise ParameterError("cyclic convolution needs equal lengths")
     if arr_b is not arr_a and np.array_equal(arr_a, arr_b):
@@ -361,13 +384,15 @@ def cyclic_convolve_exact(a, b, bound: int | None = None) -> np.ndarray:
     n = arr_a.size
     total = total_a * total_b
     bound = total if bound is None else int(bound)
-    plan = plan_cyclic_convolution(n, bound, _norm_ceiling(arr_a), _norm_ceiling(arr_b))
+    norm_a = _norm_ceiling(arr_a)
+    norm_b = norm_a if arr_b is arr_a else _norm_ceiling(arr_b)
+    plan = plan_cyclic_convolution(n, bound, norm_a, norm_b)
     if n == 1:
         return _finalize(np.array([total], dtype=object), bound)
     if plan.engine == "fft":
-        out = _cyclic_convolve_fft(arr_a, arr_b, plan)
+        out = _cyclic_convolve_fft(arr_a, arr_b, plan, norm_a, norm_b)
         if out is not None and _exact_sum(out) == total:
-            return out
+            return _finalize(out, bound)
     exact = _cyclic_convolve_bigint(arr_a, arr_b, bound)
     return _finalize(np.array(exact, dtype=object), bound)
 
@@ -385,7 +410,7 @@ def cyclic_convolution_power(a, k: int, total: int | None = None) -> np.ndarray:
     if total is None:
         total = tot
     if k == 1:
-        return _finalize(arr, total)
+        return _finalize(arr.copy(), total)
     acc = arr
     acc_total = total
     for _ in range(k - 1):

@@ -1,6 +1,8 @@
 import dataclasses
+import functools
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -677,3 +679,102 @@ def test_r_count_makes_at_most_three_convolutions(monkeypatch):
     q = CountQuery(family="R", ctx=ctx, k=2, ell=2, r=1, lam=7)
     assert count_convolution(q).count == 7147258
     assert len(calls) <= 3
+
+
+# transform budget: each distinct exact convolution runs once per count,
+# and each distinct input is normed once per convolution
+
+@pytest.fixture
+def transform_calls(monkeypatch):
+    """Calls of np.fft.rfft/irfft and of three transform functions."""
+    calls = Counter()
+    for module, name in ((np.fft, "rfft"), (np.fft, "irfft"),
+                         (transform, "cyclic_convolve_exact"),
+                         (transform, "_norm_ceiling"),
+                         (transform, "_cyclic_convolve_bigint")):
+        def counted(*args, _name=name, _fn=getattr(module, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize(("family", "params"), [
+    # S_2 = h * h, a self-product, then one dot with rev(h); before, the
+    # count convolved h * rev(h): two rffts
+    ("SIGNED", {"k": 3, "signs": (1, -1, 1)}),
+    # S_2 serves both sides
+    ("SIGNED", {"k": 4, "signs": (1, -1, -1, 1)}),
+    # a lone side S_3 goes as S_2 * h and ends in a dot
+    ("SIGNED", {"k": 3, "signs": (1, 1, 1)}),
+    ("J", {"ell": 2}),
+    # A * B and the first step of u^2 are one convolution of one object
+    ("R", {"k": 1, "ell": 1, "r": 2}),
+])
+def test_count_transforms_each_distinct_vector_once(transform_calls, family, params):
+    ctx = PrimeContext.create(1009, with_dlog=True)
+    for lam in (7, 1008):
+        transform_calls.clear()
+        count_convolution(CountQuery(family=family, ctx=ctx, lam=lam, **params))
+        # and no float product falls back to big integers
+        assert dict(transform_calls) == {
+            "cyclic_convolve_exact": 1, "rfft": 1, "irfft": 1, "_norm_ceiling": 1,
+        }, lam
+
+
+@functools.cache
+def signed_tally(p, L, N, signs):
+    """The brute engine's tally of one sign multiset (order is irrelevant)."""
+    values = PrimeContext.create(p).window(L, N).values
+    return kernels.sum_tally(values, signs, p)
+
+
+SIGN_TUPLES = [s for k in range(1, 5) for s in itertools.product((1, -1), repeat=k)]
+
+
+@pytest.mark.parametrize("window", [(0, 100), (3, 40)], ids=["full", "short"])
+@pytest.mark.parametrize("signs", SIGN_TUPLES,
+                         ids=lambda signs: "".join("pm"[s < 0] for s in signs))
+def test_signed_every_sign_tuple_matches_brute(ctx101, window, signs):
+    L, N = window
+    want = signed_tally(101, L, N, tuple(sorted(signs)))
+    q = CountQuery(family="SIGNED", ctx=ctx101, k=len(signs), signs=signs, L=L, N=N)
+    assert [int(x) for x in count_profile(q)] == [int(x) for x in want]
+    for lam in range(101):
+        got = count_convolution(dataclasses.replace(q, lam=lam)).count
+        assert got == want[lam], lam
+    if len(signs) <= 2:
+        q = dataclasses.replace(q, lam=5)
+        assert brute_force_count(q).count == want[5]
+
+
+R_WINDOWS = {
+    # every role on one window: the three k = ell = 1 roles share an object
+    "shared": {},
+    "distinct": {"K": 3, "M": 20, "L": 5, "N": 17, "S": 2, "T": 10},
+    # the bracket window (K, M) is also the plain window (S, T)
+    "m-is-t": {"K": 3, "M": 20, "S": 3, "T": 20, "L": 5, "N": 17},
+}
+
+
+@pytest.mark.parametrize("windows", sorted(R_WINDOWS))
+@pytest.mark.parametrize("k", (0, 1, 2))
+@pytest.mark.parametrize("ell", (1, 2))
+@pytest.mark.parametrize("r", (1, 2, 3))
+def test_r_matches_brute_with_shared_and_distinct_windows(windows, k, ell, r):
+    p = 31
+    ctx = PrimeContext.create(p, with_dlog=True)
+    q = CountQuery(family="R", ctx=ctx, k=k, ell=ell, r=r, lam=1, **R_WINDOWS[windows])
+    profile = count_profile(q)
+    dropped = set()
+    for lam in range(1, p):
+        res = count_convolution(dataclasses.replace(q, lam=lam))
+        assert res.count == profile[lam], lam
+        dropped.add(res.details["dropped_zero_mass"])
+    for lam in (1, 7, p - 1):
+        assert brute_force_count(dataclasses.replace(q, lam=lam)).count == profile[lam]
+    # every tuple lands on a nonzero lambda or is dropped at lambda = 0
+    q = q.resolved()
+    assert len(dropped) == 1
+    assert int(profile.sum()) + dropped.pop() == q.M**k * q.N**ell * q.T**r

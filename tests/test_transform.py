@@ -83,19 +83,16 @@ def test_zero_input_beside_wide_input():
     assert as_ints(cyclic_convolve_exact(wide, np.array([0, 0]))) == [0, 0]
 
 
-@pytest.mark.parametrize(
-    "corruption",
-    [
-        {3: 0.6},
-        # balanced, so the total still matches; only the distance check sees it
-        {3: 0.6, 5: -0.6},
-        # lands on the wrong integer; only the exact total sees it
-        {3: 1.0},
-    ],
-)
-def test_corrupted_float_product_is_recomputed(corruption, rng, monkeypatch):
-    a = rng.integers(0, 1000, size=97).astype(np.int64)
-    b = rng.integers(0, 1000, size=97).astype(np.int64)
+CORRUPTIONS = [
+    {3: 0.6},
+    # balanced, so the total still matches; only the distance check sees it
+    {3: 0.6, 5: -0.6},
+    # lands on the wrong integer; only the exact total sees it
+    {3: 1.0},
+]
+
+
+def assert_corruption_is_recomputed(a, b, corruption, monkeypatch):
     irfft = np.fft.irfft
     calls = []
 
@@ -115,6 +112,22 @@ def test_corrupted_float_product_is_recomputed(corruption, rng, monkeypatch):
     assert calls
     assert recomputed == [1]
     assert as_ints(got) == as_ints(cyclic_convolve_direct(a, b))
+
+
+@pytest.mark.parametrize("corruption", CORRUPTIONS)
+def test_corrupted_float_product_is_recomputed(corruption, rng, monkeypatch):
+    # one limb each: the lone group is the result as it rounds
+    a = rng.integers(0, 1000, size=97).astype(np.int64)
+    b = rng.integers(0, 1000, size=97).astype(np.int64)
+    assert_corruption_is_recomputed(a, b, corruption, monkeypatch)
+
+
+@pytest.mark.parametrize("corruption", CORRUPTIONS)
+def test_corrupted_multi_limb_product_is_recomputed(corruption, rng, monkeypatch):
+    # two limbs each: three shifts are combined
+    a = rng.integers(0, 2**33, size=97).astype(np.int64)
+    b = rng.integers(0, 2**33, size=97).astype(np.int64)
+    assert_corruption_is_recomputed(a, b, corruption, monkeypatch)
 
 
 @pytest.fixture
@@ -176,6 +189,28 @@ def test_multi_limb_products_match_direct(n, other, top_a, top_b, data):
     else:
         b = a if other == "same" else a.copy()
     assert as_ints(cyclic_convolve_exact(a, b)) == as_ints(cyclic_convolve_direct(a, b))
+
+
+@pytest.mark.parametrize(("bits", "rfft", "irfft", "norms"), [
+    # a top entry of exactly limb_bits bits: a is its own limb, normed once
+    (18, 3, 2, 4),
+    # one bit more: a splits into two limbs, each normed
+    (19, 4, 3, 6),
+])
+def test_limb_boundary_matches_direct(fft_calls, monkeypatch, bits, rfft, irfft, norms):
+    a = np.random.default_rng(3).integers(0, 2**17, size=64, dtype=np.int64)
+    a[5] = 2**bits - 1
+    b = two_limb_vector(2)
+    plan = plan_cyclic_convolution(64, int(a.sum()) * int(b.sum()), norm(a), norm(b))
+    assert (plan.engine, plan.limbs, plan.limb_bits) == ("fft", 2, 18)
+    norm_ceiling = transform._norm_ceiling
+    monkeypatch.setattr(transform, "_norm_ceiling",
+                        lambda v: fft_calls.update(["norm"]) or norm_ceiling(v))
+    # the float product certifies: no result falls back to big integers
+    monkeypatch.setattr(transform, "_cyclic_convolve_bigint", None)
+    got = cyclic_convolve_exact(a, b)
+    assert dict(fft_calls) == {"rfft": rfft, "irfft": irfft, "norm": norms}
+    assert as_ints(got) == as_ints(cyclic_convolve_direct(a, b))
 
 
 def test_shift_splits_when_the_sum_is_not_certified(fft_calls, monkeypatch):
