@@ -18,10 +18,8 @@ On glibc the first call also sets the process's malloc thresholds
 from __future__ import annotations
 
 import argparse
-import csv
 import ctypes
 import functools
-import io
 import json
 import os
 import platform
@@ -161,7 +159,8 @@ def _add_multiplicities(parser):
     parser.add_argument("--lambda", dest="lam", type=int, default=None,
                         help="target residue")
     parser.add_argument("--signs", type=parse_signs, default=None,
-                        help='sign pattern, e.g. "+-" or "1,-1"')
+                        help='sign pattern, e.g. "+-" or "1,-1"; join one that '
+                        'starts with "-" by "=", as in --signs=-+--')
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -422,21 +421,14 @@ def _sum_value_output(key: str, index: int, sv) -> CommandOutput:
 
 
 def _count_query(ns, ctx) -> CountQuery:
-    return CountQuery(
-        family=ns.family,
-        ctx=ctx,
-        ell=ns.ell if ns.ell is not None else 1,
-        k=ns.k if ns.k is not None else 1,
-        r=ns.r if ns.r is not None else 1,
-        lam=ns.lam if ns.lam is not None else (1 if ns.family == "R" else 0),
-        signs=ns.signs or (),
-        L=ns.L,
-        N=ns.N,
-        K=ns.K,
-        M=ns.M,
-        S=ns.S,
-        T=ns.T,
-    )
+    """The fields given on the command line, less --s, which only sweeps
+    read; CountQuery has every other default but one: lambda is 1 for R,
+    which needs it nonzero."""
+    fields = _given_params(ns)
+    fields.pop("s", None)
+    if ns.family == "R":
+        fields.setdefault("lam", 1)
+    return CountQuery(family=ns.family, ctx=ctx, **fields)
 
 
 def _cmd_count(ns) -> CommandOutput:
@@ -474,7 +466,7 @@ def _cmd_count(ns) -> CommandOutput:
     return CommandOutput(_single_row(row), lambda: str(row["count"]))
 
 
-def _sweep_params(ns) -> dict:
+def _given_params(ns) -> dict:
     return {
         key: getattr(ns, key)
         for key in ("ell", "k", "r", "s", "lam", "signs", "L", "N", "K", "M", "S", "T")
@@ -501,7 +493,7 @@ def _run_sweeps(ns, bound_ids) -> CommandOutput:
     result = analysis.verify_sweep(
         bound_ids,
         ns.primes,
-        _sweep_params(ns),
+        _given_params(ns),
         engine=ns.engine,
         threads=ns.threads,
         seed=ns.seed,
@@ -620,27 +612,17 @@ def _table_text(columns: dict, formats: list, sep: str) -> str:
     return "\n".join(lines)
 
 
-def _render_delimited(output: CommandOutput, delimiter: str) -> str:
-    formats = _formats(output.columns)
-    if _cell not in formats:
-        # The repr of a float or str of an int holds no delimiter, quote or
-        # line break, so csv.writer would write each cell as it is.
-        return _table_text(output.columns, formats, delimiter)
-    buf = io.StringIO()
-    writer = csv.writer(buf, delimiter=delimiter, lineterminator="\n")
-    writer.writerow(output.columns)
-    for rows in _blocks(output.columns, formats):
-        writer.writerows(rows)
-    return buf.getvalue().rstrip("\n")
-
-
 def render(envelope: dict, output: CommandOutput, fmt: str) -> str:
     if fmt == "plain":
         return output.plain()
     if fmt == "json":
         envelope = {**envelope, "results": output.rows()}
         return json.dumps(envelope, indent=2, default=_json_default)
-    return _render_delimited(output, "," if fmt == "csv" else "\t")
+    # No cell needs quoting: a number's text holds no delimiter, quote or
+    # line break, and nor does any string a table holds (bound ids, family
+    # and engine names), so cells are joined as they are.
+    return _table_text(output.columns, _formats(output.columns),
+                       "," if fmt == "csv" else "\t")
 
 
 def run(ns: argparse.Namespace) -> tuple[dict, CommandOutput]:

@@ -326,7 +326,11 @@ def count_convolution(q: CountQuery) -> CountResult:
     started = time.perf_counter()
     inp = _Inputs(q)
     value = _conv_profile(q, inp, at=q.lam)
-    details = {"dropped_zero_mass": _r_dropped_mass(q, inp)} if q.family == "R" else {}
+    details = {}
+    if q.family == "R":
+        a0 = int(inp.sums("m", q.k)[0]) if q.k else 0
+        b0 = int(inp.sums("n", q.ell)[0])
+        details["dropped_zero_mass"] = _r_dropped_mass(q, a0, b0)
     return CountResult(
         query=q,
         count=int(value),
@@ -336,16 +340,14 @@ def count_convolution(q: CountQuery) -> CountResult:
     )
 
 
-def _r_dropped_mass(q: CountQuery, inp: _Inputs) -> int:
+def _r_dropped_mass(q: CountQuery, a0: int, b0: int) -> int:
     """Tuples of family R that land on lambda = 0 because a bracket
-    vanishes; reported since the profile only covers nonzero lambda.  A
-    bracket's zero mass is its total, M**k or N**ell, less the mass of the
-    bracket histogram the count built, which drops bin 0."""
-    M, N = int(q.M), int(q.N)
-    a_tot = M**q.k
-    a0 = a_tot - int(inp.brackets("m", q.k).sum()) if q.k else 0
-    b0 = N**q.ell - int(inp.brackets("n", q.ell).sum())
-    return (a0 * N**q.ell + (a_tot - a0) * b0) * int(q.T) ** q.r
+    vanishes, given a0 of the M**k first and b0 of the N**ell second
+    brackets that vanish (the zero bins of the k- and ell-fold sum
+    histograms, which each engine builds its own way); reported since no
+    nonzero lambda counts them."""
+    a_tot = int(q.M) ** q.k
+    return (a0 * int(q.N) ** q.ell + (a_tot - a0) * b0) * int(q.T) ** q.r
 
 
 # ---------------------------------------------------------------------------
@@ -472,6 +474,7 @@ def brute_force_count(q: CountQuery) -> CountResult:
     started = time.perf_counter()
     fam = q.family
     values = _Inputs(q).values
+    details = {}
     powers = functools.cache(lambda: _power_table(q.ctx))
     if fam == "J":
         tally = kernels.sum_tally(values("n"), (1,) * q.ell, p)
@@ -504,12 +507,13 @@ def brute_force_count(q: CountQuery) -> CountResult:
         C = kernels.prod_tally(values("t"), q.r, p, powers)
         inv = kernels.inverse_table(values("full"), p)
         value = _r_combine(A, B, C[q.lam * inv % p], p, powers)
+        details["dropped_zero_mass"] = _r_dropped_mass(q, int(A[0]), int(B[0]))
     return CountResult(
         query=q,
         count=int(value),
         engine="brute-force",
         seconds=time.perf_counter() - started,
-        details={"enumerated_tuples": work},
+        details=details,
     )
 
 
@@ -522,7 +526,8 @@ def count(q: CountQuery, engine: str = "auto") -> CountResult:
 
     auto picks brute force below AUTO_BRUTE_THRESHOLD estimated steps and
     the convolution engine otherwise; both runs the two independently and
-    raises EngineMismatchError on disagreement.
+    raises EngineMismatchError when their counts or details (R's
+    dropped_zero_mass) disagree.
     """
     q = q.resolved()
     if engine == "auto":
@@ -535,20 +540,18 @@ def count(q: CountQuery, engine: str = "auto") -> CountResult:
     if engine == "both":
         conv = count_convolution(q)
         brute = brute_force_count(q)
-        if conv.count != brute.count:
+        if (conv.count, conv.details) != (brute.count, brute.details):
             raise EngineMismatchError(
                 f"engines disagree for {q.family}: convolution={conv.count} "
-                f"brute-force={brute.count} (p={q.ctx.p}, lam={q.lam})"
+                f"{conv.details} brute-force={brute.count} {brute.details} "
+                f"(p={q.ctx.p}, lam={q.lam})"
             )
         return CountResult(
             query=q,
             count=conv.count,
             engine="both",
             seconds=conv.seconds + brute.seconds,
-            details={
-                "convolution_seconds": conv.seconds,
-                "brute_force_seconds": brute.seconds,
-            },
+            details=conv.details,
         )
     raise ParameterError(
         f"unknown engine {engine!r}; expected auto, conv, brute, or both"

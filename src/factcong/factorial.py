@@ -81,7 +81,7 @@ def sum_histogram(window: FactorialWindow, k: int) -> np.ndarray:
     base = value_histogram(window)
     if k == 1:
         return base
-    return transform.cyclic_convolution_power(base, k, total=window.N)
+    return transform.cyclic_convolution_power(base, k)
 
 
 def _exponents_to_residues(ctx: PrimeContext, vec: np.ndarray) -> np.ndarray:
@@ -102,5 +102,5 @@ def product_histogram(wa: FactorialWindow, wb: FactorialWindow) -> np.ndarray:
         raise ParameterError("windows live over different primes")
     ea = exponent_histogram(wa)
     eb = ea if (wb.L, wb.N) == (wa.L, wa.N) else exponent_histogram(wb)
-    conv = transform.cyclic_convolve_exact(ea, eb, bound=wa.N * wb.N)
+    conv = transform.cyclic_convolve_exact(ea, eb)
     return _exponents_to_residues(wa.ctx, conv)

@@ -23,8 +23,10 @@ over real data, not the textbook radix-2 transform the bound is proved
 for, so every rounded group is checked as well: each entry must lie
 within the certified error of an integer, and the result must have the
 exact total sum(a) * sum(b).  A result that fails either check is
-recomputed by big integers.  A quadratic schoolbook engine is the test
-oracle.
+recomputed by big integers.  No caller supplies a coefficient bound:
+the certificate rests on the inputs' norms alone, and the exact total
+sizes the result, int64 when sum(a) * sum(b) fits and Python integers
+past it.  A quadratic schoolbook engine is the test oracle.
 
 Spectra need complex DFTs whose length is a prime p or the composite
 p - 1; numpy's FFT computes them, and every spectrum carries a
@@ -72,9 +74,9 @@ MAX_LIMBS = 8
 class ConvolutionPlan:
     """Resolved strategy for one exact cyclic convolution.
 
-    engine is "fft", "bigint", or "direct"; padded is the power-of-two
-    transform size (equal to length when length is itself a power of two);
-    bound is the certified ceiling on every output coefficient.  An "fft"
+    engine is "fft" or "bigint"; padded is the power-of-two transform size
+    (equal to length when length is itself a power of two).  The plan
+    rests on the inputs' norms alone, with no coefficient bound.  An "fft"
     plan splits each input into at most ``limbs`` limbs of ``limb_bits``
     bits, and ``error`` is its certified ceiling, below 1/2, on the rounding
     error of any one limb product.  ``moduli`` is always empty, since no
@@ -84,7 +86,6 @@ class ConvolutionPlan:
     length: int
     padded: int
     engine: str
-    bound: int
     limbs: int = 0
     limb_bits: int = 0
     error: float = 0.0
@@ -113,9 +114,7 @@ def _fft_error_factor(padded: int, adds: int = 0) -> float:
     return math.expm1(growth) * (1.0 + 2.0**-20)
 
 
-def plan_cyclic_convolution(
-    length: int, bound: int, norm_a: float, norm_b: float
-) -> ConvolutionPlan:
+def plan_cyclic_convolution(length: int, norm_a: float, norm_b: float) -> ConvolutionPlan:
     """Pick the engine, transform size and limb split for one convolution.
 
     norm_a and norm_b are ceilings on the Euclidean norms of the two
@@ -126,18 +125,13 @@ def plan_cyclic_convolution(
     qualifies it falls back to big integers.
     """
     length = int(length)
-    bound = int(bound)
     if length < 1:
         raise ParameterError("convolution length must be at least 1")
-    if bound < 0:
-        raise ParameterError("coefficient bound must be nonnegative")
-    if length == 1:
-        return ConvolutionPlan(1, 1, "direct", bound)
     if length & (length - 1) == 0:
         padded = length
     else:
         padded = _next_pow2(2 * length - 1)
-    bigint = ConvolutionPlan(length, padded, "bigint", bound)
+    bigint = ConvolutionPlan(length, padded, "bigint")
     norms = [float(norm_a), float(norm_b)]
     if not all(math.isfinite(v) for v in norms):
         return bigint
@@ -150,9 +144,7 @@ def plan_cyclic_convolution(
         worst = min(norms[0], limb_norm) * min(norms[1], limb_norm)
         error = worst * factor
         if limb_bits <= 53 and error < 0.5 and worst < 2.0**53:
-            return ConvolutionPlan(
-                length, padded, "fft", bound, limbs, limb_bits, error
-            )
+            return ConvolutionPlan(length, padded, "fft", limbs, limb_bits, error)
     return bigint
 
 
@@ -340,14 +332,15 @@ def _pack_bigint(values: list[int], limb_bytes: int) -> int:
     )
 
 
-def _cyclic_convolve_bigint(a: np.ndarray, b: np.ndarray, bound: int) -> list[int]:
+def _cyclic_convolve_bigint(a: np.ndarray, b: np.ndarray, total: int) -> list[int]:
     """Exact cyclic convolution through one wide integer multiplication.
 
-    Coefficients are packed as little-endian limbs wide enough that no
-    limb of the product can carry into its neighbor.
+    Coefficients are packed as little-endian limbs wide enough to hold
+    total, sum(a) * sum(b), which no coefficient of the product passes, so
+    no limb carries into its neighbor.
     """
     n = a.size
-    limb_bytes = max(1, (max(int(bound), 1).bit_length() + 7) // 8)
+    limb_bytes = max(1, (max(total, 1).bit_length() + 7) // 8)
     A = _pack_bigint([int(x) for x in a.tolist()], limb_bytes)
     B = _pack_bigint([int(x) for x in b.tolist()], limb_bytes)
     raw = (A * B).to_bytes(limb_bytes * 2 * n, "little")
@@ -358,46 +351,45 @@ def _cyclic_convolve_bigint(a: np.ndarray, b: np.ndarray, bound: int) -> list[in
     return [limbs[t] + (limbs[t + n] if t + n < 2 * n else 0) for t in range(n)]
 
 
-def _finalize(values: np.ndarray, bound: int) -> np.ndarray:
-    """values as int64 when the bound fits, else as Python ints; values
-    itself when it already has that dtype."""
-    return values.astype(np.int64 if bound <= _INT64_MAX else object, copy=False)
+def _finalize(values: np.ndarray, total: int) -> np.ndarray:
+    """values as int64 when total, the exact sum of the nonnegative
+    entries, fits, else as Python ints; values itself when it already has
+    that dtype."""
+    return values.astype(np.int64 if total <= _INT64_MAX else object, copy=False)
 
 
-def cyclic_convolve_exact(a, b, bound: int | None = None) -> np.ndarray:
+def cyclic_convolve_exact(a, b) -> np.ndarray:
     """Exact cyclic convolution of two nonnegative integer vectors.
 
     out[t] = sum over i+j = t (mod n) of a[i] * b[j].  The result dtype is
-    int64 when the certified bound fits, otherwise Python integers.  The
-    default bound sum(a) * sum(b) is always valid for nonnegative input.
-    A float result must also have the exact total sum(a) * sum(b), or it is
-    recomputed by big integers.  Each distinct input is validated, normed
-    and split once: b passed as a, or equal to a by content, is a
+    int64 exactly when its total sum(a) * sum(b), which no entry passes,
+    fits, and Python integers otherwise.  A float result must also have
+    that exact total, or it is recomputed by big integers.  A length-1
+    input is [a0 * b0], with no plan.  Each distinct input is validated,
+    normed and split once: b passed as a, or equal to a by content, is a
     self-product.
     """
     arr_a, total_a = _as_int_vector(a)
     arr_b, total_b = (arr_a, total_a) if b is a else _as_int_vector(b)
     if arr_a.size != arr_b.size:
         raise ParameterError("cyclic convolution needs equal lengths")
+    total = total_a * total_b
+    if arr_a.size == 1:
+        return _finalize(np.array([total], dtype=object), total)
     if arr_b is not arr_a and np.array_equal(arr_a, arr_b):
         arr_b = arr_a  # a self-product: one set of limb spectra serves both
-    n = arr_a.size
-    total = total_a * total_b
-    bound = total if bound is None else int(bound)
     norm_a = _norm_ceiling(arr_a)
     norm_b = norm_a if arr_b is arr_a else _norm_ceiling(arr_b)
-    plan = plan_cyclic_convolution(n, bound, norm_a, norm_b)
-    if n == 1:
-        return _finalize(np.array([total], dtype=object), bound)
+    plan = plan_cyclic_convolution(arr_a.size, norm_a, norm_b)
     if plan.engine == "fft":
         out = _cyclic_convolve_fft(arr_a, arr_b, plan, norm_a, norm_b)
         if out is not None and _exact_sum(out) == total:
-            return _finalize(out, bound)
-    exact = _cyclic_convolve_bigint(arr_a, arr_b, bound)
-    return _finalize(np.array(exact, dtype=object), bound)
+            return _finalize(out, total)
+    exact = _cyclic_convolve_bigint(arr_a, arr_b, total)
+    return _finalize(np.array(exact, dtype=object), total)
 
 
-def cyclic_convolution_power(a, k: int, total: int | None = None) -> np.ndarray:
+def cyclic_convolution_power(a, k: int) -> np.ndarray:
     """k-fold cyclic self-convolution, chaining exact pairwise convs.
 
     Chaining keeps the transform size at the pairwise padding regardless
@@ -406,16 +398,12 @@ def cyclic_convolution_power(a, k: int, total: int | None = None) -> np.ndarray:
     k = int(k)
     if k < 1:
         raise ParameterError("convolution power needs k >= 1")
-    arr, tot = _as_int_vector(a)
-    if total is None:
-        total = tot
+    arr, total = _as_int_vector(a)
     if k == 1:
         return _finalize(arr.copy(), total)
     acc = arr
-    acc_total = total
     for _ in range(k - 1):
-        acc = cyclic_convolve_exact(acc, arr, bound=acc_total * total)
-        acc_total *= total
+        acc = cyclic_convolve_exact(acc, arr)
     return acc
 
 

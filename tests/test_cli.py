@@ -7,18 +7,18 @@ import numpy as np
 import pytest
 
 from factcong import cache, cli, factorial, field, kernels
+from factcong.analysis import BOUND_IDS
 from factcong.cli import (
     CommandOutput,
     _cell,
     _column_format,
-    _render_delimited,
     config_to_argv,
     format_complex,
     main,
     parse_primes,
     parse_signs,
 )
-from factcong.counting import CountQuery, count
+from factcong.counting import ENGINES, FAMILIES, CountQuery, count
 from factcong.errors import FactcongWarning, ParameterError
 from factcong.field import PrimeContext
 
@@ -73,14 +73,38 @@ def test_column_format_matches_cell(values):
 
 
 @pytest.mark.parametrize("block", [1, 2, 4096])
-def test_delimited_quotes_string_cells(monkeypatch, block):
-    # numeric tables are joined directly; any other table goes through
-    # csv.writer, which quotes a cell holding the delimiter or a quote
+def test_delimited_tables_join_cells(monkeypatch, block):
+    # csv and tsv join each cell's text as it is, a block of rows at a time
     monkeypatch.setattr(cli, "_RENDER_ROWS", block)
-    output = CommandOutput({"name": ["x,y", 'say "hi"', None], "n": [1, 2, 3]}, None)
-    assert _render_delimited(output, ",") == 'name,n\n"x,y",1\n"say ""hi""",2\n,3'
     numeric = CommandOutput({"a": [1, 2], "re": [0.5, -1e-05]}, None)
-    assert _render_delimited(numeric, "\t") == "a\tre\n1\t0.5\n2\t-1e-05"
+    assert cli.render({}, numeric, "tsv") == "a\tre\n1\t0.5\n2\t-1e-05"
+    mixed = CommandOutput({"theorem": ["T2.1", "B-I", "C2.2"], "k": [1, None, 3]}, None)
+    assert cli.render({}, mixed, "csv") == "theorem,k\nT2.1,1\nB-I,\nC2.2,3"
+
+
+def test_table_strings_need_no_quoting():
+    # the csv and tsv renderer quotes nothing, so no string a table can
+    # hold may contain a delimiter, a quote or a line break: bound ids,
+    # family names and the names of the engines that ran
+    engines = sorted({count(CountQuery(family="J", ctx=PrimeContext.create(7)),
+                            engine=e).engine for e in ENGINES})
+    assert engines == ["both", "brute-force", "convolution"]
+    for text in [*BOUND_IDS, *FAMILIES, *engines]:
+        assert text and not set(text) & set(',\t"\n\r'), text
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_r_zero_bracket_warning_under_every_engine(capsys, engine):
+    code, out, err = run_cli(
+        capsys, "count", "R", "--p", "53", "--k", "2", "--lambda", "3",
+        "--engine", engine,
+    )
+    assert code == 0
+    assert out.strip() == "139364"
+    assert err == (
+        "factcong: warning: 81120 tuples with a zero bracket product cannot "
+        "reach a nonzero residue and were excluded structurally\n"
+    )
 
 
 # documented command lines

@@ -13,6 +13,7 @@ from factcong import counting, factorial, kernels, transform
 from factcong.counting import (
     AUTO_BRUTE_THRESHOLD,
     BRUTE_FORCE_GUARD,
+    ENGINES,
     CountQuery,
     brute_force_count,
     count,
@@ -118,7 +119,7 @@ def test_engine_both_reports_match(ctx7):
     res = count(CountQuery(family="J", ctx=ctx7, ell=1), engine="both")
     assert res.engine == "both"
     assert res.count == 10
-    assert "convolution_seconds" in res.details
+    assert res.details == {}
 
 
 # mass conservation and structural properties
@@ -666,8 +667,19 @@ R_DROPPED = (
 @pytest.mark.parametrize(("p", "params", "dropped"), R_DROPPED)
 def test_r_dropped_zero_mass_unchanged(p, params, dropped):
     ctx = PrimeContext.create(p, with_dlog=True)
-    res = count_convolution(CountQuery(family="R", ctx=ctx, lam=7, **params))
-    assert res.details["dropped_zero_mass"] == dropped
+    q = CountQuery(family="R", ctx=ctx, lam=7, **params)
+    for engine in ENGINES:
+        assert count(q, engine=engine).details == {"dropped_zero_mass": dropped}
+
+
+def test_engine_both_checks_r_dropped_mass(monkeypatch):
+    # equal counts are not enough: the zero-bracket mass must agree too
+    q = CountQuery(family="R", ctx=PrimeContext.create(53), k=2, lam=3)
+    brute = counting.brute_force_count
+    monkeypatch.setattr(counting, "brute_force_count", lambda q: dataclasses.replace(
+        brute(q), details={"dropped_zero_mass": 0}))
+    with pytest.raises(EngineMismatchError, match="81120"):
+        count(q, engine="both")
 
 
 def test_r_count_makes_at_most_three_convolutions(monkeypatch):
@@ -772,9 +784,12 @@ def test_r_matches_brute_with_shared_and_distinct_windows(windows, k, ell, r):
         res = count_convolution(dataclasses.replace(q, lam=lam))
         assert res.count == profile[lam], lam
         dropped.add(res.details["dropped_zero_mass"])
+    assert len(dropped) == 1
+    (zero,) = dropped
     for lam in (1, 7, p - 1):
-        assert brute_force_count(dataclasses.replace(q, lam=lam)).count == profile[lam]
+        res = brute_force_count(dataclasses.replace(q, lam=lam))
+        assert res.count == profile[lam]
+        assert res.details == {"dropped_zero_mass": zero}
     # every tuple lands on a nonzero lambda or is dropped at lambda = 0
     q = q.resolved()
-    assert len(dropped) == 1
-    assert int(profile.sum()) + dropped.pop() == q.M**k * q.N**ell * q.T**r
+    assert int(profile.sum()) + zero == q.M**k * q.N**ell * q.T**r

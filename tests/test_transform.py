@@ -32,14 +32,14 @@ def norm(vec):
 
 def test_plan_picks_float_with_one_limb():
     a = np.full(100, 1000, dtype=np.int64)
-    small = plan_cyclic_convolution(100, 10**10, norm(a), norm(a))
+    small = plan_cyclic_convolution(100, norm(a), norm(a))
     assert small.engine == "fft"
     assert small.limbs == 1
     assert small.error < 0.5
     assert small.padded >= 199
     assert small.padded & (small.padded - 1) == 0
     assert small.moduli == ()
-    pow2 = plan_cyclic_convolution(128, 10**9, norm(a[:28]), norm(a[:28]))
+    pow2 = plan_cyclic_convolution(128, norm(a[:28]), norm(a[:28]))
     assert pow2.padded == 128
 
 
@@ -47,8 +47,7 @@ def test_plan_splits_wide_inputs_into_limbs(rng):
     n = 4096
     a = np.full(n, 2**30, dtype=np.int64)
     b = rng.integers(0, 2**30, size=n).astype(np.int64)
-    bound = int(a.sum()) * int(b.sum())
-    plan = plan_cyclic_convolution(n, bound, norm(a), norm(b))
+    plan = plan_cyclic_convolution(n, norm(a), norm(b))
     assert plan.engine == "fft"
     assert 2 <= plan.limbs <= MAX_LIMBS
     assert plan.error < 0.5
@@ -61,9 +60,8 @@ def test_plan_falls_back_to_bigint(rng):
     # inputs drawn like those of test_bigint_fallback_matches_direct
     a = (rng.integers(1, 2**40, size=33).astype(object)) ** 4
     b = (rng.integers(1, 2**40, size=33).astype(object)) ** 4
-    bound = int(sum(a)) * int(sum(b))
-    assert plan_cyclic_convolution(33, bound, norm(a), norm(b)).engine == "bigint"
-    assert plan_cyclic_convolution(16, 10**300, math.inf, math.inf).engine == "bigint"
+    assert plan_cyclic_convolution(33, norm(a), norm(b)).engine == "bigint"
+    assert plan_cyclic_convolution(16, math.inf, math.inf).engine == "bigint"
 
 
 @given(st.integers(1, 40), st.sampled_from([2**62, 2**100]), st.data())
@@ -163,7 +161,7 @@ def two_limb_vector(seed):
 def test_fft_calls_per_product(fft_calls, wide, other, rfft, irfft):
     a = two_limb_vector(1) if wide else np.arange(64, dtype=np.int64)
     b = {"same": a, "copy": a.copy(), "distinct": two_limb_vector(2)}[other]
-    plan = plan_cyclic_convolution(64, int(a.sum()) * int(b.sum()), norm(a), norm(b))
+    plan = plan_cyclic_convolution(64, norm(a), norm(b))
     assert (plan.engine, plan.limbs) == ("fft", 2 if wide else 1)
     got = cyclic_convolve_exact(a, b)
     assert dict(fft_calls) == {"rfft": rfft, "irfft": irfft}
@@ -201,7 +199,7 @@ def test_limb_boundary_matches_direct(fft_calls, monkeypatch, bits, rfft, irfft,
     a = np.random.default_rng(3).integers(0, 2**17, size=64, dtype=np.int64)
     a[5] = 2**bits - 1
     b = two_limb_vector(2)
-    plan = plan_cyclic_convolution(64, int(a.sum()) * int(b.sum()), norm(a), norm(b))
+    plan = plan_cyclic_convolution(64, norm(a), norm(b))
     assert (plan.engine, plan.limbs, plan.limb_bits) == ("fft", 2, 18)
     norm_ceiling = transform._norm_ceiling
     monkeypatch.setattr(transform, "_norm_ceiling",
@@ -300,7 +298,7 @@ def test_bigint_fallback_matches_direct(rng):
     got = cyclic_convolve_exact(a, b)
     want = cyclic_convolve_direct(a, b)
     assert as_ints(got) == as_ints(want)
-    assert plan_cyclic_convolution(33, int(sum(a)) * int(sum(b)), norm(a), norm(b)).engine == "bigint"
+    assert plan_cyclic_convolution(33, norm(a), norm(b)).engine == "bigint"
 
 
 def test_wide_values_stay_exact():
@@ -322,6 +320,51 @@ def test_rejects_negative_and_fractional_input():
 def test_length_one_convolution():
     out = cyclic_convolve_exact(np.array([7]), np.array([6]))
     assert as_ints(out) == [42]
+
+
+# the largest s with s**2 <= 2**63 - 1
+_ROOT = math.isqrt(2**63 - 1)
+
+
+@pytest.mark.parametrize(("a", "b", "dtype"), [
+    # length 1: [a0 * b0], planned by nothing
+    ([7], [(2**63 - 1) // 7], np.int64),
+    ([2**32], [2**31], object),
+    # sum(a) * sum(b) is 2**63 - 1, then 2**63
+    ([1, 2, 3, 1], [(2**63 - 1) // 7 - 3, 1, 1, 1], np.int64),
+    ([2**31, 2**30, 2**30, 0], [2**30, 2**29, 2**29, 0], object),
+    # a self-product whose total is _ROOT**2, then (_ROOT + 1)**2
+    ([_ROOT - 3, 1, 2], "same", np.int64),
+    ([_ROOT - 2, 1, 2], "same", object),
+])
+def test_result_dtype_follows_the_exact_total(a, b, dtype):
+    # int64 exactly when sum(a) * sum(b) fits in int64
+    a = np.array(a, dtype=np.int64)
+    b = a if b == "same" else np.array(b, dtype=np.int64)
+    got = cyclic_convolve_exact(a, b)
+    want = cyclic_convolve_direct(a, b)
+    assert got.dtype == want.dtype == dtype
+    assert as_ints(got) == as_ints(want)
+
+
+@pytest.mark.parametrize(("a", "k", "dtype"), [
+    ([2**62 - 1, 2**62], 1, np.int64),
+    ([2**62, 2**62], 1, object),
+    ([_ROOT - 2, 1, 1], 2, np.int64),
+    ([_ROOT - 1, 1, 1], 2, object),
+    ([2**21 - 2, 1, 0, 0], 3, np.int64),
+    ([2**20, 2**20 - 1, 1, 0], 3, object),
+])
+def test_power_dtype_follows_the_exact_total(a, k, dtype):
+    # int64 exactly when sum(a)**k fits; the oracle convolves a k times
+    # into the unit vector, whose sum is 1
+    a = np.array(a, dtype=np.int64)
+    got = cyclic_convolution_power(a, k)
+    want = np.eye(1, a.size, dtype=np.int64)[0]
+    for _ in range(k):
+        want = cyclic_convolve_direct(want, a)
+    assert got.dtype == want.dtype == dtype
+    assert as_ints(got) == as_ints(want)
 
 
 @given(st.integers(1, 5), st.data())
