@@ -324,10 +324,10 @@ def verify_sweep(
     """Evaluate each listed bound at each prime.
 
     Each prime gets one context, shared by all of its cells; it keeps the
-    windows and the discrete-log table they read, in cache_dir if given.
-    threads > 1 evaluates that many primes at once.  A cell outside its
-    bound's hypotheses or past a size or work guard is skipped and
-    recorded rather than raised.
+    windows and the tables they read, and saves windows and discrete-log
+    tables in cache_dir if given.  threads > 1 evaluates that many primes
+    at once.  A cell outside its bound's hypotheses or past a size or work
+    guard is skipped and recorded rather than raised.
     """
     bound_ids = list(bound_ids)
     for bound_id in bound_ids:

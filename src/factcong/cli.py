@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import dataclasses
 import functools
 import json
 import os
@@ -421,11 +422,15 @@ def _sum_value_output(key: str, index: int, sv) -> CommandOutput:
 
 
 def _count_query(ns, ctx) -> CountQuery:
-    """The fields given on the command line, less --s, which only sweeps
-    read; CountQuery has every other default but one: lambda is 1 for R,
-    which needs it nonzero."""
+    """The fields given on the command line; CountQuery has every default
+    but one: lambda is 1 for R, which needs it nonzero.  A flag that the
+    count would not read is refused: --s, which only sweeps read, and
+    --signs for a family other than SIGNED."""
     fields = _given_params(ns)
-    fields.pop("s", None)
+    if ns.s is not None:
+        raise ParameterError("--s is read by verify and sweep, not by count")
+    if ns.signs is not None and ns.family != "SIGNED":
+        raise ParameterError(f"--signs is read by family SIGNED only, not {ns.family}")
     if ns.family == "R":
         fields.setdefault("lam", 1)
     return CountQuery(family=ns.family, ctx=ctx, **fields)
@@ -532,16 +537,7 @@ def _cmd_sweep(ns) -> CommandOutput:
 def _cmd_stats(ns) -> CommandOutput:
     ctx = PrimeContext.create(ns.p, cache_dir=ns.cache_dir)
     window = ctx.window(ns.L, ns.N)
-    stats = analysis.distinct_stats(window)
-    row = {
-        "p": stats.p,
-        "L": stats.L,
-        "N": stats.N,
-        "distinct_count": stats.distinct_count,
-        "distinct_fraction": stats.distinct_fraction,
-        "missed_fraction": stats.missed_fraction,
-        "reference_distinct_fraction": stats.reference_distinct_fraction,
-    }
+    row = dataclasses.asdict(analysis.distinct_stats(window))
     if ns.H is not None:
         # the double-sum spectrum has length p; refuse it before the second
         # window, by default p - 1 entries, is built
@@ -587,9 +583,10 @@ _RENDER_ROWS = 4096
 def _column_format(values: list):
     """repr for an all-float column, str for an all-int column, _cell
     otherwise.  Each gives the same text as _cell on those values."""
-    if all(type(v) is float for v in values):
+    types = set(map(type, values))
+    if types == {float}:
         return repr
-    if all(type(v) is int for v in values):
+    if types == {int}:
         return str
     return _cell
 

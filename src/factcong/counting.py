@@ -26,8 +26,8 @@ kernels._use_exponents says the pairs repay the table: 128 p pairs or
 more, for p below 2**18 (kernels._product_tally, _r_combine).  The
 exponents come from the engine's own power table (_power_table): a scan
 of the powers of the context's generator by kernels.power_table, never
-the context's discrete-log table, checked in O(p) before any tally reads
-it and built at most once per count.  Fewer
+the context's power or discrete-log table, checked in O(p) before any
+tally reads it and built at most once per count.  Fewer
 pairs, larger primes, a single product level and the pair products that
 T and F materialize for r or ell >= 2 stay over residues.
 
@@ -41,10 +41,10 @@ b = ell.  Each call builds every histogram it needs once, and runs each
 distinct exact convolution once: convolutions are kept per pair of
 operand objects, and roles on one window share their histograms, so R
 with k = ell = 1 over the default windows convolves u * u once for both
-A * B and u^(*2).  The prime context builds
-(or loads from its cache) each factorial window, and the discrete-log
-table, on first read and keeps it; only the convolution engine reads the
-table.
+A * B and u^(*2).  The prime context builds (or loads from its cache)
+each factorial window on first read and keeps it.  The convolution
+engine reads exponents through the context's power table
+(PrimeContext.power_table); no engine reads the discrete-log table.
 """
 
 from __future__ import annotations
@@ -416,7 +416,7 @@ def _r_combine(A: np.ndarray, B: np.ndarray, c: np.ndarray, p: int, powers=None)
 def _power_table(ctx: PrimeContext) -> np.ndarray:
     """P[e] = g**e mod p for e in [0, p - 1), the brute engine's own table.
 
-    Built by kernels.power_table, never from the discrete-log table, and
+    Built by kernels.power_table, never read from the context, and
     checked in O(p) before any tally reads it: P[0] = 1, P[e + 1] = g P[e]
     mod p for every e, and P holds each of 1, ..., p - 1 once.  A table
     that fails raises EngineMismatchError and is not used.

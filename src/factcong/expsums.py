@@ -8,8 +8,9 @@ Throughout, e(z) denotes exp(2*pi*i*z/p).
 
 Past field.DLOG_MEMORY_LIMIT the single-sum spectrum is refused before
 it is allocated; the double sums and the character spectrum read the
-discrete-log table, whose build refuses there itself, as does a direct
-character sum.  A direct single sum allocates only per term.
+power table, and a direct character sum the discrete-log table, whose
+builds refuse there themselves.  A direct single sum allocates only per
+term.
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 A window holds n! mod p for n in the range (L, L+N].  Because n < p
 throughout, no value ever hits 0, so the multiplicative structure stays
 available: histograms can live over residues (additive questions) or over
-discrete-log exponents (multiplicative questions).  A histogram is its
+exponents of a generator g (multiplicative questions).  A histogram is its
 count array: length p over residues, p - 1 over exponents; int64, or
 Python integers in an object array once exact convolution passes int64.
 """
@@ -67,9 +67,9 @@ def value_histogram(window: FactorialWindow) -> np.ndarray:
 
 
 def exponent_histogram(window: FactorialWindow) -> np.ndarray:
-    """Window histogram pushed through the discrete log, length p - 1."""
-    counts = np.bincount(window.ctx.dlog[window.values], minlength=window.p - 1)
-    return counts.astype(np.int64)
+    """Window histogram over exponents, length p - 1: counts[e] counts
+    g**e, read from the value histogram through the power table."""
+    return value_histogram(window)[window.ctx.power_table()]
 
 
 def sum_histogram(window: FactorialWindow, k: int) -> np.ndarray:

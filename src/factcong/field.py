@@ -1,9 +1,9 @@
-"""Prime fields: primality, primitive roots, and discrete-log tables.
+"""Prime fields: primality, primitive roots, power and discrete-log tables.
 
 A ``PrimeContext`` fixes the modulus p and the smallest primitive root g.
-Its dense index table, mapping every nonzero residue to its discrete
-logarithm base g, and its factorial windows are loaded from the context's
-cache directory or built the first time they are read.
+Its power table of g**e mod p, its dense index table of discrete logs
+base g and its factorial windows are built the first time they are read;
+the latter two are loaded from the context's cache directory if it has them.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ __all__ = [
     "factorize",
     "find_primitive_root",
     "PrimeContext",
-    "build_dlog_table",
     "check_table_limit",
     "primes_between",
     "next_prime_at_least",
@@ -122,12 +121,12 @@ def find_primitive_root(p: int) -> int:
 class PrimeContext:
     """Immutable bundle of a prime modulus with its group structure.
 
-    ``dlog`` is a dense int64 table of length p with dlog[x] the exponent
-    of the smallest primitive root giving x, and dlog[0] = -1.  It and the
-    factorial windows of ``window`` cost O(p) memory each, so each is made
-    on first read: loaded from ``cache_dir`` when that holds a good copy,
-    else built (and saved there).  The context keeps every window it was
-    asked for; a new context starts empty.
+    ``power_table()`` serves exponent histograms, products and ``index``;
+    ``dlog`` (dlog[x] = e with g**e = x, dlog[0] = -1) only direct
+    character sums.  Each is made on first read and kept; ``dlog`` and
+    the windows of ``window`` are loaded from ``cache_dir`` when that holds
+    a good copy, else built (and saved there).  The context keeps every
+    window it was asked for; a new context starts empty.
     """
 
     p: int
@@ -175,20 +174,23 @@ class PrimeContext:
             self._windows.setdefault((L, N), values)
         return factorial.FactorialWindow(self, L, N, self._windows[L, N])
 
+    @functools.cached_property
+    def _powers(self) -> np.ndarray:
+        check_table_limit(self.p, f"the power table for p={self.p}")
+        table = kernels.power_table(self.p, self.g)
+        table.flags.writeable = False
+        return table
+
+    def power_table(self) -> np.ndarray:
+        """Read-only: entry e holds g**e mod p, for e in [0, p - 1)."""
+        return self._powers
+
     def index(self, x: int) -> int:
-        """Discrete logarithm of x base g."""
+        """Discrete logarithm of x base g, found in the power table."""
         x = int(x) % self.p
         if x == 0:
             raise ParameterError("0 has no discrete logarithm")
-        return int(self.dlog[x])
-
-    def power_table(self) -> np.ndarray:
-        """Inverse permutation of the dlog table: entry e holds g**e mod p."""
-        table = self.dlog
-        out = np.empty(self.p - 1, dtype=np.int64)
-        out[table[1:]] = np.arange(1, self.p, dtype=np.int64)
-        return out
-
+        return int(np.flatnonzero(self.power_table() == x)[0])
 
 
 def check_table_limit(size: int, what: str) -> None:
@@ -199,12 +201,6 @@ def check_table_limit(size: int, what: str) -> None:
             f"{what} needs {size} entries, which exceeds the limit of "
             f"{DLOG_MEMORY_LIMIT} entries per table"
         )
-
-
-def build_dlog_table(ctx: PrimeContext) -> np.ndarray:
-    """Dense discrete-log table for ctx, one sequential pass over the group."""
-    check_table_limit(ctx.p, f"the discrete-log table for p={ctx.p}")
-    return kernels.dlog_table(ctx.p, ctx.g)
 
 
 def primes_between(lo: int, hi: int) -> list[int]:

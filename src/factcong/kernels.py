@@ -105,33 +105,32 @@ def factorial_window(p: int, L: int, N: int) -> np.ndarray:
     """Residues of (L+1)!, ..., (L+N)! mod p as int64.
 
     A two-level blocked scan (Blelloch, CMU-CS-90-190): the factors
-    L+1, ..., L+N fill a (B, s) block, one row per run of s consecutive
-    factors.  The s columns are scanned in place, each step one vector
-    product over all B rows; then a Python loop over the B row totals gives
-    each row its offset, starting from L! mod p.  A column step costs far
-    more than one iteration of that loop; s about sqrt(N / 8) measured
-    fastest for N from 2e3 to 1e6.
+    L+1, ..., L+N fill an (s, B) block, one column per run of s factors,
+    whose s rows are scanned in place; a Python loop over the B run totals
+    gives each run its offset from L! mod p, and the offset product writes
+    the runs out in order.  Factors go unreduced: only padding past
+    L+N < p reaches p.  Each factor times a residue, or the factor before
+    it, must stay below 2**63.  s ~ sqrt(N / 8) measured fastest.
     """
     p, L, N = int(p), int(L), int(N)
     s = math.isqrt(N // 8) + 1
     B = -(-N // s)
-    buf = np.empty(B * s, dtype=np.int64)
-    m = buf.reshape(B, s)
+    m = np.empty((s, B), dtype=np.int64)
     first = np.arange(L + 1, L + 1 + B * s, s, dtype=np.int64)
-    np.add(first[:, None], np.arange(s, dtype=np.int64), out=m)
-    np.remainder(m, p, out=m)
+    np.add(first, np.arange(s, dtype=np.int64)[:, None], out=m)
     for j in range(1, s):
-        col = m[:, j]
-        np.multiply(col, m[:, j - 1], out=col)
-        np.remainder(col, p, out=col)
+        row = m[j]
+        np.multiply(row, m[j - 1], out=row)
+        np.remainder(row, p, out=row)
     offsets = []
     f = _product_range(1, L + 1, p)
-    for total in m[:, -1].tolist():
+    for total in m[-1].tolist():
         offsets.append(f)
         f = f * total % p
-    np.multiply(m, np.array(offsets, dtype=np.int64)[:, None], out=m)
-    np.remainder(m, p, out=m)
-    return buf[:N]
+    out = np.empty((B, s), dtype=np.int64)
+    np.multiply(m.T, np.array(offsets, dtype=np.int64)[:, None], out=out)
+    np.remainder(out, p, out=out)
+    return out.reshape(-1)[:N]
 
 
 def _power_rows(p: int, g: int):

@@ -208,6 +208,20 @@ def test_exit_2_on_bad_window(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (("J", "--s", "5", "--signs", "+-"), "--s"),
+    (("I", "--s", "0"), "--s"),
+    (("SIGNED", "--k", "2", "--signs", "+-", "--s", "1"), "--s"),
+    (("J", "--signs", "+-"), "--signs"),
+    (("R", "--signs=-"), "--signs"),
+])
+def test_exit_2_on_a_flag_no_count_reads(capsys, argv, flag):
+    code, out, err = run_cli(capsys, "count", *argv, "--p", "7")
+    assert code == 2
+    assert out == ""
+    assert flag in err
+
+
 def test_exit_2_on_argparse_error(capsys):
     code, _, _ = run_cli(capsys, "count", "Z", "--p", "7")
     assert code == 2
@@ -538,7 +552,7 @@ def test_cache_env_var_set_after_the_first_call(tmp_path, monkeypatch, capsys):
     assert run_cli(capsys, *COUNT_I)[0] == 0
     monkeypatch.setenv("FACTCONG_CACHE_DIR", str(tmp_path))
     assert run_cli(capsys, *COUNT_I)[0] == 0
-    assert (tmp_path / "dlog_p101.fcl1").exists()
+    assert (tmp_path / "window_p101_L0_N100.fcw1").exists()
 
 
 def test_cache_env_var_unset_after_the_first_call(tmp_path, monkeypatch, capsys):
@@ -548,7 +562,7 @@ def test_cache_env_var_unset_after_the_first_call(tmp_path, monkeypatch, capsys)
     monkeypatch.chdir(cwd)
     monkeypatch.setenv("FACTCONG_CACHE_DIR", str(cache_dir))
     assert run_cli(capsys, *COUNT_I)[0] == 0
-    assert (cache_dir / "dlog_p101.fcl1").exists()
+    assert (cache_dir / "window_p101_L0_N100.fcw1").exists()
     for path in cache_dir.iterdir():
         path.unlink()
     monkeypatch.delenv("FACTCONG_CACHE_DIR")
@@ -559,7 +573,7 @@ def test_cache_env_var_unset_after_the_first_call(tmp_path, monkeypatch, capsys)
 def test_run_reads_the_cache_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv("FACTCONG_CACHE_DIR", str(tmp_path))
     cli.run(cli.build_parser().parse_args(list(COUNT_I)))
-    assert (tmp_path / "dlog_p101.fcl1").exists()
+    assert (tmp_path / "window_p101_L0_N100.fcw1").exists()
 
 
 def test_no_option_carries_over_to_the_next_call(capsys):
@@ -608,16 +622,19 @@ def _counting_calls(monkeypatch, module, name):
     return calls
 
 
-def test_count_builds_the_dlog_only_for_the_convolution_engine(capsys, monkeypatch):
+def test_no_count_engine_builds_the_dlog(capsys, monkeypatch):
+    # exponent histograms and R's index of lambda read the power table
     monkeypatch.delenv("FACTCONG_CACHE_DIR", raising=False)
     builds = _counting_calls(monkeypatch, kernels, "dlog_table")
     code, out, _ = run_cli(capsys, "count", "F", "--p", "101", "--format", "json")
     assert code == 0
     assert json.loads(out)["results"][0]["engine"] == "brute-force"
+    for argv in (("F", "--engine", "conv"), ("I", "--ell", "2", "--engine", "both"),
+                 ("R", "--r", "2", "--lambda", "3", "--engine", "both"),
+                 ("R", "--k", "2", "--lambda", "5", "--engine", "conv", "--profile")):
+        code, _, err = run_cli(capsys, "count", *argv, "--p", "101")
+        assert code == 0, err
     assert builds == []
-    code, _, _ = run_cli(capsys, "count", "F", "--p", "101", "--engine", "conv")
-    assert code == 0
-    assert len(builds) == 1
 
 
 def test_brute_count_past_the_dlog_limit(capsys):

@@ -7,6 +7,7 @@ size shrunk to one to three entries, so their outer products are cut into
 many chunks.
 """
 
+import functools
 import itertools
 import math
 import tracemalloc
@@ -18,7 +19,8 @@ from hypothesis import strategies as st
 
 from factcong import kernels
 from factcong.errors import GuardExceededError
-from factcong.field import find_primitive_root
+from factcong.factorial import build_window, exponent_histogram
+from factcong.field import PrimeContext, find_primitive_root
 
 # The default chunk first, then chunks of one to three entries.
 TALLY_CHUNKS = [kernels._NUMPY_CHUNK, 1, 2, 3]
@@ -106,19 +108,41 @@ def test_factorial_window_matches_sequential(p, data):
     assert got.tolist() == sequential_window(p, L, N)
 
 
-def test_factorial_window_every_short_length():
-    # every block shape (B, s) the blocked scan takes for N below 700
+def wilson_factorial(n, p):
+    """n! mod p for n near p, from Wilson's theorem (p-1)! = -1 mod p."""
+    tail = math.prod(range(n + 1, p)) % p
+    return (p - 1) * pow(tail, -1, p) % p
+
+
+def test_factorial_window_every_short_length(monkeypatch):
+    # every block shape (s, B) the blocked scan takes for N below 700
     p, L = 2**31 - 1, 12345
     expect = sequential_window(p, L, 700)
     for N in range(1, 701):
         got = kernels.factorial_window(p, L, N)
         assert got.tolist() == expect[:N], N
+    # windows that end at p - 1: factors near 2**31 times residues near
+    # 2**31 take products near 2**62, and the padded tail's factors pass
+    # p.  L! comes from Wilson's theorem, not from 2**31 multiplications.
+    assert wilson_factorial(90, 101) == kernels._product_range(1, 91, 101)
+    monkeypatch.setattr(kernels, "_product_range", lambda lo, hi, p: wilson_factorial(hi - 1, p))
+    for N in range(1, 300):
+        L = p - 1 - N
+        got = kernels.factorial_window(p, L, N).tolist()
+        f, expect = wilson_factorial(L, p), []
+        for n in range(L + 1, p):
+            f = f * n % p
+            expect.append(f)
+        assert got == expect, N
+        assert got[-1] == p - 1
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 3, 7])
 def test_factorial_window_across_many_chunks(monkeypatch, chunk):
     monkeypatch.setattr(kernels, "_PRODUCT_CHUNK", chunk)
-    for p, L, N in [(101, 0, 5), (101, 1, 3), (101, 50, 50), (997, 300, 9), (7, 9, 3)]:
+    # every window at p = 101 that ends at p - 1, whose padded tail reaches p
+    ends = [(101, L, 100 - L) for L in range(100)]
+    for p, L, N in [(101, 0, 5), (101, 1, 3), (101, 50, 50), (997, 300, 9), (7, 9, 3), *ends]:
         got = kernels.factorial_window(p, L, N)
         assert got.tolist() == sequential_window(p, L, N), (p, L, N)
 
@@ -439,6 +463,25 @@ def test_power_table_is_the_inverse_of_the_dlog_table():
         table = kernels.power_table(p, g)
         assert table.tolist() == [pow(g, e, p) for e in range(p - 1)], p
         assert kernels.dlog_table(p, g)[table].tolist() == list(range(p - 1)), p
+
+
+@functools.cache
+def context_with_dlog(p):
+    return PrimeContext.create(p, with_dlog=True)
+
+
+@given(st.sampled_from([p for p in KERNEL_PRIMES if 2 < p <= 10**5]), st.data())
+def test_power_table_reads_agree_with_the_dlog_table(p, data):
+    # exponent histograms and indices read the context's power table; its
+    # discrete-log table is the oracle
+    ctx = context_with_dlog(p)
+    L = data.draw(st.integers(0, p - 2), label="L")
+    N = data.draw(st.integers(1, p - 1 - L), label="N")
+    w = build_window(ctx, L, N)
+    expect = np.bincount(ctx.dlog[w.values], minlength=p - 1)
+    np.testing.assert_array_equal(exponent_histogram(w), expect)
+    xs = data.draw(st.lists(st.integers(1, p - 1), min_size=1, max_size=8), label="xs")
+    assert [ctx.index(x) for x in xs] == ctx.dlog[xs].tolist()
 
 
 @given(st.sampled_from(EXPONENT_PRIMES), st.data())
