@@ -31,6 +31,14 @@ tally reads it and built at most once per count.  Fewer
 pairs, larger primes, a single product level and the pair products that
 T and F materialize for r or ell >= 2 stay over residues.
 
+The brute-force engine meets in the middle for SIGNED, and for J as
+SIGNED with ell plus and ell minus signs (Horowitz and Sahni, J. ACM 21,
+1974): it tallies the first ceil(k/2) signed levels into G1 and the rest
+into G2, and the count is the exact dot sum_i G1[i] G2[lambda - i].
+When the second half holds the first half's signs negated, in any
+order (J, +-, +-+-), G2 is G1 read at negated residues, not a second
+tally: a tally does not depend on the order of its levels.
+
 A profile (the counts at every lambda) ends in one exact convolution
 X * Y.  A single-lambda count of J, SIGNED, T, Q or R builds the same
 X and Y but evaluates only that last step, at lambda, as the exact dot
@@ -109,15 +117,17 @@ class CountQuery:
     T: int | None = None
 
     def resolved(self) -> "CountQuery":
-        """Fill window defaults and normalize lambda into [0, p)."""
-        p = self.ctx.p
-        q = replace(
-            self,
-            N=p - 1 - self.L if self.N is None else self.N,
-            M=p - 1 - self.K if self.M is None else self.M,
-            T=p - 1 - self.S if self.T is None else self.T,
-            lam=int(self.lam) % p,
-        )
+        """Fill window defaults and normalize lambda into [0, p); a query
+        that needs neither is validated and returned as it is."""
+        p, q = self.ctx.p, self
+        if None in (q.N, q.M, q.T) or type(q.lam) is not int or not 0 <= q.lam < p:
+            q = replace(
+                self,
+                N=p - 1 - self.L if self.N is None else self.N,
+                M=p - 1 - self.K if self.M is None else self.M,
+                T=p - 1 - self.S if self.T is None else self.T,
+                lam=int(self.lam) % p,
+            )
         q.validate()
         return q
 
@@ -360,14 +370,12 @@ def estimate_brute_work(q: CountQuery) -> int:
     p = q.ctx.p
     N, M, T = int(q.N), int(q.M), int(q.T)
     fam = q.family
-    if fam == "J":
+    if fam in ("J", "I"):
         return N**q.ell + p
     if fam == "SIGNED":
-        return N**q.k
+        return N ** -(-q.k // 2) + N ** (q.k // 2) + p
     if fam == "F":
         return M * N + (M * N) ** q.ell + p
-    if fam == "I":
-        return N**q.ell + p
     if fam == "T":
         return M * N if q.r == 1 else M * N + (M * N) ** q.r
     if fam == "Q":
@@ -454,9 +462,12 @@ def brute_force_count(q: CountQuery) -> CountResult:
     when A equals B, each unordered pair is enumerated once, one symmetric
     block at a time (kernels._pair_blocks).  Products go over exponents
     as the module docstring says, through one checked power table
-    (_power_table) built on first use.  Exact; refused past
-    field.BRUTE_TALLY_LIMIT on p before any tally, and guarded by
-    BRUTE_FORCE_GUARD on the ordered tuple count.
+    (_power_table) built on first use.  SIGNED and J meet in the middle,
+    as the module docstring says.  Exact; refused past
+    field.BRUTE_TALLY_LIMIT on p before any tally, and past
+    BRUTE_FORCE_GUARD on estimate_brute_work: the tuples the tallies
+    enumerate plus the combine steps (J with ell costs N**ell + p, not
+    N**(2 ell)).
     """
     q = q.resolved()
     p = q.ctx.p
@@ -476,12 +487,16 @@ def brute_force_count(q: CountQuery) -> CountResult:
     values = _Inputs(q).values
     details = {}
     powers = functools.cache(lambda: _power_table(q.ctx))
-    if fam == "J":
-        tally = kernels.sum_tally(values("n"), (1,) * q.ell, p)
-        value = _exact_dot(tally, np.roll(tally, q.lam))
-    elif fam == "SIGNED":
-        tally = kernels.sum_tally(values("n"), q.signs, p)
-        value = int(tally[q.lam])
+    if fam in ("J", "SIGNED"):
+        signs = (1,) * q.ell + (-1,) * q.ell if fam == "J" else q.signs
+        h = -(-len(signs) // 2)
+        head, tail = signs[:h], signs[h:]
+        G1 = kernels.sum_tally(values("n"), head, p)
+        if sorted(tail) == sorted(-s for s in head):  # J, +-, +-+- and the like
+            G2 = np.roll(G1[::-1], 1)  # G2[y] = G1[-y]: the same sums negated
+        elif tail:
+            G2 = kernels.sum_tally(values("n"), tail, p)
+        value = _convolution_at(G1, G2, q.lam) if tail else int(G1[q.lam])
     elif fam in ("F", "T"):
         reps = q.ell if fam == "F" else q.r
         if reps == 1:

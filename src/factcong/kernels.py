@@ -101,6 +101,16 @@ def _product_range(lo: int, hi: int, p: int) -> int:
     return f
 
 
+def _reduce(x: np.ndarray, p: int, scratch: np.ndarray) -> None:
+    """x mod p in place, as x - (x // p) * p, through scratch, an array of
+    x's shape that the caller no longer needs: under numpy 2.4 that takes
+    about half the time of np.remainder by a scalar, and allocates
+    nothing."""
+    np.floor_divide(x, p, out=scratch)
+    scratch *= p
+    x -= scratch
+
+
 def factorial_window(p: int, L: int, N: int) -> np.ndarray:
     """Residues of (L+1)!, ..., (L+N)! mod p as int64.
 
@@ -108,9 +118,10 @@ def factorial_window(p: int, L: int, N: int) -> np.ndarray:
     L+1, ..., L+N fill an (s, B) block, one column per run of s factors,
     whose s rows are scanned in place; a Python loop over the B run totals
     gives each run its offset from L! mod p, and the offset product writes
-    the runs out in order.  Factors go unreduced: only padding past
-    L+N < p reaches p.  Each factor times a residue, or the factor before
-    it, must stay below 2**63.  s ~ sqrt(N / 8) measured fastest.
+    the runs out in order, reduced with the block as scratch (_reduce).
+    Factors go unreduced: only padding past L+N < p reaches p.  Each
+    factor times a residue, or the factor before it, must stay below
+    2**63.  s ~ sqrt(N / 8) measured fastest.
     """
     p, L, N = int(p), int(L), int(N)
     s = math.isqrt(N // 8) + 1
@@ -129,7 +140,7 @@ def factorial_window(p: int, L: int, N: int) -> np.ndarray:
         f = f * total % p
     out = np.empty((B, s), dtype=np.int64)
     np.multiply(m.T, np.array(offsets, dtype=np.int64)[:, None], out=out)
-    np.remainder(out, p, out=out)
+    _reduce(out, p, m.reshape(B, s))
     return out.reshape(-1)[:N]
 
 
@@ -325,12 +336,8 @@ def _tally(levels: list[np.ndarray], op, p: int) -> np.ndarray:
         return np.zeros(p, dtype=np.int64)
     if twice is not None:
         once += twice
-        if mirrored:
-            # the transpose of x + (p - y) is y + (p - x): the residue negated
-            once[0] += twice[0]
-            once[1:] += twice[:0:-1]
-        else:
-            once += twice
+        # mirrored, the transpose of x + (p - y) is y + (p - x): negated
+        once += np.roll(twice[::-1], 1) if mirrored else twice
     return once
 
 
@@ -401,7 +408,7 @@ def inverse_table(full: np.ndarray, p: int) -> np.ndarray:
     fact = np.ones(p - 1, dtype=np.int64)
     fact[1:] = full[: p - 2]
     np.multiply(fact, fact[::-1], out=inv[1:])
-    np.remainder(inv[1:], p, out=inv[1:])
+    _reduce(inv[1:], p, fact)
     inv[2::2] = p - inv[2::2]
     return inv
 

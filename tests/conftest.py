@@ -24,6 +24,11 @@ def ctx11():
 
 
 @pytest.fixture(scope="session")
+def ctx31():
+    return PrimeContext.create(31, with_dlog=True)
+
+
+@pytest.fixture(scope="session")
 def ctx101():
     return PrimeContext.create(101, with_dlog=True)
 

@@ -235,6 +235,23 @@ def test_exit_3_on_guard(capsys):
     assert "guard" in err
 
 
+def test_signed_full_windows_meet_the_brute_guard_in_the_middle(capsys):
+    # two half-tallies of about 1e6 tuples: auto counts by brute force
+    code, out, _ = run_cli(capsys, "count", "SIGNED", "--k", "3", "--signs", "+-+",
+                           "--p", "1009", "--lambda", "5", "--format", "json")
+    assert code == 0
+    (result,) = json.loads(out)["results"]
+    assert (result["engine"], result["count"]) == ("brute-force", 1014380)
+    code, out, _ = run_cli(capsys, "count", "SIGNED", "--k", "3", "--signs", "+-+",
+                           "--p", "1009", "--engine", "both")
+    assert code == 0
+    # two halves of 1008**3 tuples each, about 2.05e9: still refused
+    code, _, err = run_cli(capsys, "count", "SIGNED", "--k", "6", "--signs", "+-+-+-",
+                           "--p", "1009", "--engine", "brute")
+    assert code == 3
+    assert "guard" in err
+
+
 @pytest.mark.parametrize("extra", [(), ("--engine", "conv"), ("--profile",)])
 def test_convolution_past_the_dlog_limit_exits_3_before_allocating(capsys, extra):
     # auto picks the convolution engine here; its length-p histograms at

@@ -218,6 +218,20 @@ def test_validation_errors(ctx7):
         CountQuery(family="J", ctx=ctx7, ell=0).resolved()
 
 
+def test_a_resolved_query_resolves_to_itself(ctx7):
+    r = CountQuery(family="SIGNED", ctx=ctx7, k=2, signs=(1, -1), lam=-1).resolved()
+    assert (r.lam, r.N, r.M, r.T) == (6, 6, 6, 6)
+    assert r.resolved() is r
+    # a fresh query with every field set is still validated
+    with pytest.raises(ParameterError):
+        dataclasses.replace(r, signs=(1,)).resolved()
+    with pytest.raises(ParameterError):
+        dataclasses.replace(r, family="R", lam=0).resolved()
+    # a lambda to normalize is a new query
+    assert dataclasses.replace(r, lam=7).resolved().lam == 0
+    assert dataclasses.replace(r, lam=np.int64(3)).resolved().lam == 3
+
+
 def test_lambda_normalization(ctx7):
     q = CountQuery(family="J", ctx=ctx7, lam=-1).resolved()
     assert q.lam == 6
@@ -756,9 +770,8 @@ def test_signed_every_sign_tuple_matches_brute(ctx101, window, signs):
     for lam in range(101):
         got = count_convolution(dataclasses.replace(q, lam=lam)).count
         assert got == want[lam], lam
-    if len(signs) <= 2:
-        q = dataclasses.replace(q, lam=5)
-        assert brute_force_count(q).count == want[5]
+    q = dataclasses.replace(q, lam=5)
+    assert brute_force_count(q).count == want[5]
 
 
 R_WINDOWS = {
@@ -793,3 +806,91 @@ def test_r_matches_brute_with_shared_and_distinct_windows(windows, k, ell, r):
     # every tuple lands on a nonzero lambda or is dropped at lambda = 0
     q = q.resolved()
     assert int(profile.sum()) + zero == q.M**k * q.N**ell * q.T**r
+
+
+# the brute engine's meet in the middle for SIGNED and J
+
+SIGNS_UP_TO_5 = [s for k in range(1, 6) for s in itertools.product((1, -1), repeat=k)]
+
+
+@pytest.mark.parametrize("window", [(0, 30), (3, 12)], ids=["full", "short"])
+@pytest.mark.parametrize("signs", SIGNS_UP_TO_5,
+                         ids=lambda signs: "".join("pm"[s < 0] for s in signs))
+def test_brute_signed_equals_the_full_tally(ctx31, window, signs):
+    L, N = window
+    want = signed_tally(31, L, N, tuple(sorted(signs)))
+    q = CountQuery(family="SIGNED", ctx=ctx31, k=len(signs), signs=signs, L=L, N=N)
+    assert [int(x) for x in count_profile(q)] == [int(x) for x in want]
+    got = [brute_force_count(dataclasses.replace(q, lam=lam)).count for lam in range(31)]
+    assert got == [int(x) for x in want]
+
+
+@pytest.mark.parametrize("window", [(0, 30), (3, 12)], ids=["full", "short"])
+@pytest.mark.parametrize("ell", [1, 2, 3])
+def test_brute_j_is_unchanged(ctx31, window, ell):
+    L, N = window
+    tally = kernels.sum_tally(ctx31.window(L, N).values, (1,) * ell, 31)
+    q = CountQuery(family="J", ctx=ctx31, ell=ell, L=L, N=N)
+    profile = count_profile(q)
+    for lam in range(31):
+        # the count before the meet in the middle: one dot of the tally
+        # with itself shifted by lambda
+        want = int(np.dot(tally, np.roll(tally, lam)))
+        assert brute_force_count(dataclasses.replace(q, lam=lam)).count == want, lam
+        assert profile[lam] == want, lam
+
+
+def test_brute_j_and_signed_call_no_transform_function(monkeypatch, ctx31):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the brute engine called transform code")
+
+    patched = [name for name, fn in vars(transform).items()
+               if callable(fn) and getattr(fn, "__module__", None) == transform.__name__]
+    assert "index_reversed" in patched and "cyclic_convolve_exact" in patched
+    for name in patched:
+        monkeypatch.setattr(transform, name, forbidden)
+    for signs in [(1,), (1, -1), (-1, 1, -1), (1, 1, -1, -1), (1, -1, 1, -1, 1)]:
+        want = signed_tally(31, 0, 30, tuple(sorted(signs)))
+        q = CountQuery(family="SIGNED", ctx=ctx31, k=len(signs), signs=signs, lam=4)
+        assert brute_force_count(q).count == want[4], signs
+    for ell in (1, 2):
+        brute_force_count(CountQuery(family="J", ctx=ctx31, ell=ell, lam=4))
+
+
+def test_brute_work_of_signed_is_two_halves_and_a_dot():
+    ctx = PrimeContext.create(1009)
+    N = 1008
+    for k in range(1, 7):
+        q = CountQuery(family="SIGNED", ctx=ctx, k=k, signs=(1, -1) * (k // 2) + (1,) * (k % 2))
+        assert estimate_brute_work(q) == N ** ((k + 1) // 2) + N ** (k // 2) + 1009, k
+    for ell in (1, 2, 3):
+        assert estimate_brute_work(CountQuery(family="J", ctx=ctx, ell=ell)) == N**ell + 1009
+    # k = 3 at p = 1009 on the full window now counts by brute force under
+    # auto, and k = 6 is still refused
+    q = CountQuery(family="SIGNED", ctx=ctx, k=3, signs=(1, -1, 1), lam=5)
+    assert estimate_brute_work(q) < AUTO_BRUTE_THRESHOLD
+    res = count(q)
+    assert (res.engine, res.count) == ("brute-force", 1014380)
+    assert count_convolution(q).count == 1014380
+    q6 = CountQuery(family="SIGNED", ctx=ctx, k=6, signs=(1, -1) * 3)
+    assert estimate_brute_work(q6) > BRUTE_FORCE_GUARD
+    with pytest.raises(GuardExceededError):
+        brute_force_count(q6)
+
+
+@pytest.mark.parametrize(("family", "params", "tallies"), [
+    ("J", {"ell": 2}, 1),
+    ("SIGNED", {"k": 1, "signs": (-1,)}, 1),
+    ("SIGNED", {"k": 2, "signs": (1, -1)}, 1),
+    # the second half is the first negated in another order
+    ("SIGNED", {"k": 4, "signs": (1, -1, 1, -1)}, 1),
+    ("SIGNED", {"k": 4, "signs": (1, 1, -1, -1)}, 1),
+    ("SIGNED", {"k": 2, "signs": (1, 1)}, 2),
+    ("SIGNED", {"k": 3, "signs": (1, -1, 1)}, 2),
+])
+def test_brute_tallies_a_negated_half_once(monkeypatch, ctx31, family, params, tallies):
+    calls = []
+    sum_tally = kernels.sum_tally
+    monkeypatch.setattr(kernels, "sum_tally", lambda *a: calls.append(a[1]) or sum_tally(*a))
+    brute_force_count(CountQuery(family=family, ctx=ctx31, lam=3, **params))
+    assert len(calls) == tallies, calls

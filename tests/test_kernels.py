@@ -568,6 +568,21 @@ def test_materialize_cap_names_the_cap(monkeypatch):
     assert "backend" not in message, message
 
 
+@pytest.mark.parametrize("p", [2, 101, 100043, 2**31 - 1])
+def test_whole_array_reduction_near_2_62(rng, p):
+    # the final pass of factorial_window and inverse_table: entries up to
+    # (2**31 - 2)**2, just below 2**62, and a few past it
+    top = 2**62
+    x = np.concatenate([
+        rng.integers(top - 2**40, top + 2**20, size=1000),
+        rng.integers(0, top, size=1000),
+        np.array([0, 1, p - 1, p, p + 1, (2**31 - 2) ** 2, top - 1, top], dtype=np.int64),
+    ])
+    want = [v % p for v in x.tolist()]
+    kernels._reduce(x, p, np.empty_like(x))
+    assert x.tolist() == want
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 101, 997])
 def test_inverse_table(p):
     table = kernels.inverse_table(kernels.factorial_window(p, 0, p - 1), p)
