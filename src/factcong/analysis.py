@@ -26,7 +26,6 @@ Catalog (full windows unless overridden; all bounds up to a constant):
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import inspect
 import math
@@ -254,10 +253,6 @@ def bound_rhs(bound_id: str, **params) -> float:
     return bound.rhs(*_require(params, *bound.rhs_names))
 
 
-def _default_signs(k: int) -> tuple[int, ...]:
-    return tuple(1 if i % 2 == 0 else -1 for i in range(k))
-
-
 def _spot_check(spectrum, direct, terms: int, seed: int) -> None:
     """Compare a few nonzero frequencies of spectrum against direct."""
     rng = np.random.default_rng(seed)
@@ -293,12 +288,12 @@ def evaluate_cell(
         resolved.setdefault(length, p - 1 - resolved[offset])
     resolved["p"] = p
     rhs = bound_rhs(bound_id, **resolved)
-    if bound.family == "SIGNED":
-        signs = resolved.get("signs") or _default_signs(resolved["k"])
-        resolved["signs"] = tuple(signs)
     if bound.family is not None:
-        fields = {f.name: resolved[f.name] for f in dataclasses.fields(CountQuery)
-                  if f.name in resolved}
+        family = counting._FAMILIES[bound.family]
+        if family.signs:
+            signs = resolved.get("signs") or family.signs(resolved["k"])
+            resolved["signs"] = tuple(signs)
+        fields = {key: resolved[key] for key in family.fields if key in resolved}
         query = CountQuery(family=bound.family, ctx=ctx, **{**fields, **bound.fixed})
         c = counting.count(query, engine).count
         num, den = bound.main(**resolved) if bound.main else (0, 1)

@@ -422,16 +422,17 @@ def _sum_value_output(key: str, index: int, sv) -> CommandOutput:
 
 
 def _count_query(ns, ctx) -> CountQuery:
-    """The fields given on the command line; CountQuery has every default
-    but one: lambda is 1 for R, which needs it nonzero.  A flag that the
-    count would not read is refused: --s, which only sweeps read, and
-    --signs for a family other than SIGNED."""
-    fields = _given_params(ns)
-    if ns.s is not None:
-        raise ParameterError("--s is read by verify and sweep, not by count")
-    if ns.signs is not None and ns.family != "SIGNED":
-        raise ParameterError(f"--signs is read by family SIGNED only, not {ns.family}")
-    if ns.family == "R":
+    """The fields given on the command line, each one the family reads
+    (--s, which only sweeps read, is refused for all); --K and --S, which
+    default to 0, count as given when nonzero."""
+    family = counting._FAMILIES[ns.family]
+    fields = {key: value for key, value in _given_params(ns).items()
+              if value or key not in ("K", "S")}
+    unread = [key for key in fields if key not in family.fields]
+    if unread:
+        flags = ", ".join(f"--{key}" for key in unread)
+        raise ParameterError(f"count {ns.family} does not read {flags}")
+    if family.exponents:  # lambda is read at its exponent: nonzero
         fields.setdefault("lam", 1)
     return CountQuery(family=ns.family, ctx=ctx, **fields)
 

@@ -10,55 +10,52 @@ Seven families, each counting tuples drawn from factorial windows:
   Q      one pair product plus an r-fold factorial sum hitting lambda
   R      product of bracket sums and factorials hitting a nonzero lambda
 
-Each family has two independent engines.  The convolution engine folds
-histograms with exact cyclic convolutions; the brute-force engine
-enumerates the variable blocks exhaustively with early modular reduction
-and combines block tallies by vectorized direct summation, in int64
-where a bound proves no partial sum overflows and in Python ints past
-it.  Where a pair of blocks is symmetric (both sides hold the same
-residues), it still covers every tuple, but enumerates each unordered
-pair once and counts the off-diagonal ones twice.  The engines share no
-transform code, so their agreement is a meaningful consistency check.
+Each family is one _Family row of _FAMILIES: the query fields it reads,
+its convolution parts, its brute-force plan and its work estimate.  The
+engines, the command line and the bound sweeps read the row; none of
+them branches on a family name.
 
-The brute-force engine takes products over exponents: a product tally
-of two levels or more, and R's combine over its nonzero (u, v), when
-kernels._use_exponents says the pairs repay the table: 128 p pairs or
-more, for p below 2**18 (kernels._product_tally, _r_combine).  The
-exponents come from the engine's own power table (_power_table): a scan
-of the powers of the context's generator by kernels.power_table, never
-the context's power or discrete-log table, checked in O(p) before any
-tally reads it and built at most once per count.  Fewer
-pairs, larger primes, a single product level and the pair products that
-T and F materialize for r or ell >= 2 stay over residues.
+Each family has two independent engines, which share no transform code,
+so their agreement is a meaningful consistency check.  The convolution
+engine folds histograms with exact cyclic convolutions.  A profile (the
+counts at every lambda) ends in one exact convolution X * Y.  A
+single-lambda count of J, SIGNED, T, Q or R builds the same X and Y but
+evaluates only that last step, at lambda, as the exact dot sum_i X[i]
+Y[lambda - i]; F and I are sums of squares of the full X * Y.  SIGNED
+and J share one correlation of sum histograms (_correlation).  Each call
+builds every histogram it needs once and runs each distinct exact
+convolution once (_Inputs).  Exponents are read through the context's
+power table (PrimeContext.power_table); no engine reads the
+discrete-log table.
 
-The brute-force engine meets in the middle for SIGNED, and for J as
-SIGNED with ell plus and ell minus signs (Horowitz and Sahni, J. ACM 21,
-1974): it tallies the first ceil(k/2) signed levels into G1 and the rest
-into G2, and the count is the exact dot sum_i G1[i] G2[lambda - i].
-When the second half holds the first half's signs negated, in any
-order (J, +-, +-+-), G2 is G1 read at negated residues, not a second
-tally: a tally does not depend on the order of its levels.
+The brute-force engine enumerates the variable blocks exhaustively with
+early modular reduction and combines block tallies by vectorized direct
+summation, in int64 where a bound proves no partial sum overflows and in
+Python ints past it.  Where a pair of blocks is symmetric (both sides
+hold the same residues), it enumerates each unordered pair once and
+counts the off-diagonal ones twice.  A product tally of two levels or
+more, and R's combine, go over exponents when kernels._use_exponents
+says the pairs repay the table, through the engine's own power table
+(_power_table): a scan of the powers of the context's generator, checked
+in O(p) before any tally reads it and built at most once per count.
 
-A profile (the counts at every lambda) ends in one exact convolution
-X * Y.  A single-lambda count of J, SIGNED, T, Q or R builds the same
-X and Y but evaluates only that last step, at lambda, as the exact dot
-sum_i X[i] Y[lambda - i]; F and I are sums of squares of the full X * Y.
-SIGNED and J share one correlation of sum histograms: a plus signs and
-b minus signs count sum_x S_a[x] S_b[x - lambda], and J with ell is a =
-b = ell.  Each call builds every histogram it needs once, and runs each
-distinct exact convolution once: convolutions are kept per pair of
-operand objects, and roles on one window share their histograms, so R
-with k = ell = 1 over the default windows convolves u * u once for both
-A * B and u^(*2).  The prime context builds (or loads from its cache)
-each factorial window on first read and keeps it.  The convolution
-engine reads exponents through the context's power table
-(PrimeContext.power_table); no engine reads the discrete-log table.
+The brute-force engine meets in the middle for SIGNED, for J as SIGNED
+with ell plus and ell minus signs, and for T as SIGNED with r plus signs
+over the M N pair products (Horowitz and Sahni, J. ACM 21, 1974): it
+tallies the first ceil(k/2) signed levels into G1 and the rest into G2,
+and the count is the exact dot sum_i G1[i] G2[lambda - i].  When the
+second half holds the first half's signs negated, in any order (J, +-,
++-+-), G2 is G1 read at negated residues, not a second tally: a tally
+does not depend on the order of its levels.  A half of one pair product
+is the pair tally, which materializes no pairs; a longer half folds the
+materialized products over residues, as F does for ell >= 2.
 """
 
 from __future__ import annotations
 
 import functools
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
@@ -82,7 +79,6 @@ __all__ = [
     "estimate_brute_work",
 ]
 
-FAMILIES = ("J", "SIGNED", "F", "I", "T", "Q", "R")
 ENGINES = ("auto", "conv", "brute", "both")
 
 # Hard ceiling on tuples the exhaustive engine may enumerate, and the
@@ -136,30 +132,24 @@ class CountQuery:
             raise ParameterError(
                 f"unknown family {self.family!r}; expected one of {FAMILIES}"
             )
-        if self.family in ("J", "F", "I") and self.ell < 1:
-            raise ParameterError("ell must be at least 1")
-        if self.family in ("T", "Q", "R") and self.r < 1:
-            raise ParameterError("r must be at least 1")
-        if self.family == "SIGNED":
-            if self.k < 1:
-                raise ParameterError("k must be at least 1")
-            if len(self.signs) != self.k or any(s not in (-1, 1) for s in self.signs):
-                raise ParameterError(
-                    "SIGNED needs a sign tuple of +1/-1 entries of length k"
-                )
-        if self.family == "R":
-            if self.k < 0:
-                raise ParameterError("R allows k = 0 but not negative k")
-            if self.ell < 1:
-                raise ParameterError("ell must be at least 1")
-            if self.lam % self.ctx.p == 0:
-                raise ParameterError("family R requires lambda nonzero mod p")
+        fam = _FAMILIES[self.family]
+        for name, least in fam.reads.items():
+            if least is not None and getattr(self, name) < least:
+                raise ParameterError(f"{name} must be at least {least}")
+        if "signs" in fam.reads and (
+            len(self.signs) != self.k or any(s not in (-1, 1) for s in self.signs)
+        ):
+            raise ParameterError(
+                f"{self.family} needs a sign tuple of +1/-1 entries of length k")
+        if fam.exponents and self.lam % self.ctx.p == 0:
+            raise ParameterError(f"family {self.family} requires lambda nonzero mod p")
         if not 0 <= self.lam < self.ctx.p:
             raise ParameterError("lambda must be reduced into [0, p)")
 
 
 class _Inputs:
-    """The windows, histograms and exact convolutions of one count call.
+    """The windows, histograms and exact convolutions of one count call,
+    the brute engine's power table, and the count's details.
 
     Windows come from the query's context, which keeps each one.  Each
     histogram is built once per call and kept per window, so roles that
@@ -172,6 +162,9 @@ class _Inputs:
 
     def __init__(self, q: CountQuery):
         self.q, self._kept, self._convs = q, {}, {}
+        # the brute engine's checked power table, built on first use
+        self.powers = functools.cache(lambda: _power_table(q.ctx))
+        self.details: dict = {}  # what the count reports beyond its value
 
     def window(self, role: str) -> FactorialWindow:
         """The main ("n"), second ("m"), plain ("t") or "full" window."""
@@ -269,12 +262,13 @@ def _convolution_at(x: np.ndarray, y: np.ndarray, at: int) -> int:
 # convolution engine
 
 
-def _correlation(inp: _Inputs, plus: int, minus: int) -> list[np.ndarray]:
-    """Parts whose convolution at lambda counts the plus-fold sums minus
-    the minus-fold sums of window factorials that equal lambda: the
-    correlation sum_x S_plus[x] S_minus[x - lambda], as S_plus *
-    rev(S_minus).  A side with no terms is left out, and a lone side S_k
-    goes as S_(k-1) * S_1, so a single-lambda count still ends in a dot."""
+def _correlation(inp: _Inputs, signs: tuple[int, ...]) -> list[np.ndarray]:
+    """Parts whose convolution at lambda counts the tuples of window
+    factorials whose sum with these signs equals lambda: with a plus and b
+    minus signs, the correlation sum_x S_a[x] S_b[x - lambda], as S_a *
+    rev(S_b).  A side with no terms is left out, and a lone side S_k goes
+    as S_(k-1) * S_1, so a single-lambda count still ends in a dot."""
+    plus, minus = signs.count(1), signs.count(-1)
     sides = [(plus, 1), (minus, -1)]
     if not (plus and minus):
         k, sign = max(sides)  # the side with terms
@@ -284,50 +278,32 @@ def _correlation(inp: _Inputs, plus: int, minus: int) -> list[np.ndarray]:
 
 
 def _conv_profile(q: CountQuery, inp: _Inputs, at: int | None = None):
-    """Exact counts for every lambda at once (length p; family R works on
-    exponents and maps back to residues with a structurally empty zero bin).
+    """Exact counts for every lambda at once (length p; a family on
+    exponents maps back to residues with a structurally empty zero bin),
+    or with at set only the count at lambda = at (module docstring).
 
-    Every family convolves a list of parts: all but the last fold into X,
-    and the last is Y.  J and SIGNED are one correlation of sum histograms
-    (_correlation); J is SIGNED with ell plus and ell minus signs.  With
-    at set, only the count at lambda = at: X * Y is evaluated at that one
-    index as an exact dot.  F and I have no profile: their count is the
-    sum of squares of the full X * Y.  Every convolution goes through
-    inp.convolve, so a count runs each distinct one once.  Past
+    The parts of the family's row fold into X, all but the last, and the
+    last is Y.  Every convolution goes through inp.convolve.  Past
     field.DLOG_MEMORY_LIMIT the engine refuses before its first length-p
     allocation.
     """
-    ctx, fam = q.ctx, q.family
+    ctx, fam = q.ctx, _FAMILIES[q.family]
     field.check_table_limit(ctx.p, f"the convolution engine for p={ctx.p}")
-    diagonal = fam in ("F", "I")
-    if diagonal and at is None:
-        raise ParameterError(f"family {fam} is a single diagonal count, not a profile")
-    if fam == "J":
-        parts = _correlation(inp, q.ell, q.ell)
-    elif fam == "SIGNED":
-        parts = _correlation(inp, q.signs.count(1), q.signs.count(-1))
-    elif fam in ("T", "F"):
-        parts = [inp.pairs()] * (q.r if fam == "T" else q.ell)
-    elif fam == "Q":
-        parts = [inp.pairs(), inp.sums("n", q.r)]
-    elif fam == "R":
-        # bracket sums over exponents; the default windows make all three
-        # k = ell = 1 roles one object, so A * B is the first step of u^r
-        parts = [inp.brackets("m", q.k)] if q.k else []
-        parts += [inp.brackets("n", q.ell), inp.power(inp.exponents("t"), q.r)]
-    else:  # I
-        parts = [inp.exponents("n")] * q.ell
+    if fam.diagonal and at is None:
+        raise ParameterError(
+            f"family {q.family} is a single diagonal count, not a profile")
+    parts = fam.parts(q, inp)
     X = parts[0]
     for vec in parts[1:-1]:
         X = inp.convolve(X, vec)
     Y = parts[-1] if len(parts) > 1 else None
-    if at is not None and not diagonal:
-        i = ctx.index(at) if fam == "R" else at
+    if at is not None and not fam.diagonal:
+        i = ctx.index(at) if fam.exponents else at
         return int(X[i]) if Y is None else _convolution_at(X, Y, i)
     acc = X if Y is None else inp.convolve(X, Y)
-    if diagonal:
+    if fam.diagonal:
         return _exact_dot(acc, acc)
-    return factorial._exponents_to_residues(ctx, acc) if fam == "R" else acc
+    return factorial._exponents_to_residues(ctx, acc) if fam.exponents else acc
 
 
 def count_convolution(q: CountQuery) -> CountResult:
@@ -336,17 +312,13 @@ def count_convolution(q: CountQuery) -> CountResult:
     started = time.perf_counter()
     inp = _Inputs(q)
     value = _conv_profile(q, inp, at=q.lam)
-    details = {}
-    if q.family == "R":
-        a0 = int(inp.sums("m", q.k)[0]) if q.k else 0
-        b0 = int(inp.sums("n", q.ell)[0])
-        details["dropped_zero_mass"] = _r_dropped_mass(q, a0, b0)
+    _FAMILIES[q.family].conv_details(q, inp)
     return CountResult(
         query=q,
         count=int(value),
         engine="convolution",
         seconds=time.perf_counter() - started,
-        details=details,
+        details=inp.details,
     )
 
 
@@ -367,20 +339,39 @@ def _r_dropped_mass(q: CountQuery, a0: int, b0: int) -> int:
 def estimate_brute_work(q: CountQuery) -> int:
     """Tuples the exhaustive engine will enumerate, plus combine steps."""
     q = q.resolved()
-    p = q.ctx.p
-    N, M, T = int(q.N), int(q.M), int(q.T)
-    fam = q.family
-    if fam in ("J", "I"):
-        return N**q.ell + p
-    if fam == "SIGNED":
-        return N ** -(-q.k // 2) + N ** (q.k // 2) + p
-    if fam == "F":
-        return M * N + (M * N) ** q.ell + p
-    if fam == "T":
-        return M * N if q.r == 1 else M * N + (M * N) ** q.r
-    if fam == "Q":
-        return M * N + N**q.r + p
-    return (M**q.k if q.k else 1) + N**q.ell + T**q.r + p * p  # R
+    return _FAMILIES[q.family].work(q, int(q.N), int(q.M), int(q.T), q.ctx.p)
+
+
+def _meet(q: CountQuery, inp: _Inputs, signs: tuple[int, ...], tally=None) -> int:
+    """Tuples whose sum with these signs is lambda, met in the middle as the
+    module docstring says.  tally(s) is the histogram mod p of the sums
+    with signs s, one tuple at 0 for no signs; by default, of the main
+    window's factorials."""
+    tally = tally or (lambda s: kernels.sum_tally(inp.values("n"), s, q.ctx.p))
+    h = -(-len(signs) // 2)
+    head, tail = signs[:h], signs[h:]
+    G1 = tally(head)
+    if sorted(tail) == sorted(-s for s in head):  # J, +-, +-+- and the like
+        G2 = np.roll(G1[::-1], 1)  # G2[y] = G1[-y]: the same sums negated
+    else:
+        G2 = tally(tail)
+    return _convolution_at(G1, G2, q.lam)
+
+
+def _meet_work(n: int, k: int, p: int) -> int:
+    """The work of _meet over k levels of n entries: two halves and a dot."""
+    return n ** -(-k // 2) + n ** (k // 2) + p
+
+
+def _pair_sums(q: CountQuery, inp: _Inputs, signs: tuple[int, ...]) -> np.ndarray:
+    """Tally of the sums of len(signs) pair products m! n!, every sign +1:
+    one is the pair tally, which materializes no pairs; two or more fold
+    the products that outer_residues materializes."""
+    m, n, p = inp.values("m"), inp.values("n"), q.ctx.p
+    if len(signs) == 1:
+        return kernels.pair_product_tally(m, n, p, inp.powers)
+    pairs = kernels.outer_residues(m, n, np.multiply, p) if signs else n
+    return kernels.sum_tally(pairs, signs, p)
 
 
 def _r_combine(A: np.ndarray, B: np.ndarray, c: np.ndarray, p: int, powers=None) -> int:
@@ -451,24 +442,27 @@ def _power_table(ctx: PrimeContext) -> np.ndarray:
     return P
 
 
-def brute_force_count(q: CountQuery) -> CountResult:
-    """Exhaustive enumeration with early modular reduction.
+def _brute_r(q: CountQuery, inp: _Inputs) -> int:
+    """R by its three tallies and one combine; reports dropped_zero_mass."""
+    values, p = inp.values, q.ctx.p
+    if q.k:
+        A = kernels.sum_tally(values("m"), (1,) * q.k, p)
+    else:  # no first bracket: a factor of 1
+        A = np.bincount([1], minlength=p)
+    B = kernels.sum_tally(values("n"), (1,) * q.ell, p)
+    C = kernels.prod_tally(values("t"), q.r, p, inp.powers)
+    inv = kernels.inverse_table(values("full"), p)
+    inp.details["dropped_zero_mass"] = _r_dropped_mass(q, int(A[0]), int(B[0]))
+    return _r_combine(A, B, C[q.lam * inv % p], p, inp.powers)
 
-    Each independent variable block is enumerated in full into a residue
-    tally; tallies combine by direct summation over the defining
-    congruence.  Where the last two levels of a tally hold the same
-    residues (m! n! over one window, 2-fold products and all-plus sums)
-    or are each other's negation (a 2-fold difference), and in R's combine
-    when A equals B, each unordered pair is enumerated once, one symmetric
-    block at a time (kernels._pair_blocks).  Products go over exponents
-    as the module docstring says, through one checked power table
-    (_power_table) built on first use.  SIGNED and J meet in the middle,
-    as the module docstring says.  Exact; refused past
+
+def brute_force_count(q: CountQuery) -> CountResult:
+    """Exhaustive enumeration with early modular reduction, by the family
+    row's plan (module docstring).  Exact; refused past
     field.BRUTE_TALLY_LIMIT on p before any tally, and past
     BRUTE_FORCE_GUARD on estimate_brute_work: the tuples the tallies
     enumerate plus the combine steps (J with ell costs N**ell + p, not
-    N**(2 ell)).
-    """
+    N**(2 ell))."""
     q = q.resolved()
     p = q.ctx.p
     if p > field.BRUTE_TALLY_LIMIT:
@@ -483,53 +477,96 @@ def brute_force_count(q: CountQuery) -> CountResult:
             f"above the guard of {BRUTE_FORCE_GUARD}"
         )
     started = time.perf_counter()
-    fam = q.family
-    values = _Inputs(q).values
-    details = {}
-    powers = functools.cache(lambda: _power_table(q.ctx))
-    if fam in ("J", "SIGNED"):
-        signs = (1,) * q.ell + (-1,) * q.ell if fam == "J" else q.signs
-        h = -(-len(signs) // 2)
-        head, tail = signs[:h], signs[h:]
-        G1 = kernels.sum_tally(values("n"), head, p)
-        if sorted(tail) == sorted(-s for s in head):  # J, +-, +-+- and the like
-            G2 = np.roll(G1[::-1], 1)  # G2[y] = G1[-y]: the same sums negated
-        elif tail:
-            G2 = kernels.sum_tally(values("n"), tail, p)
-        value = _convolution_at(G1, G2, q.lam) if tail else int(G1[q.lam])
-    elif fam in ("F", "T"):
-        reps = q.ell if fam == "F" else q.r
-        if reps == 1:
-            tally = kernels.pair_product_tally(values("m"), values("n"), p, powers)
-        else:
-            pairs = kernels.outer_residues(values("m"), values("n"), np.multiply, p)
-            tally = kernels.sum_tally(pairs, (1,) * reps, p)
-        value = _exact_dot(tally, tally) if fam == "F" else int(tally[q.lam])
-    elif fam == "I":
-        tally = kernels.prod_tally(values("n"), q.ell, p, powers)
-        value = _exact_dot(tally, tally)
-    elif fam == "Q":
-        pair_tally = kernels.pair_product_tally(values("m"), values("n"), p, powers)
-        fold_tally = kernels.sum_tally(values("n"), (1,) * q.r, p)
-        value = _convolution_at(pair_tally, fold_tally, q.lam)
-    else:  # R
-        if q.k >= 1:
-            A = kernels.sum_tally(values("m"), (1,) * q.k, p)
-        else:
-            A = np.zeros(p, dtype=np.int64)
-            A[1] = 1
-        B = kernels.sum_tally(values("n"), (1,) * q.ell, p)
-        C = kernels.prod_tally(values("t"), q.r, p, powers)
-        inv = kernels.inverse_table(values("full"), p)
-        value = _r_combine(A, B, C[q.lam * inv % p], p, powers)
-        details["dropped_zero_mass"] = _r_dropped_mass(q, int(A[0]), int(B[0]))
+    fam, inp = _FAMILIES[q.family], _Inputs(q)
+    value = fam.brute(q, inp)
+    if fam.diagonal:  # the plan gave the tally of one side
+        value = _exact_dot(value, value)
     return CountResult(
         query=q,
         count=int(value),
         engine="brute-force",
         seconds=time.perf_counter() - started,
-        details=details,
+        details=inp.details,
     )
+
+
+# ---------------------------------------------------------------------------
+# the family table
+
+
+@dataclass(frozen=True)
+class _Family:
+    """One congruence family: the query fields it reads and how each engine
+    counts it.  Rows call layer functions through their module attribute
+    when they run, never a reference bound at import."""
+
+    reads: dict  # each CountQuery field read beyond L, N, lam -> least value or None
+    parts: Callable  # (q, inp) -> convolution parts
+    brute: Callable  # (q, inp) -> exhaustive count; may write inp.details
+    work: Callable  # (q, N, M, T, p) -> estimate_brute_work
+    diagonal: bool = False  # sum of squares of the full X * Y; brute: one side
+    # lambda is read at its exponent, so it is nonzero (1 on the command
+    # line by default), and a profile maps back to residues
+    exponents: bool = False
+    signs: Callable | None = None  # k -> the signs of a bound cell that gives none
+    # (q, inp) -> writes the convolution engine's inp.details, after its count
+    conv_details: Callable = lambda q, inp: None
+
+    @property
+    def fields(self) -> tuple[str, ...]:
+        """Every CountQuery field the family reads."""
+        return ("L", "N", "lam", *self.reads)
+
+
+def _r_parts(q: CountQuery, inp: _Inputs) -> list[np.ndarray]:
+    # bracket sums over exponents; the default windows make all three
+    # k = ell = 1 roles one object, so A * B is the first step of u^r
+    parts = [inp.brackets("m", q.k)] if q.k else []
+    return parts + [inp.brackets("n", q.ell), inp.power(inp.exponents("t"), q.r)]
+
+
+def _r_conv_details(q: CountQuery, inp: _Inputs) -> None:
+    a0 = int(inp.sums("m", q.k)[0]) if q.k else 0
+    b0 = int(inp.sums("n", q.ell)[0])
+    inp.details["dropped_zero_mass"] = _r_dropped_mass(q, a0, b0)
+
+
+_FAMILIES = {
+    "J": _Family({"ell": 1},
+                 lambda q, inp: _correlation(inp, (1,) * q.ell + (-1,) * q.ell),
+                 lambda q, inp: _meet(q, inp, (1,) * q.ell + (-1,) * q.ell),
+                 lambda q, N, M, T, p: N**q.ell + p),
+    "SIGNED": _Family({"k": 1, "signs": None},
+                      lambda q, inp: _correlation(inp, q.signs),
+                      lambda q, inp: _meet(q, inp, q.signs),
+                      lambda q, N, M, T, p: _meet_work(N, q.k, p),
+                      signs=lambda k: tuple(1 if i % 2 == 0 else -1 for i in range(k))),
+    "F": _Family({"ell": 1, "K": None, "M": None},
+                 lambda q, inp: [inp.pairs()] * q.ell,
+                 lambda q, inp: _pair_sums(q, inp, (1,) * q.ell),
+                 lambda q, N, M, T, p: M * N + (M * N) ** q.ell + p, diagonal=True),
+    "I": _Family({"ell": 1},
+                 lambda q, inp: [inp.exponents("n")] * q.ell,
+                 lambda q, inp: kernels.prod_tally(inp.values("n"), q.ell, q.ctx.p,
+                                                   inp.powers),
+                 lambda q, N, M, T, p: N**q.ell + p, diagonal=True),
+    "T": _Family({"r": 1, "K": None, "M": None},
+                 lambda q, inp: [inp.pairs()] * q.r,
+                 lambda q, inp: _meet(q, inp, (1,) * q.r, lambda s: _pair_sums(q, inp, s)),
+                 lambda q, N, M, T, p: (M * N if q.r == 1
+                                        else M * N + _meet_work(M * N, q.r, p))),
+    "Q": _Family({"r": 1, "K": None, "M": None},
+                 lambda q, inp: [inp.pairs(), inp.sums("n", q.r)],
+                 lambda q, inp: _convolution_at(
+                     _pair_sums(q, inp, (1,)),
+                     kernels.sum_tally(inp.values("n"), (1,) * q.r, q.ctx.p), q.lam),
+                 lambda q, N, M, T, p: M * N + N**q.r + p),
+    "R": _Family({"k": 0, "ell": 1, "r": 1, "K": None, "M": None, "S": None, "T": None},
+                 _r_parts, _brute_r,
+                 lambda q, N, M, T, p: M**q.k + N**q.ell + T**q.r + p * p,
+                 exponents=True, conv_details=_r_conv_details),
+}
+FAMILIES = tuple(_FAMILIES)
 
 
 # ---------------------------------------------------------------------------
@@ -561,13 +598,7 @@ def count(q: CountQuery, engine: str = "auto") -> CountResult:
                 f"{conv.details} brute-force={brute.count} {brute.details} "
                 f"(p={q.ctx.p}, lam={q.lam})"
             )
-        return CountResult(
-            query=q,
-            count=conv.count,
-            engine="both",
-            seconds=conv.seconds + brute.seconds,
-            details=conv.details,
-        )
+        return replace(conv, engine="both", seconds=conv.seconds + brute.seconds)
     raise ParameterError(
         f"unknown engine {engine!r}; expected auto, conv, brute, or both"
     )

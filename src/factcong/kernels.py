@@ -343,10 +343,12 @@ def _tally(levels: list[np.ndarray], op, p: int) -> np.ndarray:
 
 def sum_tally(vals: np.ndarray, signs, p: int) -> np.ndarray:
     """Histogram of all sums of signs[i] * x_i mod p, one entry x_i of vals
-    per sign."""
+    per sign.  No signs is the empty sum: one tuple, at 0."""
     vals = np.asarray(vals, dtype=np.int64)
     signs = np.asarray(signs, dtype=np.int64)
     p = int(p)
+    if not signs.size:
+        return np.bincount([0], minlength=p)
     return _tally([s * vals % p for s in signs], np.add, p)
 
 

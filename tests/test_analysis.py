@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from factcong import field, kernels
+from factcong import counting, field, kernels
 from factcong.analysis import (
     BOUND_IDS,
     bound_rhs,
@@ -157,6 +157,19 @@ def test_evaluate_cell_t43_and_t44(ctx11):
     rep4 = evaluate_cell("T4.4", ctx11)
     assert rep4.params.get("k") in (None, 0)
     assert rep4.lhs >= 0
+
+
+def test_evaluate_cell_queries_only_the_fields_its_family_reads(monkeypatch, ctx11):
+    # T2.3 counts F, which reads ell, K and M but not k; C2.2 counts SIGNED
+    # with its alternating default signs
+    queries = []
+    count = counting.count
+    monkeypatch.setattr(counting, "count", lambda q, e: queries.append(q) or count(q, e))
+    evaluate_cell("T2.3", ctx11, {"k": 3, "M": 4})
+    evaluate_cell("C2.2", ctx11, {"k": 3})
+    f, signed = queries
+    assert (f.family, f.ell, f.k, f.M) == ("F", 1, 1, 4)
+    assert (signed.family, signed.k, signed.signs) == ("SIGNED", 3, (1, -1, 1))
 
 
 def test_t44_counts_only_k_zero(ctx101):

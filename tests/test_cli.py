@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import tracemalloc
 import warnings
@@ -6,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from factcong import cache, cli, factorial, field, kernels
+from factcong import cache, cli, counting, factorial, field, kernels
 from factcong.analysis import BOUND_IDS
 from factcong.cli import (
     CommandOutput,
@@ -214,12 +215,64 @@ def test_exit_2_on_bad_window(capsys):
     (("SIGNED", "--k", "2", "--signs", "+-", "--s", "1"), "--s"),
     (("J", "--signs", "+-"), "--signs"),
     (("R", "--signs=-"), "--signs"),
+    (("J", "--k", "5"), "--k"),
+    (("J", "--r", "3"), "--r"),
+    (("I", "--K", "2"), "--K"),
+    (("I", "--M", "3"), "--M"),
+    (("I", "--S", "1"), "--S"),
+    (("I", "--T", "3"), "--T"),
+    (("F", "--r", "2"), "--r"),
+    (("SIGNED", "--k", "1", "--signs", "+", "--ell", "2"), "--ell"),
 ])
 def test_exit_2_on_a_flag_no_count_reads(capsys, argv, flag):
     code, out, err = run_cli(capsys, "count", *argv, "--p", "7")
     assert code == 2
     assert out == ""
     assert flag in err
+
+
+# each CountQuery field a flag sets, with a value valid at p = 7
+FIELD_FLAGS = {"ell": ("--ell", "1"), "k": ("--k", "1"), "r": ("--r", "1"),
+               "lam": ("--lambda", "1"), "signs": ("--signs", "+"),
+               "L": ("--L", "1"), "N": ("--N", "3"), "K": ("--K", "1"),
+               "M": ("--M", "3"), "S": ("--S", "1"), "T": ("--T", "3")}
+
+
+def test_every_query_field_has_a_flag():
+    fields = {f.name for f in dataclasses.fields(CountQuery)} - {"family", "ctx"}
+    assert set(FIELD_FLAGS) == fields
+
+
+@pytest.mark.parametrize(("family", "name"), [
+    (family, f.name) for family in FAMILIES for f in dataclasses.fields(CountQuery)
+    if f.name in FIELD_FLAGS
+])
+def test_count_refuses_exactly_the_fields_outside_the_row(capsys, family, name):
+    base = ("--k", "1", "--signs", "+") if family == "SIGNED" else ()
+    code, out, err = run_cli(capsys, "count", family, *base, *FIELD_FLAGS[name], "--p", "7")
+    if name in counting._FAMILIES[family].fields:
+        assert code == 0, err
+    else:
+        assert (code, out) == (2, "")
+        assert FIELD_FLAGS[name][0] in err
+
+
+def test_zero_offsets_count_as_not_given(capsys):
+    # --K and --S default to 0, so 0 is what every family reads anyway
+    code, out, _ = run_cli(capsys, "count", "J", "--K", "0", "--S", "0", "--p", "7")
+    assert (code, out) == (0, "10\n")
+
+
+def test_t_full_windows_meet_the_brute_guard_in_the_middle(capsys):
+    # two pair tallies of about 1e6 pairs: auto counts by brute force
+    code, out, _ = run_cli(capsys, "count", "T", "--r", "2", "--p", "1009",
+                           "--lambda", "5", "--format", "json")
+    assert code == 0
+    (result,) = json.loads(out)["results"]
+    assert (result["engine"], result["count"]) == ("brute-force", 1023471571)
+    code, out, _ = run_cli(capsys, "count", "T", "--r", "2", "--p", "1009",
+                           "--lambda", "5", "--engine", "both")
+    assert (code, out) == (0, "1023471571\n")
 
 
 def test_exit_2_on_argparse_error(capsys):

@@ -576,8 +576,9 @@ def test_brute_engine_reads_no_dlog(monkeypatch, capsys):
     for family, params, expected in GOLDEN_P53:
         q = CountQuery(family=family, ctx=ctx, lam=7, **params)
         assert brute_force_count(q).count == expected, family
-    # I, Q and R go over exponents; F with ell = 2 keeps its residue pairs
-    assert len(scans) == 3
+    # I, T, Q and R go over exponents (T with r = 2 through its pair tallies);
+    # F with ell = 2 keeps its residue pairs
+    assert len(scans) == 4
     assert main(["verify", "T4.3", "--primes", "53..73", "--engine", "brute"]) == 0
     assert capsys.readouterr().out.count("T4.3,") == 6
 
@@ -880,7 +881,8 @@ def test_brute_work_of_signed_is_two_halves_and_a_dot():
 
 @pytest.mark.parametrize(("family", "params", "tallies"), [
     ("J", {"ell": 2}, 1),
-    ("SIGNED", {"k": 1, "signs": (-1,)}, 1),
+    # k = 1: the second half is the empty sum, tallied as one tuple at 0
+    ("SIGNED", {"k": 1, "signs": (-1,)}, 2),
     ("SIGNED", {"k": 2, "signs": (1, -1)}, 1),
     # the second half is the first negated in another order
     ("SIGNED", {"k": 4, "signs": (1, -1, 1, -1)}, 1),
@@ -894,3 +896,92 @@ def test_brute_tallies_a_negated_half_once(monkeypatch, ctx31, family, params, t
     monkeypatch.setattr(kernels, "sum_tally", lambda *a: calls.append(a[1]) or sum_tally(*a))
     brute_force_count(CountQuery(family=family, ctx=ctx31, lam=3, **params))
     assert len(calls) == tallies, calls
+
+
+@pytest.mark.parametrize("window", [
+    (11, {}),
+    (31, {"K": 3, "M": 8, "L": 5, "N": 6}),
+], ids=["full", "unequal"])
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_brute_t_meets_in_the_middle(window, r):
+    p, windows = window
+    ctx = PrimeContext.create(p)
+    q = CountQuery(family="T", ctx=ctx, r=r, **windows).resolved()
+    # the count before the meet in the middle: every pair product
+    # materialized and the r-fold sum tallied in full
+    pairs = kernels.outer_residues(ctx.window(q.K, q.M).values, ctx.window(q.L, q.N).values,
+                                   np.multiply, p)
+    want = kernels.sum_tally(pairs, (1,) * r, p)
+    profile = count_profile(q)
+    for lam in range(p):
+        got = brute_force_count(dataclasses.replace(q, lam=lam)).count
+        assert got == want[lam] == profile[lam], lam
+
+
+@pytest.mark.parametrize(("r", "pair_tallies", "sum_tallies"), [
+    (1, 1, 1),  # the pair tally and the empty second half
+    (2, 2, 0),  # a half of one pair product materializes no pairs
+    (3, 1, 1),  # two materialized pair products, then one
+    (4, 0, 2),  # two materialized pair products in each half
+])
+def test_brute_t_tallies_each_half(monkeypatch, ctx31, r, pair_tallies, sum_tallies):
+    calls = Counter()
+    for name in ("pair_product_tally", "sum_tally"):
+        fn = getattr(kernels, name)
+        monkeypatch.setattr(kernels, name, functools.partial(
+            lambda fn, name, *a: calls.update([name]) or fn(*a), fn, name))
+    q = CountQuery(family="T", ctx=ctx31, r=r, K=2, M=6, L=3, N=5, lam=3)
+    brute_force_count(q)
+    assert (calls["pair_product_tally"], calls["sum_tally"]) == (pair_tallies, sum_tallies)
+
+
+def test_brute_t_with_r_2_at_p_1009():
+    # the full windows: two tallies of about 1e6 pairs, where the full r-fold
+    # tally would take about 1e12 steps; auto now counts by brute force
+    q = CountQuery(family="T", ctx=PrimeContext.create(1009), r=2, lam=5)
+    assert estimate_brute_work(q) == 3 * 1008**2 + 1009
+    res = count(q)
+    assert (res.engine, res.count) == ("brute-force", 1023471571)
+    assert count_convolution(q).count == 1023471571
+
+
+# estimate_brute_work before the family table, recorded from the if-chain
+# it replaced: (p, windows, family, params, estimate)
+SHORT = {"L": 5, "N": 17, "K": 3, "M": 20, "S": 2, "T": 10}
+RECORDED_WORK = [
+    (31, {}, "J", {"ell": 3}, 27031),
+    (31, {}, "SIGNED", {"k": 4, "signs": (1, -1, 1, 1)}, 1831),
+    (31, {}, "F", {"ell": 2}, 810931),
+    (31, {}, "I", {"ell": 3}, 27031),
+    (31, {}, "Q", {"r": 3}, 27931),
+    (31, {}, "R", {"k": 0, "ell": 1, "r": 1, "lam": 1}, 1022),
+    (31, SHORT, "J", {"ell": 1}, 48),
+    (31, SHORT, "SIGNED", {"k": 1, "signs": (1,)}, 49),
+    (31, SHORT, "F", {"ell": 1}, 711),
+    (31, SHORT, "I", {"ell": 3}, 4944),
+    (31, SHORT, "Q", {"r": 1}, 388),
+    (31, SHORT, "R", {"k": 2, "ell": 1, "r": 3, "lam": 1}, 2378),
+    (1009, {}, "J", {"ell": 3}, 1024193521),
+    (1009, {}, "SIGNED", {"k": 4, "signs": (1, -1, 1, 1)}, 2033137),
+    (1009, {}, "F", {"ell": 2}, 1032387069169),
+    (1009, {}, "I", {"ell": 1}, 2017),
+    (1009, {}, "Q", {"r": 3}, 1025209585),
+    (1009, {}, "R", {"k": 2, "ell": 1, "r": 3, "lam": 1}, 1026227665),
+    (1009, SHORT, "R", {"k": 0, "ell": 1, "r": 1, "lam": 1}, 1018109),
+]
+
+
+@pytest.mark.parametrize(("p", "windows", "family", "params", "work"), RECORDED_WORK)
+def test_brute_work_is_the_recorded_estimate(p, windows, family, params, work):
+    q = CountQuery(family=family, ctx=PrimeContext.create(p), **params, **windows)
+    assert estimate_brute_work(q) == work
+
+
+def test_brute_work_of_t():
+    # r = 1 reads one pair tally; r >= 2 meets in the middle over the M N
+    # pair products: M N + (M N)**ceil(r/2) + (M N)**floor(r/2) + p
+    ctx = PrimeContext.create(31)
+    for r, work in [(1, 340), (2, 340 * 3 + 31), (3, 340 + 340**2 + 340 + 31),
+                    (4, 340 + 2 * 340**2 + 31)]:
+        q = CountQuery(family="T", ctx=ctx, r=r, K=3, M=20, L=5, N=17)
+        assert estimate_brute_work(q) == work, r

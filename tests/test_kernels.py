@@ -311,6 +311,17 @@ def test_sum_tally_fold_edges(p, signs):
 
 
 @pytest.mark.parametrize("p", [2, 3, 101])
+def test_sum_tally_of_no_signs_is_the_empty_sum(p):
+    # one tuple, the empty one, whose sum is 0, whatever the values
+    expect = np.zeros(p, dtype=np.int64)
+    expect[0] = 1
+    for vals in (np.arange(p, dtype=np.int64), np.zeros(0, dtype=np.int64)):
+        got = kernels.sum_tally(vals, (), p)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, expect)
+
+
+@pytest.mark.parametrize("p", [2, 3, 101])
 @pytest.mark.parametrize("op", [np.add, np.multiply])
 def test_outer_residues_are_reduced(p, op):
     a = np.array([0, 1 % p, p - 1, p - 1, p // 2], dtype=np.int64)
