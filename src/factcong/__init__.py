@@ -62,19 +62,14 @@ from .factorial import (
     FactorialWindow,
     build_window,
     product_histogram,
-    sum_histogram,
     value_histogram,
 )
 from .field import (
     PrimeContext,
     is_probable_prime,
-    next_prime_at_least,
     primes_between,
-    primes_nearest,
 )
 from .transform import (
-    cyclic_convolution_power,
-    cyclic_convolve_direct,
     cyclic_convolve_exact,
     dft_prime_length,
     index_reversed,
@@ -123,15 +118,10 @@ __all__ = [
     "FactorialWindow",
     "build_window",
     "product_histogram",
-    "sum_histogram",
     "value_histogram",
     "PrimeContext",
     "is_probable_prime",
-    "next_prime_at_least",
     "primes_between",
-    "primes_nearest",
-    "cyclic_convolution_power",
-    "cyclic_convolve_direct",
     "cyclic_convolve_exact",
     "dft_prime_length",
     "index_reversed",

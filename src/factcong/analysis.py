@@ -429,15 +429,14 @@ class DiscrepancyReport:
 
 
 def discrepancy_estimate(
-    wm: FactorialWindow, wn: FactorialWindow, H: int | None = None
+    wm: FactorialWindow, wn: FactorialWindow, H: int
 ) -> DiscrepancyReport:
     """Spectral upper estimate for the pair-product discrepancy.
 
-    Uses the full double-sum spectrum up to frequency H (default p - 1).
+    Uses the double-sum spectrum up to frequency H, 1 <= H <= p - 1.
     The exact value is attached when the pair count fits the direct guard.
     """
-    p = wm.p
-    H = p - 1 if H is None else int(H)
+    p, H = wm.p, int(H)
     if not 1 <= H <= p - 1:
         raise ParameterError("H must lie in [1, p-1]")
     spectrum = expsums.batch_double_sums(wm, wn)

@@ -43,10 +43,11 @@ The brute-force engine meets in the middle for SIGNED, for J as SIGNED
 with ell plus and ell minus signs, and for T as SIGNED with r plus signs
 over the M N pair products (Horowitz and Sahni, J. ACM 21, 1974): it
 tallies the first ceil(k/2) signed levels into G1 and the rest into G2,
-and the count is the exact dot sum_i G1[i] G2[lambda - i].  When the
-second half holds the first half's signs negated, in any order (J, +-,
-+-+-), G2 is G1 read at negated residues, not a second tally: a tally
-does not depend on the order of its levels.  A half of one pair product
+and the count is the exact dot sum_i G1[i] G2[lambda - i].  A tally does
+not depend on the order of its levels, so when the second half holds the
+first half's signs, in any order (++, T with r = 2 or 4), G2 is G1, and
+when it holds them negated (J, +-, +-+-), G2 is G1 read at negated
+residues: neither is a second tally.  A half of one pair product
 is the pair tally, which materializes no pairs; a longer half folds the
 materialized products over residues, as F does for ell >= 2.
 """
@@ -351,7 +352,9 @@ def _meet(q: CountQuery, inp: _Inputs, signs: tuple[int, ...], tally=None) -> in
     h = -(-len(signs) // 2)
     head, tail = signs[:h], signs[h:]
     G1 = tally(head)
-    if sorted(tail) == sorted(-s for s in head):  # J, +-, +-+- and the like
+    if sorted(tail) == sorted(head):  # T with r = 2 or 4, ++ and the like
+        G2 = G1
+    elif sorted(tail) == sorted(-s for s in head):  # J, +-, +-+- and the like
         G2 = np.roll(G1[::-1], 1)  # G2[y] = G1[-y]: the same sums negated
     else:
         G2 = tally(tail)
@@ -576,14 +579,16 @@ FAMILIES = tuple(_FAMILIES)
 def count(q: CountQuery, engine: str = "auto") -> CountResult:
     """Count solutions with the requested engine.
 
-    auto picks brute force below AUTO_BRUTE_THRESHOLD estimated steps and
-    the convolution engine otherwise; both runs the two independently and
-    raises EngineMismatchError when their counts or details (R's
-    dropped_zero_mass) disagree.
+    auto picks brute force below AUTO_BRUTE_THRESHOLD estimated steps, or
+    past field.DLOG_MEMORY_LIMIT on p, where the convolution engine
+    refuses, and the convolution engine otherwise; both runs the two
+    independently and raises EngineMismatchError when their counts or
+    details (R's dropped_zero_mass) disagree.
     """
     q = q.resolved()
     if engine == "auto":
-        use_brute = estimate_brute_work(q) < AUTO_BRUTE_THRESHOLD
+        use_brute = (q.ctx.p > field.DLOG_MEMORY_LIMIT
+                     or estimate_brute_work(q) < AUTO_BRUTE_THRESHOLD)
         return brute_force_count(q) if use_brute else count_convolution(q)
     if engine == "conv":
         return count_convolution(q)

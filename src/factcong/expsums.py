@@ -128,7 +128,7 @@ def single_sum(window: FactorialWindow, a: int) -> SpectrumValue:
 
 def _spectrum(p: int, kind: str, hist: np.ndarray) -> Spectrum:
     """The Spectrum of one histogram: its DFT and that DFT's error bound."""
-    values, err = transform.dft_prime_length(hist, sign=1)
+    values, err = transform.dft_prime_length(hist)
     return Spectrum(p=p, kind=kind, values=values, abs_error=err)
 
 

@@ -27,8 +27,6 @@ __all__ = [
     "PrimeContext",
     "check_table_limit",
     "primes_between",
-    "next_prime_at_least",
-    "primes_nearest",
 ]
 
 DLOG_MEMORY_LIMIT = 10_000_000
@@ -218,24 +216,3 @@ def primes_between(lo: int, hi: int) -> list[int]:
         return [n for n in range(lo, hi + 1) if sieve[n]]
     return [n for n in range(lo, hi + 1) if is_probable_prime(n)]
 
-
-def next_prime_at_least(n: int) -> int:
-    n = max(int(n), 2)
-    while not is_probable_prime(n):
-        n += 1
-    return n
-
-
-def primes_nearest(center: int, count: int) -> list[int]:
-    """The count primes closest to center, ties resolved downward first."""
-    center = int(center)
-    out: list[int] = []
-    lo, hi = center, center + 1
-    while len(out) < count:
-        if lo >= 2 and is_probable_prime(lo):
-            out.append(lo)
-        if len(out) < count and is_probable_prime(hi):
-            out.append(hi)
-        lo -= 1
-        hi += 1
-    return sorted(out[:count])

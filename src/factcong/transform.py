@@ -447,8 +447,9 @@ def dft_error_bound(length: int, l1_norm: float) -> float:
     return 24.0 * np.finfo(np.float64).eps * (stages + 4.0) * float(l1_norm)
 
 
-def dft_prime_length(values, sign: int = 1) -> tuple[np.ndarray, float]:
-    """DFT out[a] = sum_x values[x] * exp(sign * 2*pi*i * a*x / n).
+def dft_prime_length(values) -> tuple[np.ndarray, float]:
+    """DFT out[a] = sum_x values[x] * exp(2*pi*i * a*x / n), the direction
+    of the exponential sums e(a x / n).
 
     Any length works; the name records that counting asks for prime
     lengths p and the composite p - 1.  Returns the spectrum and an
@@ -457,9 +458,5 @@ def dft_prime_length(values, sign: int = 1) -> tuple[np.ndarray, float]:
     x = np.ascontiguousarray(values, dtype=np.complex128)
     if x.ndim != 1 or x.size == 0:
         raise ParameterError("dft needs a nonempty one-dimensional vector")
-    if sign not in (1, -1):
-        raise ParameterError("sign must be +1 or -1")
     err = dft_error_bound(x.size, float(np.abs(x).sum()))
-    if sign == -1:
-        return np.fft.fft(x), err
     return np.fft.ifft(x, norm="forward"), err

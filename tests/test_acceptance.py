@@ -25,7 +25,7 @@ from factcong.counting import (
 )
 from factcong.expsums import batch_double_sums, batch_single_sums, character_sum
 from factcong.factorial import build_window, sum_histogram
-from factcong.field import PrimeContext, next_prime_at_least, primes_between, primes_nearest
+from factcong.field import PrimeContext, primes_between
 from factcong.transform import cyclic_convolve_direct, cyclic_convolve_exact, dft_prime_length
 
 
@@ -178,12 +178,12 @@ def test_4_spectral_bridges():
 
 def test_5_bound_shape_stability():
     started = time.perf_counter()
-    targets = np.geomspace(100, 10000, 20)
-    primes = []
-    for t in targets:
-        q = next_prime_at_least(int(round(t)))
-        if q not in primes:
-            primes.append(q)
+    # the least prime at or above each of 20 targets spaced geometrically
+    # from 100 to 10000 (Bertrand: one lies below 2t)
+    targets = [int(round(t)) for t in np.geomspace(100, 10000, 20)]
+    primes = sorted({primes_between(t, 2 * t)[0] for t in targets})
+    assert primes == [101, 127, 163, 211, 269, 337, 431, 547, 701, 887, 1129,
+                      1439, 1847, 2339, 2999, 3793, 4861, 6163, 7853, 10007]
     sweeps = [
         ("T2.1 ell=1", "T2.1", {"ell": 1}),
         ("T2.1 ell=2", "T2.1", {"ell": 2}),
@@ -230,7 +230,11 @@ def test_7_distinct_fraction_near_reference():
     started = time.perf_counter()
     reference = 1 - 1 / math.e
     deviations = []
-    for p in primes_nearest(10**4, 20):
+    # the 20 primes nearest 10^4
+    primes = primes_between(9900, 10100)
+    assert primes == [9901, 9907, 9923, 9929, 9931, 9941, 9949, 9967, 9973, 10007,
+                      10009, 10037, 10039, 10061, 10067, 10069, 10079, 10091, 10093, 10099]
+    for p in primes:
         ctx = PrimeContext.create(p)
         stats = distinct_stats(build_window(ctx, 0, p - 1))
         deviations.append(abs(stats.distinct_fraction - reference))
@@ -257,9 +261,9 @@ def test_8_transform_correctness():
             assert [int(x) for x in got] == [int(x) for x in want], length
     p = 10007
     x = rng.standard_normal(p)
-    X, _ = dft_prime_length(x, sign=1)
-    back, _ = dft_prime_length(X, sign=-1)
-    rel = float(np.max(np.abs(back / p - x)) / np.max(np.abs(x)))
+    X, _ = dft_prime_length(x)
+    rel = max(float(np.max(np.abs(X - p * np.fft.ifft(x))) / np.max(np.abs(X))),
+              float(np.max(np.abs(np.fft.fft(X) / p - x)) / np.max(np.abs(x))))
     ok = rel < 1e-9
-    report("8 transform correctness", ok, started, f"round-trip rel {rel:.2e}")
+    report("8 transform correctness", ok, started, f"n ifft and round-trip rel {rel:.2e}")
     assert ok

@@ -264,7 +264,8 @@ def test_zero_offsets_count_as_not_given(capsys):
 
 
 def test_t_full_windows_meet_the_brute_guard_in_the_middle(capsys):
-    # two pair tallies of about 1e6 pairs: auto counts by brute force
+    # one pair tally of about 1e6 pairs, for both halves: auto counts by
+    # brute force
     code, out, _ = run_cli(capsys, "count", "T", "--r", "2", "--p", "1009",
                            "--lambda", "5", "--format", "json")
     assert code == 0
@@ -307,8 +308,9 @@ def test_signed_full_windows_meet_the_brute_guard_in_the_middle(capsys):
 
 @pytest.mark.parametrize("extra", [(), ("--engine", "conv"), ("--profile",)])
 def test_convolution_past_the_dlog_limit_exits_3_before_allocating(capsys, extra):
-    # auto picks the convolution engine here; its length-p histograms at
-    # p = 2**31 - 1 would take 16 GiB each, so it refuses before the first
+    # the convolution engine's length-p histograms at p = 2**31 - 1 would
+    # take 16 GiB each, so it refuses before the first; auto picks brute
+    # force past the table limit, whose tallies refuse the same way
     tracemalloc.start()
     try:
         code, out, err = run_cli(
@@ -319,7 +321,8 @@ def test_convolution_past_the_dlog_limit_exits_3_before_allocating(capsys, extra
         tracemalloc.stop()
     assert code == 3
     assert out == ""
-    assert err.startswith("factcong: guard exceeded: the convolution engine")
+    engine = "the convolution engine" if extra else "the brute-force tallies"
+    assert err.startswith(f"factcong: guard exceeded: {engine}")
     assert "Traceback" not in err
     assert peak < 1 << 26, peak
 
@@ -708,13 +711,20 @@ def test_no_count_engine_builds_the_dlog(capsys, monkeypatch):
 
 
 def test_brute_count_past_the_dlog_limit(capsys):
-    # the table would exceed DLOG_MEMORY_LIMIT, but auto counts by brute force
-    code, out, err = run_cli(
-        capsys, "count", "T", "--p", "10000019", "--N", "5", "--M", "5",
-        "--format", "json",
-    )
-    assert code == 0, err
-    assert json.loads(out)["results"][0]["engine"] == "brute-force"
+    # the tables would exceed DLOG_MEMORY_LIMIT, so the convolution engine
+    # refuses and auto counts by brute force; J and SIGNED estimate N + p
+    # and N + 1 + p steps, past AUTO_BRUTE_THRESHOLD
+    for argv in [
+        ("T", "--N", "5", "--M", "5"),
+        ("J", "--N", "5", "--lambda", "3"),
+        ("SIGNED", "--k", "1", "--signs", "+", "--N", "5", "--lambda", "3"),
+    ]:
+        argv = ("count", *argv, "--p", "10000019")
+        code, out, err = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0, err
+        assert json.loads(out)["results"][0]["engine"] == "brute-force"
+        assert json.loads(out)["results"][0]["count"] == 0
+        assert run_cli(capsys, *argv, "--engine", "conv")[0] == 3
 
 
 def test_stats_reads_one_window_when_both_windows_agree(tmp_path, capsys, monkeypatch):

@@ -887,7 +887,8 @@ def test_brute_work_of_signed_is_two_halves_and_a_dot():
     # the second half is the first negated in another order
     ("SIGNED", {"k": 4, "signs": (1, -1, 1, -1)}, 1),
     ("SIGNED", {"k": 4, "signs": (1, 1, -1, -1)}, 1),
-    ("SIGNED", {"k": 2, "signs": (1, 1)}, 2),
+    # the second half holds the first half's signs: one tally serves both
+    ("SIGNED", {"k": 2, "signs": (1, 1)}, 1),
     ("SIGNED", {"k": 3, "signs": (1, -1, 1)}, 2),
 ])
 def test_brute_tallies_a_negated_half_once(monkeypatch, ctx31, family, params, tallies):
@@ -920,9 +921,9 @@ def test_brute_t_meets_in_the_middle(window, r):
 
 @pytest.mark.parametrize(("r", "pair_tallies", "sum_tallies"), [
     (1, 1, 1),  # the pair tally and the empty second half
-    (2, 2, 0),  # a half of one pair product materializes no pairs
+    (2, 1, 0),  # one pair tally, which materializes no pairs, for both halves
     (3, 1, 1),  # two materialized pair products, then one
-    (4, 0, 2),  # two materialized pair products in each half
+    (4, 0, 1),  # one tally of two materialized pair products for both halves
 ])
 def test_brute_t_tallies_each_half(monkeypatch, ctx31, r, pair_tallies, sum_tallies):
     calls = Counter()
@@ -936,8 +937,9 @@ def test_brute_t_tallies_each_half(monkeypatch, ctx31, r, pair_tallies, sum_tall
 
 
 def test_brute_t_with_r_2_at_p_1009():
-    # the full windows: two tallies of about 1e6 pairs, where the full r-fold
-    # tally would take about 1e12 steps; auto now counts by brute force
+    # the full windows: one tally of about 1e6 pairs serves both halves,
+    # where the full r-fold tally would take about 1e12 steps; the estimate
+    # still counts two halves, and auto counts by brute force
     q = CountQuery(family="T", ctx=PrimeContext.create(1009), r=2, lam=5)
     assert estimate_brute_work(q) == 3 * 1008**2 + 1009
     res = count(q)

@@ -13,9 +13,7 @@ from factcong.field import (
     factorize,
     find_primitive_root,
     is_probable_prime,
-    next_prime_at_least,
     primes_between,
-    primes_nearest,
 )
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 101, 997, 7919, 104729]
@@ -153,17 +151,3 @@ def test_primes_between_endpoints():
     assert primes_between(11, 11) == [11]
     assert primes_between(14, 13) == []
     assert primes_between(-5, 5) == [2, 3, 5]
-
-
-def test_next_prime_at_least():
-    assert next_prime_at_least(10) == 11
-    assert next_prime_at_least(11) == 11
-    assert next_prime_at_least(-3) == 2
-
-
-def test_primes_nearest():
-    got = primes_nearest(10, 4)
-    assert len(got) == 4
-    assert got == sorted(got)
-    assert all(is_probable_prime(q) for q in got)
-    assert 11 in got and 7 in got
