@@ -396,14 +396,16 @@ def star_discrepancy(counts: np.ndarray, p: int) -> float:
 def direct_discrepancy(wm: FactorialWindow, wn: FactorialWindow) -> float:
     """Star discrepancy of the normalized pair products m! * n! / p.
 
-    Exhaustive over all M*N pairs, guarded; the reference against which
-    the spectral estimate must stay an upper bound.
+    Exact over all M*N pairs, guarded: the brute engine's pair tally,
+    with its checked power table.  The reference against which the
+    spectral estimate must stay an upper bound.
     """
     if wm.N * wn.N > DIRECT_DISCREPANCY_GUARD:
         raise GuardExceededError(
             f"direct discrepancy handles at most {DIRECT_DISCREPANCY_GUARD} pairs"
         )
-    counts = kernels.pair_product_tally(wm.values, wn.values, wm.p)
+    powers = functools.partial(counting._power_table, wm.ctx)
+    counts = kernels.pair_product_tally(wm.values, wn.values, wm.p, powers)
     return star_discrepancy(counts, wm.p)
 
 

@@ -28,12 +28,17 @@ convolution once (_Inputs).  Exponents are read through the context's
 power table (PrimeContext.power_table); no engine reads the
 discrete-log table.
 
-The brute-force engine enumerates the variable blocks exhaustively with
-early modular reduction and combines block tallies by vectorized direct
-summation, in int64 where a bound proves no partial sum overflows and in
-Python ints past it.  Where a pair of blocks is symmetric (both sides
-hold the same residues), it enumerates each unordered pair once and
-counts the off-diagonal ones twice.  A product tally of two levels or
+The brute-force engine tallies each variable block by enumeration, with
+early modular reduction, and the tallies meet by direct summation over
+every pair of bins (kernels._direct_cyclic: np.convolve, exact in
+float64 below 2**53 and in int64 or Python ints past it), with no
+transform.  Where kernels._use_direct says the pairs are too few to
+repay a convolution over every bin, as for short windows at a large p,
+it enumerates the pairs instead; where a pair of blocks is symmetric
+(both sides hold the same residues), it then enumerates each unordered
+pair once and counts the off-diagonal ones twice.  The final combines
+are direct sums too, in int64 where a bound proves no partial sum
+overflows and in Python ints past it.  A product tally of two levels or
 more, and R's combine, go over exponents when kernels._use_exponents
 says the pairs repay the table, through the engine's own power table
 (_power_table): a scan of the powers of the context's generator, checked
@@ -204,8 +209,11 @@ class _Inputs:
         return self.power(h, k)
 
     def exponents(self, role: str) -> np.ndarray:
-        """The window's histogram over exponents."""
-        return self._keep("exponents", role, factorial.exponent_histogram)
+        """The window's histogram over exponents: its kept residue
+        histogram read through the power table, so the window is counted
+        once for both."""
+        return self._keep("exponents", role,
+                          lambda w: self.sums(role, 1)[self.q.ctx.power_table()])
 
     def brackets(self, role: str, k: int) -> np.ndarray:
         """The k-fold sum histogram over exponents, bin 0 dropped: a
@@ -381,16 +389,20 @@ def _r_combine(A: np.ndarray, B: np.ndarray, c: np.ndarray, p: int, powers=None)
     """sum over nonzero u, v of A[u] * B[v] * c[u v mod p], exact.  With
     c[x] = C[lam / x] that is the family-R combine of tallies A, B and C.
 
-    Direct summation over the (u, v) where A and B are nonzero, in grids
-    of kernels._pair_blocks.  powers is as in kernels._product_tally:
-    when kernels._use_exponents of the number of such pairs, u = g**e and
-    v = g**f are taken by their exponents, and each grid gathers
+    powers is as in kernels._product_tally: when kernels._use_exponents
+    of the number of (u, v) where A and B are nonzero, u = g**e and
+    v = g**f are taken by their exponents.  Over exponents, when
+    kernels._use_direct of the pairs the grids below would take, the sum
+    is the exact dot of c with the direct cyclic convolution of A and B
+    (kernels._direct_cyclic), which sums over every pair of exponents.
+    Otherwise it is direct summation over the nonzero (u, v), in grids
+    of kernels._pair_blocks: over exponents each grid gathers
     c[g**(e + f)] from c over exponents written twice, with no remainder;
-    otherwise each grid reduces u v mod p.  When A equals B the summand is
-    symmetric in u and v, so each unordered pair is taken once and the
-    off-diagonal blocks count twice.  Every entry is a nonnegative
-    count, so sum(A) * sum(B) * sum(c) bounds every partial sum: int64
-    when it fits, object arrays of Python ints otherwise.
+    over residues each grid reduces u v mod p.  When A equals B the
+    summand is symmetric in u and v, so each unordered pair is taken once
+    and the off-diagonal blocks count twice.  Every entry is a
+    nonnegative count, so sum(A) * sum(B) * sum(c) bounds every partial
+    sum: int64 when it fits, object arrays of Python ints otherwise.
     """
     symmetric = np.array_equal(A, B)
     wide = int(A.sum()) * int(B.sum()) * int(c.sum()) > _INT64_MAX
@@ -398,6 +410,8 @@ def _r_combine(A: np.ndarray, B: np.ndarray, c: np.ndarray, p: int, powers=None)
     exponents = powers is not None and kernels._use_exponents(us.size * vs.size, p)
     if exponents:
         P = powers()
+        if kernels._use_direct(p - 1, us.size * vs.size // (2 if symmetric else 1)):
+            return _exact_dot(kernels._direct_cyclic(A[P], B[P]), c[P])
         A, B, c = A[P], B[P], np.concatenate([c[P], c[P]])
         us, vs = np.flatnonzero(A), np.flatnonzero(B)
     if wide:

@@ -1,38 +1,53 @@
 """Hot numeric loops, in numpy.
 
-Each kernel is one vectorized numpy implementation.  The brute-force
-tallies share one chunked outer operation, ``_outer_chunks``, so transient
-memory stays near ``_NUMPY_CHUNK`` entries per step.  Its operands are
-residues in [0, p).  A product chunk is reduced mod p in place; a sum
-chunk is left unreduced in [0, 2p).  ``_tally`` counts the last level's
-sums over 2p bins and folds the bins onto [0, p) once, and
-``outer_residues`` reduces the sums it materializes.
+Each kernel is one vectorized numpy implementation.  A brute-force tally
+histograms a sum or a product mod p over every tuple that takes one
+entry from each level.  Each level is tallied by enumeration, one
+bincount of its residues, and the tallies of a sum meet by direct
+summation over every pair of bins (``_direct_cyclic``): the cyclic
+convolution of two histograms is ``np.convolve``, a plain sum of
+products with no transform, folded once onto p bins.  Every product and
+partial sum of two count vectors is an integer at most sum(a) * sum(b),
+so below 2**53 float64 holds each one exactly and nothing rounds; int64
+and then Python ints take larger sums.  np.convolve shares no code with
+the convolution engine's FFT (``factcong.transform``).  Over b bins
+a convolution costs b**2 multiply-adds, so ``_use_direct`` takes it once
+the pairs that enumeration would tally reach b**2 / _DIRECT_PAIR_COST;
+short windows at a large p enumerate their pairs instead.
+
+Enumerated, the tallies share one chunked outer operation,
+``_outer_chunks``, so transient memory stays near ``_NUMPY_CHUNK``
+entries per step.  Its operands are residues in [0, p).  A product chunk
+is reduced mod p in place; a sum chunk is left unreduced in [0, 2p).
+``_tally`` counts the last level's sums over 2p bins and folds the bins
+onto [0, p) once, and ``outer_residues`` reduces the sums it
+materializes.
 
 Product tallies of two levels or more go over exponents when the caller
 hands them a power table and ``_use_exponents`` says the tuples repay it
-(``_product_tally``).  Every nonzero residue is g**e for a generator g, so
-a product of entries is g to the sum of their exponents: the tally is
-``_tally`` of the exponents with np.add mod p - 1, one add and one fold
-with no remainder per entry, scattered back to residues through the
-table.  Zero entries drop out, and bin 0 gets the tuples that hold one.
-The table comes from ``power_table``, the same blocked scan as
-``dlog_table``; the caller checks it before it hands it over.  Fewer
-tuples than about 128 p, a prime past 2**18, a single level and
-``outer_residues`` stay over residues: there the table costs more than
-it saves.
+(``_product_tally``).  Every nonzero residue is g**e for a generator g,
+so a product of entries is g to the sum of their exponents: the tally is
+``_tally`` of the exponents with np.add mod p - 1 (met directly, or
+enumerated with one add and one fold and no remainder per entry),
+scattered back to residues through the table.  Zero entries drop out,
+and bin 0 gets the tuples that hold one.  The table comes from
+``power_table``, the same blocked scan as ``dlog_table``; the caller
+checks it before it hands it over.  Fewer tuples than about 128 p, a
+prime past 2**18, a single level and ``outer_residues`` stay over
+residues: there the table costs more than it saves.
 
-When the last level of a tally holds the same entries as the level it
-meets, every pair and its transpose land in the same bin, so each
-unordered pair is enumerated once (``_pair_blocks``): the rows are cut
-into blocks, each block's own square is tallied with weight 1 and the
-pairs to its right with weight 2.  This holds over residues and over
-exponents alike.  When the last level is the other's negation (a
-difference x - y), the transpose lands in the negated bin instead, and
-the weight-2 tally is added once as it is and once mirrored.
-Cross-block pairs cost half as much; the diagonal blocks add about n *
-rows / 2 entries.  A block holds _ROW_BLOCK rows, or enough rows that its
-pairs outnumber the bins each chunk is counted into, so a short window at
-a large p does not pay a length-p bincount for every _ROW_BLOCK rows.
+When the two levels of an enumerated tally hold the same entries, every
+pair and its transpose land in the same bin, so each unordered pair is
+enumerated once (``_pair_blocks``): the rows are cut into blocks, each
+block's own square is tallied with weight 1 and the pairs to its right
+with weight 2.  This holds over residues and over exponents alike.  When
+one level is the other's negation (a difference x - y), the transpose
+lands in the negated bin instead, and the weight-2 tally is added once
+as it is and once mirrored.  Cross-block pairs cost half as much; the
+diagonal blocks add about n * rows / 2 entries.  A block holds
+_ROW_BLOCK rows, or enough rows that its pairs outnumber the bins each
+chunk is counted into, so a short window at a large p does not pay a
+length-p bincount for every _ROW_BLOCK rows.
 
 All modular arithmetic here assumes the modulus fits in 31 bits, so that
 intermediate products stay below 2**62 and int64 never overflows.
@@ -80,6 +95,18 @@ _DLOG_ROW = 1 << 14
 # tally was still slower at 128 p, its 2(p - 1) count bins out of cache.
 _EXPONENT_PAIRS_PER_P = 128
 _EXPONENT_MAX_P = 1 << 18
+# A tally of two levels or more meets by direct convolution (_use_direct)
+# once the pairs that enumeration would tally per convolution, each
+# unordered pair once where a level meets itself, reach bins**2 /
+# _DIRECT_PAIR_COST: an enumerated pair costs about as much as that many
+# float64 multiply-adds of np.convolve (0.13 to 0.26 ns each).  Timed on
+# 2 CPUs at p from 1009 to 30011, the two broke even between 16 and 24
+# bins**2 per pair for sum and pair tallies, and between 8 and 14 for the
+# family-R grids, which do less per pair.
+_DIRECT_PAIR_COST = 12
+# float64 holds every integer below 2**53, and int64 every one below 2**63.
+_FLOAT_EXACT = 1 << 53
+_INT64_EXACT = 1 << 63
 
 
 def _product_range(lo: int, hi: int, p: int) -> int:
@@ -302,25 +329,69 @@ def outer_residues(a: np.ndarray, b: np.ndarray, op, p: int) -> np.ndarray:
     return out
 
 
+def _use_direct(bins: int, pairs: int) -> bool:
+    """Whether tallies over `bins` bins, which enumeration would meet in
+    `pairs` pairs per convolution (each unordered pair once where a level
+    meets itself), meet by _direct_cyclic instead.  The one rule for
+    _tally and counting._r_combine."""
+    return bins * bins <= _DIRECT_PAIR_COST * pairs
+
+
+def _direct_cyclic(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The cyclic convolution of two count vectors of one length, exact:
+    out[s] = sum of a[i] * b[j] over i + j = s mod len(a).
+
+    np.convolve sums every product directly, with no transform, and the
+    linear result is folded once onto len(a) bins.  Every entry is a
+    nonnegative integer, so every product and every partial sum is at most
+    sum(a) * sum(b): below 2**53 each is an integer that float64 holds
+    exactly, whatever the order of summation, so nothing rounds; below
+    2**63 the sums go in int64, and past that in object arrays of Python
+    ints.
+    """
+    total = int(a.sum()) * int(b.sum())
+    if total < _FLOAT_EXACT:
+        full = np.convolve(a.astype(np.float64), b.astype(np.float64)).astype(np.int64)
+    else:
+        dtype = np.int64 if total < _INT64_EXACT else object
+        full = np.convolve(a.astype(dtype), b.astype(dtype))
+    n = a.size
+    out = full[:n]
+    out[: n - 1] += full[n:]
+    return out
+
+
 def _tally(levels: list[np.ndarray], op, p: int) -> np.ndarray:
     """Histogram mod p of op folded over one entry of each level, all tuples.
 
-    Every level holds residues in [0, p).  Every level but the last is
-    folded in full by outer_residues; the last is tallied one chunk at a
-    time.  Its sums lie in [0, 2p), so they are counted over 2p bins, and
-    bin p + x is added to bin x once at the end.  When the last level
-    equals the fold so far, or (for sums) is its negation, each unordered
-    pair is tallied once: the weight-2 counts are added twice, or once as
-    they are and once at the negated residue.
+    Every level holds residues in [0, p).  Two levels meet themselves when
+    they are equal, or (for sums) one is the other's negation; then each
+    unordered pair is enumerated once.  A sum of two levels or more, when
+    _use_direct of the pairs enumerated per convolution says so,
+    bincounts each level and folds the histograms by direct convolutions
+    (_direct_cyclic), which sum over every pair of bins.  Otherwise the
+    tuples are enumerated: every level but the last is folded in full by
+    outer_residues; the last is tallied one chunk at a time.  Its sums lie
+    in [0, 2p), so they are counted over 2p bins, and bin p + x is added
+    to bin x once at the end.  Two levels that meet themselves are
+    tallied in symmetric blocks: the weight-2 counts are added twice, or
+    once as they are and once at the negated residue.
     """
-    acc = levels[0]
+    if len(levels) == 1:
+        return np.bincount(levels[0], minlength=p)
+    first, last = levels[0], levels[-1]
+    two = len(levels) == 2
+    same = two and np.array_equal(first, last)
+    mirrored = two and not same and op is np.add and np.array_equal(first, (p - last) % p)
+    pairs = math.prod(level.size for level in levels) // (len(levels) - 1)
+    if op is np.add and _use_direct(p, pairs // 2 if same or mirrored else pairs):
+        acc = np.bincount(first, minlength=p)
+        for level in levels[1:]:
+            acc = _direct_cyclic(acc, np.bincount(level, minlength=p))
+        return acc
+    acc = first
     for level in levels[1:-1]:
         acc = outer_residues(acc, level, op, p)
-    if len(levels) == 1:
-        return np.bincount(acc, minlength=p)
-    last = levels[-1]
-    same = np.array_equal(acc, last)
-    mirrored = not same and op is np.add and np.array_equal(acc, (p - last) % p)
     bins = 2 * p if op is np.add else p
     # counts[w] sums the bincounts of the weight-w chunks; the first one
     # is the accumulator, so no zeroed length-bins array is allocated

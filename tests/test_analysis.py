@@ -295,6 +295,30 @@ def test_direct_discrepancy_wilson_concentration():
     assert d >= 1 - 2 / p
 
 
+def test_direct_discrepancy_is_the_same_over_residues_and_exponents(monkeypatch):
+    # the pair tally takes the brute engine's checked power table, so at
+    # p = 1009 it goes over exponents and meets by direct convolution; over
+    # residues, and over exponents enumerated, it gives the same value
+    ctx = PrimeContext.create(1009)
+    wm, wn = build_window(ctx, 0, 1008), build_window(ctx, 5, 700)
+    tables, direct = [], []
+    power_table, convolve = counting._power_table, kernels._direct_cyclic
+    monkeypatch.setattr(counting, "_power_table", lambda c: tables.append(c) or power_table(c))
+    monkeypatch.setattr(kernels, "_direct_cyclic", lambda a, b: direct.append(1) or convolve(a, b))
+    for w in (wm, wn):
+        tables.clear()
+        direct.clear()
+        value = direct_discrepancy(wm, w)
+        assert (tables, len(direct)) == ([ctx], 1)
+        with monkeypatch.context() as mp:
+            mp.setattr(kernels, "_DIRECT_PAIR_COST", 0)
+            assert direct_discrepancy(wm, w) == value
+        with monkeypatch.context() as mp:
+            mp.setattr(kernels, "_EXPONENT_MAX_P", 0)
+            assert direct_discrepancy(wm, w) == value
+        assert len(tables) == 2 and len(direct) == 1
+
+
 def test_direct_discrepancy_guard():
     ctx = PrimeContext.create(7919)
     w = build_window(ctx, 0, 7918)

@@ -27,6 +27,10 @@ from factcong.factorial import build_window, sum_histogram
 from factcong.field import PrimeContext, find_primitive_root
 
 PRIMES = [5, 7, 11, 13]
+# kernels._DIRECT_PAIR_COST values: with 0 every tally and family-R combine
+# enumerates its pairs; with this one, each meets by direct convolution
+# wherever it may.
+ENUMERATE, DIRECT = 0, 10**30
 
 
 @pytest.fixture(scope="module")
@@ -363,12 +367,14 @@ def test_r_brute_object_path_matches_int64_and_conv(contexts, monkeypatch):
     q = CountQuery(family="R", ctx=contexts[13], k=2, ell=2, r=2, lam=5)
     expected = count_convolution(q).count
     # a limit of 0 sends every combine to object arrays; 30 grid entries
-    # split the 12 nonzero u into chunks of two
+    # split the 12 nonzero u into chunks of two, enumerated
     for limit in (INT64_MAX, 0):
-        for grid in (counting._GRID_ENTRIES, 30):
-            monkeypatch.setattr(counting, "_INT64_MAX", limit)
+        monkeypatch.setattr(counting, "_INT64_MAX", limit)
+        for cost, grid in ((ENUMERATE, counting._GRID_ENTRIES), (ENUMERATE, 30),
+                           (DIRECT, counting._GRID_ENTRIES)):
+            monkeypatch.setattr(kernels, "_DIRECT_PAIR_COST", cost)
             monkeypatch.setattr(counting, "_GRID_ENTRIES", grid)
-            assert brute_force_count(q).count == expected, (limit, grid)
+            assert brute_force_count(q).count == expected, (limit, cost, grid)
 
 
 def test_r_combine_wide_tallies_match_python(monkeypatch):
@@ -385,7 +391,10 @@ def test_r_combine_wide_tallies_match_python(monkeypatch):
     )
     assert expected > INT64_MAX
     inv = kernels.inverse_table(kernels.factorial_window(p, 0, p - 1), p)
-    for powers in (None, power_table_of(p)):
+    # over exponents: in grids, and met by direct convolution in Python ints
+    for powers, cost in ((None, ENUMERATE), (power_table_of(p), ENUMERATE),
+                         (power_table_of(p), DIRECT)):
+        monkeypatch.setattr(kernels, "_DIRECT_PAIR_COST", cost)
         assert counting._r_combine(A, B, C[lam * inv % p], p, powers) == expected
 
 
@@ -408,8 +417,9 @@ def power_table_of(p):
 def test_r_combine_matches_a_direct_sum(monkeypatch, p, symmetric):
     # A equal to B takes each unordered (u, v) once; zeros in A and B drop
     # rows and columns, so the grids are ragged; with a power table the
-    # grids run over exponents, at any size
+    # grids run over exponents, at any size, or the combine meets directly
     monkeypatch.setattr(kernels, "_EXPONENT_PAIRS_PER_P", 0)
+    monkeypatch.setattr(kernels, "_DIRECT_PAIR_COST", ENUMERATE)
     rng = np.random.default_rng(p)
     A = rng.integers(0, 5, size=p, dtype=np.int64)
     A[rng.random(p) < 0.4] = 0
@@ -426,6 +436,9 @@ def test_r_combine_matches_a_direct_sum(monkeypatch, p, symmetric):
         with monkeypatch.context() as mp:
             mp.setattr(counting, "_INT64_MAX", 0)
             assert counting._r_combine(A, B, c, p, powers) == expected
+        with monkeypatch.context() as mp:
+            mp.setattr(kernels, "_DIRECT_PAIR_COST", DIRECT)
+            assert counting._r_combine(A, B, c, p, powers) == expected
 
 
 @given(st.sampled_from([2, 3, 5, 7, 11, 13]), st.booleans(), st.data())
@@ -440,14 +453,23 @@ def test_r_combine_over_exponents_matches_itertools(p, symmetric, data):
     table = kernels.power_table(p, find_primitive_root(p))
     expected = r_combine_reference(A, B, c, p)
     pairs = np.count_nonzero(A[1:]) * np.count_nonzero(B[1:])
-    # the threshold as it is, and 0 so that every size takes the table
-    for per_p in (0, kernels._EXPONENT_PAIRS_PER_P):
+    # the threshold as it is, and 0 so that every size takes the table;
+    # over exponents, grids, direct convolution or the rule between them
+    for per_p, cost in itertools.product(
+        (0, kernels._EXPONENT_PAIRS_PER_P),
+        (ENUMERATE, DIRECT, kernels._DIRECT_PAIR_COST),
+    ):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(kernels, "_EXPONENT_PAIRS_PER_P", per_p)
-            calls = []
+            mp.setattr(kernels, "_DIRECT_PAIR_COST", cost)
+            calls, direct = [], []
+            convolve = kernels._direct_cyclic
+            mp.setattr(kernels, "_direct_cyclic", lambda a, b: direct.append(1) or convolve(a, b))
             got = counting._r_combine(A, B, c, p, lambda: calls.append(1) or table)
-            assert got == expected, per_p
+            assert got == expected, (per_p, cost)
             assert bool(calls) == kernels._use_exponents(pairs, p)
+            enumerated = int(pairs) // 2 if np.array_equal(A, B) else int(pairs)
+            assert bool(direct) == (bool(calls) and kernels._use_direct(p - 1, enumerated))
 
 
 def test_r_combine_takes_the_table_from_the_pair_threshold(monkeypatch):
@@ -479,9 +501,11 @@ def test_r_brute_matches_conv_with_equal_and_unequal_brackets(
     for lam in (1, 7, 30):
         q = CountQuery(family="R", ctx=ctx, k=k, ell=ell, r=1, lam=lam, K=K, M=M)
         expected = count_convolution(q).count
-        for block in (kernels._ROW_BLOCK, 1, 5):
+        for cost, block in ((ENUMERATE, kernels._ROW_BLOCK), (ENUMERATE, 1),
+                            (ENUMERATE, 5), (DIRECT, kernels._ROW_BLOCK)):
+            monkeypatch.setattr(kernels, "_DIRECT_PAIR_COST", cost)
             monkeypatch.setattr(kernels, "_ROW_BLOCK", block)
-            assert brute_force_count(q).count == expected, (lam, block)
+            assert brute_force_count(q).count == expected, (lam, cost, block)
 
 
 SINGLE_LAMBDA_CASES = (
@@ -539,6 +563,27 @@ def test_one_window_per_count_call(monkeypatch, family, params):
     assert len(windows) == 1
 
 
+@pytest.mark.parametrize(("family", "params", "windows"), (
+    # every role on the default window: one bincount for all of them
+    ("R", {"k": 1, "ell": 1, "r": 2}, 1),
+    ("I", {"ell": 2}, 1),
+    # "m" and "n" differ, "t" is "n"
+    ("R", {"k": 1, "ell": 1, "r": 1, "K": 3, "M": 40, "S": 0, "T": 100}, 2),
+))
+def test_each_window_is_counted_once_per_count_call(monkeypatch, family, params, windows):
+    # a window's exponent histogram reads its kept residue histogram
+    # through the power table instead of counting the window again
+    q = CountQuery(family=family, ctx=PrimeContext.create(101), lam=7, **params)
+    expected = count_convolution(q).count
+    counted = []
+    for name in ("value_histogram", "exponent_histogram"):
+        fn = getattr(factorial, name)
+        monkeypatch.setattr(factorial, name, functools.partial(
+            lambda fn, name, w: counted.append(name) or fn(w), fn, name))
+    assert count_convolution(q).count == expected
+    assert counted == ["value_histogram"] * windows
+
+
 # the golden p = 53 count parameters, lambda = 7, and their counts
 GOLDEN_P53 = (
     ("J", {"ell": 2}, 137428),
@@ -559,6 +604,9 @@ def test_brute_engine_reads_no_dlog(monkeypatch, capsys):
                  "cyclic_convolve_direct", "plan_cyclic_convolution",
                  "index_reversed"):
         monkeypatch.setattr(transform, name, forbidden)
+    # the direct path sums with np.convolve, which calls no FFT
+    for name in ("fft", "ifft", "rfft", "irfft"):
+        monkeypatch.setattr(np.fft, name, forbidden)
     monkeypatch.setattr(kernels, "dlog_table", forbidden)
     monkeypatch.setattr(factorial, "exponent_histogram", forbidden)
     # reading any of these attributes fails, not only calling them
@@ -571,11 +619,18 @@ def test_brute_engine_reads_no_dlog(monkeypatch, capsys):
     power_table = kernels.power_table
     monkeypatch.setattr(kernels, "power_table",
                         lambda *a: scans.append(a) or power_table(*a))
+    direct = []
+    convolve = kernels._direct_cyclic
+    monkeypatch.setattr(kernels, "_direct_cyclic",
+                        lambda a, b: direct.append(1) or convolve(a, b))
     monkeypatch.delenv("FACTCONG_CACHE_DIR", raising=False)
     ctx = PrimeContext.create(53)
     for family, params, expected in GOLDEN_P53:
+        direct.clear()
         q = CountQuery(family=family, ctx=ctx, lam=7, **params)
         assert brute_force_count(q).count == expected, family
+        # every one of them meets some tallies by direct convolution
+        assert direct, family
     # I, T, Q and R go over exponents (T with r = 2 through its pair tallies);
     # F with ell = 2 keeps its residue pairs
     assert len(scans) == 4
@@ -621,8 +676,9 @@ def test_a_corrupted_power_table_raises_before_a_tally_reads_it(
             return fn(*args, **kwargs)
         return checked
 
-    # every tally and every combine grid passes through one of these
-    for name in ("_tally", "_pair_blocks"):
+    # every tally, every direct convolution and every combine grid passes
+    # through one of these
+    for name in ("_tally", "_direct_cyclic", "_pair_blocks"):
         monkeypatch.setattr(kernels, name, before_the_table(getattr(kernels, name)))
     q = CountQuery(family=family, ctx=PrimeContext.create(53), lam=7, **params)
     with pytest.raises(EngineMismatchError, match="power table"):

@@ -4,7 +4,8 @@ Each kernel is checked against known values, a plain-Python loop,
 itertools enumeration, a direct DFT mod q, or an identity its output must
 satisfy.  The tallies and the direct double sum also run with their chunk
 size shrunk to one to three entries, so their outer products are cut into
-many chunks.
+many chunks, with direct convolution off; the tallies run once more with
+every tally met by direct convolution.
 """
 
 import functools
@@ -24,16 +25,34 @@ from factcong.field import PrimeContext, find_primitive_root
 
 # The default chunk first, then chunks of one to three entries.
 TALLY_CHUNKS = [kernels._NUMPY_CHUNK, 1, 2, 3]
+# _DIRECT_PAIR_COST values: with 0, _use_direct never holds and every
+# tally enumerates; with this one, every tally of two levels or more that
+# has a tuple meets by direct convolution.
+ENUMERATE, DIRECT = 0, 10**30
 
 
-def at_each_chunk(fn, *args):
-    """[(chunk, fn(*args))] with the outer-op loop cut every `chunk` entries."""
+def enumerated(fn, *args):
+    """[(chunk, fn(*args))] with direct convolution off and the outer-op
+    loop cut every `chunk` entries."""
     out = []
     for chunk in TALLY_CHUNKS:
         with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernels, "_DIRECT_PAIR_COST", ENUMERATE)
             mp.setattr(kernels, "_NUMPY_CHUNK", chunk)
             out.append((chunk, fn(*args)))
     return out
+
+
+def met_directly(fn, *args):
+    """("direct", fn(*args)) with every tally met by direct convolution."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "_DIRECT_PAIR_COST", DIRECT)
+        return ("direct", fn(*args))
+
+
+def at_each_chunk(fn, *args):
+    """enumerated(fn, *args), then met_directly(fn, *args)."""
+    return [*enumerated(fn, *args), met_directly(fn, *args)]
 
 
 def test_factorial_window_known():
@@ -341,7 +360,8 @@ ROW_BLOCKS = [kernels._ROW_BLOCK, 1, 2, 3, 4]
 
 
 def at_each_block(fn, *args):
-    """[((block, chunk), fn(*args))] over every row block and chunk size."""
+    """[((block, chunk), fn(*args))] over every row block and chunk size,
+    enumerated, then met_directly(fn, *args)."""
     real = kernels._pair_blocks
 
     def rows_only(n, m, entries, symmetric=False, bins=0):
@@ -353,8 +373,8 @@ def at_each_block(fn, *args):
             if block != kernels._ROW_BLOCK:
                 mp.setattr(kernels, "_pair_blocks", rows_only)
             mp.setattr(kernels, "_ROW_BLOCK", block)
-            out += [((block, chunk), got) for chunk, got in at_each_chunk(fn, *args)]
-    return out
+            out += [((block, chunk), got) for chunk, got in enumerated(fn, *args)]
+    return [*out, met_directly(fn, *args)]
 
 
 def pair_reference(va, vb, op, p):
@@ -555,6 +575,99 @@ def test_the_exponent_path_stops_at_the_cap_on_p():
     assert not kernels._use_exponents(many, 2**31 - 1)
 
 
+# Direct convolution: tallies meet by summing over every pair of bins,
+# in float64 below 2**53, int64 below 2**63 and Python ints past that.
+
+
+def cyclic_reference(a, b):
+    """The cyclic convolution of a and b in Python ints, pair by pair."""
+    out = [0] * len(a)
+    for (i, x), (j, y) in itertools.product(enumerate(a.tolist()), enumerate(b.tolist())):
+        out[(i + j) % len(a)] += int(x) * int(y)
+    return out
+
+
+@given(st.integers(1, 12), st.sampled_from([1, 2**20, 2**40, 2**62]), st.data())
+def test_direct_cyclic_matches_python(n, top, data):
+    # entries up to 2**62 take every dtype: sums below 2**53, below 2**63
+    # and past it
+    counts = st.lists(st.integers(0, top), min_size=n, max_size=n)
+    a, b = (np.array(data.draw(counts, label=label), dtype=object) for label in "ab")
+    if sum(a) < 2**63 and sum(b) < 2**63:
+        a, b = a.astype(np.int64), b.astype(np.int64)
+    assert kernels._direct_cyclic(a, b).tolist() == cyclic_reference(a, b)
+
+
+@pytest.mark.parametrize(("total", "dtype"), [
+    (2**53 - 1, np.float64), (2**53, np.int64),
+    (2**63 - 1, np.int64), (2**63, object),
+])
+def test_direct_cyclic_dtype_switches_at_2_53_and_2_63(monkeypatch, total, dtype):
+    # sum(a) * sum(b) = total exactly
+    a = np.array([total - 5, 5, 0], dtype=object if total >= 2**63 else np.int64)
+    b = np.array([0, 1, 0], dtype=np.int64)
+    seen = []
+    convolve = np.convolve
+    monkeypatch.setattr(np, "convolve", lambda x, y: seen.append(x.dtype) or convolve(x, y))
+    assert kernels._direct_cyclic(a, b).tolist() == cyclic_reference(a, b)
+    assert seen == [np.dtype(dtype)]
+
+
+@pytest.mark.parametrize("top", [2**53, 2**63])
+def test_direct_cyclic_is_exact_past_each_switch(top):
+    # every entry is top + 1: float64 rounds it to top, and int64 wraps
+    # past 2**63
+    a = np.array([1, 1], dtype=np.int64)
+    b = np.array([top - 1, 2], dtype=object if top > 2**62 else np.int64)
+    assert kernels._direct_cyclic(a, b).tolist() == [top + 1, top + 1]
+
+
+def direct_calls(monkeypatch):
+    """The list that each call of kernels._direct_cyclic appends to."""
+    calls = []
+    direct = kernels._direct_cyclic
+    monkeypatch.setattr(kernels, "_direct_cyclic",
+                        lambda a, b: calls.append(a.size) or direct(a, b))
+    return calls
+
+
+@pytest.mark.parametrize("p", [13, 211])
+def test_the_direct_path_starts_at_its_pair_threshold(monkeypatch, p):
+    # tallies below p * p / _DIRECT_PAIR_COST enumerated pairs per
+    # convolution enumerate; from there on they meet directly, and agree
+    monkeypatch.setattr(kernels, "_EXPONENT_PAIRS_PER_P", 0)
+    calls = direct_calls(monkeypatch)
+    powers, _ = counted_powers(p)
+    full = kernels.factorial_window(p, 0, p - 1)
+    start = -(-p * p // kernels._DIRECT_PAIR_COST)
+    # (tally, arguments, pairs per convolution, bins)
+    cases = []
+    for pairs in (start - 1, start):
+        # ordered pairs: a long level against the single entry 2! (the
+        # second, so it differs from the first)
+        a = np.resize(full, pairs)
+        cases.append((kernels._tally, ([a, full[1:2]], np.add, p), pairs, p))
+        # three levels: tuples over two convolutions
+        cases.append((kernels._tally, ([a, full[1:2], full[1:3]], np.add, p), pairs, p))
+        # products over exponents, p - 1 bins
+        cases.append((kernels.pair_product_tally, (a, full[1:2], p, powers), pairs, p - 1))
+    for n in range(math.isqrt(2 * start) - 1, math.isqrt(2 * start) + 3):
+        # a level that meets itself enumerates each unordered pair once
+        a = np.resize(full, n)
+        cases.append((kernels.sum_tally, (a, [1, 1], p), n * n // 2, p))
+        cases.append((kernels.sum_tally, (a, [1, -1], p), n * n // 2, p))
+    sides = set()
+    for fn, args, pairs, bins in cases:
+        calls.clear()
+        got = fn(*args)
+        assert bool(calls) == kernels._use_direct(bins, pairs), (fn.__name__, pairs)
+        sides.add(bool(calls))
+        with monkeypatch.context() as mp:
+            mp.setattr(kernels, "_DIRECT_PAIR_COST", ENUMERATE)
+            np.testing.assert_array_equal(got, fn(*args))
+    assert sides == {False, True}
+
+
 @pytest.mark.parametrize("p", [2, 7, 101])
 @pytest.mark.parametrize("op", [np.add, np.multiply])
 def test_outer_residues_keep_every_ordered_pair_of_one_level(p, op):
@@ -567,10 +680,13 @@ def test_outer_residues_keep_every_ordered_pair_of_one_level(p, op):
 
 
 def test_materialize_cap_names_the_cap(monkeypatch):
-    # k = 3 materializes the 5 x 5 partial sums, which the cap forbids; the
-    # last level of k = 2 is only held a chunk at a time, so it passes.
+    # Enumerated, k = 3 materializes the 5 x 5 partial sums, which the cap
+    # forbids; the last level of k = 2 is only held a chunk at a time, so
+    # it passes.  Met by direct convolution, k = 3 materializes no tuples.
     monkeypatch.setattr(kernels, "_NUMPY_MATERIALIZE_CAP", 17)
     vals = np.arange(5, dtype=np.int64)
+    assert met_directly(kernels.sum_tally, vals, [1, 1, 1], 7)[1].sum() == 125
+    monkeypatch.setattr(kernels, "_DIRECT_PAIR_COST", ENUMERATE)
     assert kernels.sum_tally(vals, [1, 1], 7).sum() == 25
     with pytest.raises(GuardExceededError) as info:
         kernels.sum_tally(vals, [1, 1, 1], 7)
