@@ -28,33 +28,30 @@ convolution once (_Inputs).  Exponents are read through the context's
 power table (PrimeContext.power_table); no engine reads the
 discrete-log table.
 
-The brute-force engine tallies each variable block by enumeration, with
-early modular reduction, and the tallies meet by direct summation over
-every pair of bins (kernels._direct_cyclic: np.convolve, exact in
-float64 below 2**53 and in int64 or Python ints past it), with no
-transform.  Where kernels._use_direct says the pairs are too few to
-repay a convolution over every bin, as for short windows at a large p,
-it enumerates the pairs instead; where a pair of blocks is symmetric
-(both sides hold the same residues), it then enumerates each unordered
-pair once and counts the off-diagonal ones twice.  The final combines
-are direct sums too, in int64 where a bound proves no partial sum
-overflows and in Python ints past it.  A product tally of two levels or
-more, and R's combine, go over exponents when kernels._use_exponents
-says the pairs repay the table, through the engine's own power table
-(_power_table): a scan of the powers of the context's generator, checked
-in O(p) before any tally reads it and built at most once per count.
+The brute-force engine builds every tally from one kernel,
+kernels.meet, which meets two histograms mod p under + or x: by direct
+summation over every pair of bins (np.convolve, exact, no transform), by
+enumerating pairs of values or of weighted bins, or, for a product, over
+exponents through the engine's own power table (_power_table: a scan of
+the powers of the context's generator, checked in O(p) before any tally
+reads it and built at most once per count).  A window is one histogram,
+and k levels of it fold by squaring (kernels.fold).  The pair products
+m! n! are one product meet, the pair tally, built once per count; F's
+and T's sums of pair products fold the pair tally with itself.  R's
+combine is the product meet of its two bracket tallies, without bin 0,
+dotted with the third tally read at lambda / x.  The final dots are
+exact, in int64 where a bound proves no partial sum overflows and in
+Python ints past it.
 
 The brute-force engine meets in the middle for SIGNED, for J as SIGNED
 with ell plus and ell minus signs, and for T as SIGNED with r plus signs
-over the M N pair products (Horowitz and Sahni, J. ACM 21, 1974): it
-tallies the first ceil(k/2) signed levels into G1 and the rest into G2,
-and the count is the exact dot sum_i G1[i] G2[lambda - i].  A tally does
-not depend on the order of its levels, so when the second half holds the
+over the pair tally (Horowitz and Sahni, J. ACM 21, 1974): it tallies
+the first ceil(k/2) signed levels into G1 and the rest into G2, and the
+count is the exact dot sum_i G1[i] G2[lambda - i].  A tally does not
+depend on the order of its levels, so when the second half holds the
 first half's signs, in any order (++, T with r = 2 or 4), G2 is G1, and
 when it holds them negated (J, +-, +-+-), G2 is G1 read at negated
-residues: neither is a second tally.  A half of one pair product
-is the pair tally, which materializes no pairs; a longer half folds the
-materialized products over residues, as F does for ell >= 2.
+residues: neither is a second tally.
 """
 
 from __future__ import annotations
@@ -161,9 +158,9 @@ class _Inputs:
     histogram is built once per call and kept per window, so roles that
     coincide share one object.  Each exact convolution runs once per call:
     convolve keeps its results, keyed by operand identity, and sums and
-    power chain through it, so S_2 = h * h serves S_3 = S_2 * h, and two
-    roles on one window share every step.  An instance lives for one call:
-    a CountResult keeps its query, and a sweep keeps many results.
+    power go through it, so two roles on one window share every step.  An
+    instance lives for one call: a CountResult keeps its query, and a
+    sweep keeps many results.
     """
 
     def __init__(self, q: CountQuery):
@@ -197,11 +194,19 @@ class _Inputs:
         return self._convs[key][2]
 
     def power(self, vec: np.ndarray, k: int) -> np.ndarray:
-        """vec convolved with itself k times, one step at a time."""
-        acc = vec
-        for _ in range(k - 1):
-            acc = self.convolve(acc, vec)
-        return acc
+        """vec convolved with itself k times, by squaring: power(vec, k // 2)
+        squared, times vec once more when k is odd, in floor(log2 k) +
+        popcount(k) - 1 convolutions."""
+        if k == 1:
+            return vec
+        half = self.power(vec, k // 2)
+        acc = self.convolve(half, half)
+        return self.convolve(acc, vec) if k % 2 else acc
+
+    def powered(self, vec: np.ndarray, k: int) -> list[np.ndarray]:
+        """Parts whose convolution is the k-fold power of vec: [vec] or
+        [power(vec, k - 1), vec], so a single-lambda count ends in a dot."""
+        return [self.power(vec, k - 1), vec] if k > 1 else [vec]
 
     def sums(self, role: str, k: int) -> np.ndarray:
         """The k-fold sum histogram of the window, over residues."""
@@ -227,6 +232,14 @@ class _Inputs:
     def pairs(self) -> np.ndarray:
         return factorial.product_histogram(self.window("m"), self.window("n"))
 
+    def pair_sums(self, k: int = 1) -> np.ndarray:
+        """The brute engine's histogram of the sums of k pair products
+        m! n!: the pair tally, built once per call, folded k times."""
+        if "pairs" not in self._kept:
+            self._kept["pairs"] = kernels.pair_product_tally(
+                self.values("m"), self.values("n"), self.q.ctx.p, self.powers)
+        return kernels.fold(self._kept["pairs"], k, np.add, self.q.ctx.p)
+
 
 @dataclass(frozen=True)
 class CountResult:
@@ -240,10 +253,6 @@ class CountResult:
 
 
 _INT64_MAX = 2**63 - 1
-
-# Entries in one transient (u, v) grid of the family-R brute combine: 1 MiB
-# per int64 temporary, a few MiB in all, whatever p is.
-_GRID_ENTRIES = 1 << 17
 
 
 def _exact_dot(a: np.ndarray, b: np.ndarray) -> int:
@@ -374,61 +383,6 @@ def _meet_work(n: int, k: int, p: int) -> int:
     return n ** -(-k // 2) + n ** (k // 2) + p
 
 
-def _pair_sums(q: CountQuery, inp: _Inputs, signs: tuple[int, ...]) -> np.ndarray:
-    """Tally of the sums of len(signs) pair products m! n!, every sign +1:
-    one is the pair tally, which materializes no pairs; two or more fold
-    the products that outer_residues materializes."""
-    m, n, p = inp.values("m"), inp.values("n"), q.ctx.p
-    if len(signs) == 1:
-        return kernels.pair_product_tally(m, n, p, inp.powers)
-    pairs = kernels.outer_residues(m, n, np.multiply, p) if signs else n
-    return kernels.sum_tally(pairs, signs, p)
-
-
-def _r_combine(A: np.ndarray, B: np.ndarray, c: np.ndarray, p: int, powers=None) -> int:
-    """sum over nonzero u, v of A[u] * B[v] * c[u v mod p], exact.  With
-    c[x] = C[lam / x] that is the family-R combine of tallies A, B and C.
-
-    powers is as in kernels._product_tally: when kernels._use_exponents
-    of the number of (u, v) where A and B are nonzero, u = g**e and
-    v = g**f are taken by their exponents.  Over exponents, when
-    kernels._use_direct of the pairs the grids below would take, the sum
-    is the exact dot of c with the direct cyclic convolution of A and B
-    (kernels._direct_cyclic), which sums over every pair of exponents.
-    Otherwise it is direct summation over the nonzero (u, v), in grids
-    of kernels._pair_blocks: over exponents each grid gathers
-    c[g**(e + f)] from c over exponents written twice, with no remainder;
-    over residues each grid reduces u v mod p.  When A equals B the
-    summand is symmetric in u and v, so each unordered pair is taken once
-    and the off-diagonal blocks count twice.  Every entry is a
-    nonnegative count, so sum(A) * sum(B) * sum(c) bounds every partial
-    sum: int64 when it fits, object arrays of Python ints otherwise.
-    """
-    symmetric = np.array_equal(A, B)
-    wide = int(A.sum()) * int(B.sum()) * int(c.sum()) > _INT64_MAX
-    us, vs = np.flatnonzero(A[1:]) + 1, np.flatnonzero(B[1:]) + 1
-    exponents = powers is not None and kernels._use_exponents(us.size * vs.size, p)
-    if exponents:
-        P = powers()
-        if kernels._use_direct(p - 1, us.size * vs.size // (2 if symmetric else 1)):
-            return _exact_dot(kernels._direct_cyclic(A[P], B[P]), c[P])
-        A, B, c = A[P], B[P], np.concatenate([c[P], c[P]])
-        us, vs = np.flatnonzero(A), np.flatnonzero(B)
-    if wide:
-        A, B, c = A.astype(object), B.astype(object), c.astype(object)
-    a, b = A[us], B[vs]
-    value = 0
-    blocks = kernels._pair_blocks(us.size, vs.size, _GRID_ENTRIES, symmetric)
-    for weight, rows, cols in blocks:
-        if exponents:
-            uv = np.add.outer(us[rows], vs[cols])
-        else:
-            uv = np.multiply.outer(us[rows], vs[cols])
-            uv %= p
-        value += weight * int(np.dot(a[rows], np.dot(c[uv], b[cols])))
-    return value
-
-
 def _power_table(ctx: PrimeContext) -> np.ndarray:
     """P[e] = g**e mod p for e in [0, p - 1), the brute engine's own table.
 
@@ -460,7 +414,8 @@ def _power_table(ctx: PrimeContext) -> np.ndarray:
 
 
 def _brute_r(q: CountQuery, inp: _Inputs) -> int:
-    """R by its three tallies and one combine; reports dropped_zero_mass."""
+    """R by its three tallies and one combine, the product meet of A and B
+    without bin 0 dotted with C[lam / x]; reports dropped_zero_mass."""
     values, p = inp.values, q.ctx.p
     if q.k:
         A = kernels.sum_tally(values("m"), (1,) * q.k, p)
@@ -470,7 +425,8 @@ def _brute_r(q: CountQuery, inp: _Inputs) -> int:
     C = kernels.prod_tally(values("t"), q.r, p, inp.powers)
     inv = kernels.inverse_table(values("full"), p)
     inp.details["dropped_zero_mass"] = _r_dropped_mass(q, int(A[0]), int(B[0]))
-    return _r_combine(A, B, C[q.lam * inv % p], p, inp.powers)
+    A[0] = B[0] = 0
+    return _exact_dot(kernels.meet(A, B, np.multiply, p, inp.powers), C[q.lam * inv % p])
 
 
 def brute_force_count(q: CountQuery) -> CountResult:
@@ -559,23 +515,23 @@ _FAMILIES = {
                       lambda q, N, M, T, p: _meet_work(N, q.k, p),
                       signs=lambda k: tuple(1 if i % 2 == 0 else -1 for i in range(k))),
     "F": _Family({"ell": 1, "K": None, "M": None},
-                 lambda q, inp: [inp.pairs()] * q.ell,
-                 lambda q, inp: _pair_sums(q, inp, (1,) * q.ell),
+                 lambda q, inp: inp.powered(inp.pairs(), q.ell),
+                 lambda q, inp: inp.pair_sums(q.ell),
                  lambda q, N, M, T, p: M * N + (M * N) ** q.ell + p, diagonal=True),
     "I": _Family({"ell": 1},
-                 lambda q, inp: [inp.exponents("n")] * q.ell,
+                 lambda q, inp: inp.powered(inp.exponents("n"), q.ell),
                  lambda q, inp: kernels.prod_tally(inp.values("n"), q.ell, q.ctx.p,
                                                    inp.powers),
                  lambda q, N, M, T, p: N**q.ell + p, diagonal=True),
     "T": _Family({"r": 1, "K": None, "M": None},
-                 lambda q, inp: [inp.pairs()] * q.r,
-                 lambda q, inp: _meet(q, inp, (1,) * q.r, lambda s: _pair_sums(q, inp, s)),
+                 lambda q, inp: inp.powered(inp.pairs(), q.r),
+                 lambda q, inp: _meet(q, inp, (1,) * q.r, lambda s: inp.pair_sums(len(s))),
                  lambda q, N, M, T, p: (M * N if q.r == 1
                                         else M * N + _meet_work(M * N, q.r, p))),
     "Q": _Family({"r": 1, "K": None, "M": None},
                  lambda q, inp: [inp.pairs(), inp.sums("n", q.r)],
                  lambda q, inp: _convolution_at(
-                     _pair_sums(q, inp, (1,)),
+                     inp.pair_sums(),
                      kernels.sum_tally(inp.values("n"), (1,) * q.r, q.ctx.p), q.lam),
                  lambda q, N, M, T, p: M * N + N**q.r + p),
     "R": _Family({"k": 0, "ell": 1, "r": 1, "K": None, "M": None, "S": None, "T": None},

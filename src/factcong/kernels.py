@@ -2,54 +2,33 @@
 
 Each kernel is one vectorized numpy implementation.  A brute-force tally
 histograms a sum or a product mod p over every tuple that takes one
-entry from each level.  Each level is tallied by enumeration, one
-bincount of its residues, and the tallies of a sum meet by direct
-summation over every pair of bins (``_direct_cyclic``): the cyclic
-convolution of two histograms is ``np.convolve``, a plain sum of
-products with no transform, folded once onto p bins.  Every product and
-partial sum of two count vectors is an integer at most sum(a) * sum(b),
-so below 2**53 float64 holds each one exactly and nothing rounds; int64
-and then Python ints take larger sums.  np.convolve shares no code with
-the convolution engine's FFT (``factcong.transform``).  Over b bins
-a convolution costs b**2 multiply-adds, so ``_use_direct`` takes it once
-the pairs that enumeration would tally reach b**2 / _DIRECT_PAIR_COST;
-short windows at a large p enumerate their pairs instead.
+entry from each level, and every level is a histogram, a length-p count
+vector.  One kernel, ``meet``, meets two histograms under + or x, and
+the tallies fold their levels through it (``fold``: equal levels by
+squaring).  A meet takes one of three paths:
 
-Enumerated, the tallies share one chunked outer operation,
-``_outer_chunks``, so transient memory stays near ``_NUMPY_CHUNK``
-entries per step.  Its operands are residues in [0, p).  A product chunk
-is reduced mod p in place; a sum chunk is left unreduced in [0, 2p).
-``_tally`` counts the last level's sums over 2p bins and folds the bins
-onto [0, p) once, and ``outer_residues`` reduces the sums it
-materializes.
+- A sum meets by ``_direct_cyclic`` once ``_use_direct`` says so: the
+  cyclic convolution of two histograms is ``np.convolve``, a plain sum of
+  products with no transform (it shares no code with the convolution
+  engine's FFT in ``factcong.transform``), folded once onto p bins.
+- Otherwise ``_enumerate`` takes the pairs in the chunks of
+  ``_outer_chunks``, transient memory near ``_NUMPY_CHUNK`` entries.
+  Where bins rarely count more than one entry, as on a short window at a
+  large p, the values pair up into plain bincounts; elsewhere the nonzero
+  bins pair up, each pair weighted by the product of their counts.  When
+  the two sides are equal, or (for sums) one is the other negated, each
+  unordered pair is enumerated once (``_pair_blocks``).
+- A product goes over exponents when the caller hands it a power table
+  and ``_use_exponents`` says the pairs repay it.  Every nonzero residue
+  is g**e for a generator g, so the nonzero bins, read through the table,
+  meet as sums mod p - 1, and bin 0 gets the pairs that hold a zero.  The
+  table comes from ``power_table``, the same blocked scan as
+  ``dlog_table``; the caller checks it before it hands it over.
 
-Product tallies of two levels or more go over exponents when the caller
-hands them a power table and ``_use_exponents`` says the tuples repay it
-(``_product_tally``).  Every nonzero residue is g**e for a generator g,
-so a product of entries is g to the sum of their exponents: the tally is
-``_tally`` of the exponents with np.add mod p - 1 (met directly, or
-enumerated with one add and one fold and no remainder per entry),
-scattered back to residues through the table.  Zero entries drop out,
-and bin 0 gets the tuples that hold one.  The table comes from
-``power_table``, the same blocked scan as ``dlog_table``; the caller
-checks it before it hands it over.  Fewer tuples than about 128 p, a
-prime past 2**18, a single level and ``outer_residues`` stay over
-residues: there the table costs more than it saves.
-
-When the two levels of an enumerated tally hold the same entries, every
-pair and its transpose land in the same bin, so each unordered pair is
-enumerated once (``_pair_blocks``): the rows are cut into blocks, each
-block's own square is tallied with weight 1 and the pairs to its right
-with weight 2.  This holds over residues and over exponents alike.  When
-one level is the other's negation (a difference x - y), the transpose
-lands in the negated bin instead, and the weight-2 tally is added once
-as it is and once mirrored.  Cross-block pairs cost half as much; the
-diagonal blocks add about n * rows / 2 entries.  A block holds
-_ROW_BLOCK rows, or enough rows that its pairs outnumber the bins each
-chunk is counted into, so a short window at a large p does not pay a
-length-p bincount for every _ROW_BLOCK rows.
-
-All modular arithmetic here assumes the modulus fits in 31 bits, so that
+Every count, product and partial sum of a meet is an integer at most
+sum(a) * sum(b), so ``_exact_dtype`` of that total holds each exactly:
+float64 below 2**53, then int64, then Python ints.  All modular
+arithmetic here assumes the modulus fits in 31 bits, so that
 intermediate products stay below 2**62 and int64 never overflows.
 """
 
@@ -59,14 +38,13 @@ import math
 
 import numpy as np
 
-from .errors import GuardExceededError
-
 __all__ = [
     "factorial_window",
     "dlog_table",
     "power_table",
     "ntt_inplace",
-    "outer_residues",
+    "meet",
+    "fold",
     "sum_tally",
     "prod_tally",
     "pair_product_tally",
@@ -74,9 +52,7 @@ __all__ = [
     "double_sum_direct",
 ]
 
-# Tally levels that are materialized in full are capped; the last level is
-# only ever held a chunk of _NUMPY_CHUNK entries at a time.
-_NUMPY_MATERIALIZE_CAP = 60_000_000
+# Entries per chunk of an enumerated meet.
 _NUMPY_CHUNK = 4_000_000
 # Rows per block, at least, when a level meets itself (see _pair_blocks):
 # the diagonal blocks add about n * _ROW_BLOCK / 2 entries, and each block
@@ -86,8 +62,8 @@ _ROW_BLOCK = 64
 # dlog table: transient memory stays a few hundred KiB.
 _PRODUCT_CHUNK = 1 << 16
 _DLOG_ROW = 1 << 14
-# A product goes over exponents (_use_exponents) once it enumerates at
-# least _EXPONENT_PAIRS_PER_P * p pairs, and only for p below
+# A product meet goes over exponents (_use_exponents) once it would
+# enumerate at least _EXPONENT_PAIRS_PER_P * p pairs, and only for p below
 # _EXPONENT_MAX_P.  The power table costs O(p) and some fifty numpy calls
 # to build, check and invert, against a few ns saved per pair.  Timed with
 # the table, the exponent path broke even near 128 p pairs at p = 211 and
@@ -95,14 +71,12 @@ _DLOG_ROW = 1 << 14
 # tally was still slower at 128 p, its 2(p - 1) count bins out of cache.
 _EXPONENT_PAIRS_PER_P = 128
 _EXPONENT_MAX_P = 1 << 18
-# A tally of two levels or more meets by direct convolution (_use_direct)
-# once the pairs that enumeration would tally per convolution, each
-# unordered pair once where a level meets itself, reach bins**2 /
-# _DIRECT_PAIR_COST: an enumerated pair costs about as much as that many
-# float64 multiply-adds of np.convolve (0.13 to 0.26 ns each).  Timed on
-# 2 CPUs at p from 1009 to 30011, the two broke even between 16 and 24
-# bins**2 per pair for sum and pair tallies, and between 8 and 14 for the
-# family-R grids, which do less per pair.
+# A sum meet goes direct (_use_direct) once the pairs that enumeration
+# would take reach bins**2 / _DIRECT_PAIR_COST: an enumerated pair costs
+# about as much as that many float64 multiply-adds of np.convolve (0.13 to
+# 0.26 ns each).  Timed on 2 CPUs at p from 1009 to 30011, the two broke
+# even between 16 and 24 bins**2 per pair for sum and pair tallies, and
+# between 8 and 14 for the family-R combine, which did less per pair.
 _DIRECT_PAIR_COST = 12
 # float64 holds every integer below 2**53, and int64 every one below 2**63.
 _FLOAT_EXACT = 1 << 53
@@ -291,50 +265,44 @@ def _pair_blocks(n: int, m: int, entries: int, symmetric: bool = False, bins: in
             yield 2, slice(i, j), slice(j, n)
 
 
-def _outer_chunks(a: np.ndarray, b: np.ndarray, op, p: int, symmetric: bool = False):
-    """Yield (weight, op(x, y)) for the blocks of _pair_blocks over a and b,
-    each chunk flat and row-major.
+def _outer_chunks(a: np.ndarray, b: np.ndarray, op, p: int, bins: int,
+                  symmetric: bool = False):
+    """Yield (weight, rows, cols, op(a[rows], b[cols])) for the blocks of
+    _pair_blocks over a and b, each chunk flat and row-major.
 
     a and b hold residues in [0, p).  A product (np.multiply) is reduced
-    mod p in place, into p bins; a sum (np.add) is left as it is, in
-    [0, 2p), so 2p bins.  Each chunk holds about _NUMPY_CHUNK entries at
+    mod p in place; a sum (np.add) too when `bins` is p, and it is left in
+    [0, 2p) for 2p bins.  Each chunk holds about _NUMPY_CHUNK entries at
     most.  Ordered, every pair comes once with weight 1; symmetric, a
     weight-2 chunk stands for its pairs and their transposes.
     """
-    bins = 2 * p if op is np.add else p
-    blocks = _pair_blocks(a.size, b.size, _NUMPY_CHUNK, symmetric, bins)
-    for weight, rows, cols in blocks:
+    for weight, rows, cols in _pair_blocks(a.size, b.size, _NUMPY_CHUNK, symmetric, bins):
         chunk = op(a[rows, None], b[cols])
         if op is not np.add:
             np.remainder(chunk, p, out=chunk)
-        yield weight, chunk.ravel()
-
-
-def outer_residues(a: np.ndarray, b: np.ndarray, op, p: int) -> np.ndarray:
-    """All op(x, y) mod p for x, y residues in a, b, row-major, as one flat
-    array in [0, p).
-
-    Every ordered pair is kept, even when a and b are the same: later
-    levels combine these entries one by one.  Raises GuardExceededError
-    past _NUMPY_MATERIALIZE_CAP entries.
-    """
-    if a.size * b.size > _NUMPY_MATERIALIZE_CAP:
-        raise GuardExceededError(
-            f"a brute-force tally would materialize {a.size * b.size} "
-            f"residues, above the materialization cap of {_NUMPY_MATERIALIZE_CAP}"
-        )
-    out = np.concatenate([a[:0], *(chunk for _, chunk in _outer_chunks(a, b, op, p))])
-    if op is np.add:
-        np.remainder(out, p, out=out)
-    return out
+        elif bins == p:
+            np.subtract(chunk, p, out=chunk, where=chunk >= p)
+        yield weight, rows, cols, chunk.ravel()
 
 
 def _use_direct(bins: int, pairs: int) -> bool:
-    """Whether tallies over `bins` bins, which enumeration would meet in
-    `pairs` pairs per convolution (each unordered pair once where a level
-    meets itself), meet by _direct_cyclic instead.  The one rule for
-    _tally and counting._r_combine."""
+    """Whether two histograms over `bins` bins, whose enumeration costs
+    `pairs` (meet), meet by _direct_cyclic instead."""
     return bins * bins <= _DIRECT_PAIR_COST * pairs
+
+
+def _use_exponents(pairs: int, p: int) -> bool:
+    """Whether a product meet mod p whose enumeration costs `pairs` (meet)
+    takes a power table and goes over exponents."""
+    return p < _EXPONENT_MAX_P and pairs >= _EXPONENT_PAIRS_PER_P * p
+
+
+def _exact_dtype(total: int):
+    """The narrowest dtype whose sums of integers up to total are exact:
+    float64 below 2**53, int64 below 2**63, Python ints past that."""
+    if total < _FLOAT_EXACT:
+        return np.float64
+    return np.int64 if total < _INT64_EXACT else object
 
 
 def _direct_cyclic(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -344,129 +312,172 @@ def _direct_cyclic(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     np.convolve sums every product directly, with no transform, and the
     linear result is folded once onto len(a) bins.  Every entry is a
     nonnegative integer, so every product and every partial sum is at most
-    sum(a) * sum(b): below 2**53 each is an integer that float64 holds
-    exactly, whatever the order of summation, so nothing rounds; below
-    2**63 the sums go in int64, and past that in object arrays of Python
-    ints.
+    sum(a) * sum(b), and _exact_dtype of that total holds each one exactly,
+    whatever the order of summation.
     """
-    total = int(a.sum()) * int(b.sum())
-    if total < _FLOAT_EXACT:
-        full = np.convolve(a.astype(np.float64), b.astype(np.float64)).astype(np.int64)
-    else:
-        dtype = np.int64 if total < _INT64_EXACT else object
-        full = np.convolve(a.astype(dtype), b.astype(dtype))
+    dtype = _exact_dtype(int(a.sum()) * int(b.sum()))
+    fa = a.astype(dtype)
+    full = np.convolve(fa, fa if b is a else b.astype(dtype))
+    if dtype is np.float64:
+        full = full.astype(np.int64)
     n = a.size
     out = full[:n]
     out[: n - 1] += full[n:]
     return out
 
 
-def _tally(levels: list[np.ndarray], op, p: int) -> np.ndarray:
-    """Histogram mod p of op folded over one entry of each level, all tuples.
+def _negated(h: np.ndarray) -> np.ndarray:
+    """h read at negated residues: out[y] = h[-y mod len(h)]."""
+    out = np.empty_like(h)
+    out[0], out[1:] = h[0], h[:0:-1]
+    return out
 
-    Every level holds residues in [0, p).  Two levels meet themselves when
-    they are equal, or (for sums) one is the other's negation; then each
-    unordered pair is enumerated once.  A sum of two levels or more, when
-    _use_direct of the pairs enumerated per convolution says so,
-    bincounts each level and folds the histograms by direct convolutions
-    (_direct_cyclic), which sum over every pair of bins.  Otherwise the
-    tuples are enumerated: every level but the last is folded in full by
-    outer_residues; the last is tallied one chunk at a time.  Its sums lie
-    in [0, 2p), so they are counted over 2p bins, and bin p + x is added
-    to bin x once at the end.  Two levels that meet themselves are
-    tallied in symmetric blocks: the weight-2 counts are added twice, or
-    once as they are and once at the negated residue.
+
+def meet(a: np.ndarray, b: np.ndarray, op, p: int, powers=None) -> np.ndarray:
+    """out[z] = sum of a[x] * b[y] over op(x, y) = z mod p, exact, for count
+    vectors a and b of length p and op np.add or np.multiply.
+
+    Enumeration would cost `pairs` value pairs: sum(a) * sum(b), or twice
+    the pairs of nonzero bins (a weighted pair measured at about two),
+    whichever is less, halved when b is a or, for sums, a negated.  powers,
+    if set, returns a checked power table P, P[e] = g**e mod p; a product
+    reads its nonzero bins through P when _use_exponents(pairs, p).  A sum
+    meets directly when _use_direct(p, pairs), else _enumerate takes the
+    cheaper pairs.
     """
-    if len(levels) == 1:
-        return np.bincount(levels[0], minlength=p)
-    first, last = levels[0], levels[-1]
-    two = len(levels) == 2
-    same = two and np.array_equal(first, last)
-    mirrored = two and not same and op is np.add and np.array_equal(first, (p - last) % p)
-    pairs = math.prod(level.size for level in levels) // (len(levels) - 1)
-    if op is np.add and _use_direct(p, pairs // 2 if same or mirrored else pairs):
-        acc = np.bincount(first, minlength=p)
-        for level in levels[1:]:
-            acc = _direct_cyclic(acc, np.bincount(level, minlength=p))
-        return acc
-    acc = first
-    for level in levels[1:-1]:
-        acc = outer_residues(acc, level, op, p)
-    bins = 2 * p if op is np.add else p
+    x = _sparse(a)
+    y = x if b is a else _sparse(b)
+    a_total, b_total = int(x[1].sum()), int(y[1].sum())
+    total = a_total * b_total
+    if not total:  # an empty side: no pairs
+        return np.zeros(p, dtype=np.int64)
+    same, mirrored = _symmetry(x, y, op, p)
+    value_pairs, bin_pairs = total, 2 * x[0].size * y[0].size
+    pairs = min(value_pairs, bin_pairs) // (2 if same or mirrored else 1)
+    if op is np.multiply and powers is not None and _use_exponents(pairs, p):
+        P = powers()
+        out = np.zeros(p, dtype=np.int64 if total < _INT64_EXACT else object)
+        a_exps = a[P]
+        out[P] = meet(a_exps, a_exps if b is a else b[P], np.add, p - 1)
+        out[0] = total - (a_total - int(a[0])) * (b_total - int(b[0]))
+        return out
+    if op is np.add and _use_direct(p, pairs):
+        return _direct_cyclic(a, b)
+    return _enumerate(x, y, op, p, value_pairs <= bin_pairs, same, mirrored)
+
+
+def _sparse(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(bins, counts): the nonzero bins of h, ascending, and their counts."""
+    bins = np.flatnonzero(h != 0)  # faster than on h itself
+    return bins, h[bins]
+
+
+def _symmetry(x, y, op, p: int) -> tuple[bool, bool]:
+    """(same, mirrored) for two sides given as _sparse (bins, counts):
+    whether y equals x, and, for a sum, whether y is x read at negated
+    residues (y[z] = x[-z mod p]) instead."""
+    (xs, wx), (ys, wy) = x, y
+    if x is y or xs.size != ys.size:
+        return x is y, False
+    if np.array_equal(xs, ys) and np.array_equal(wx, wy):
+        return True, False
+    # x's bins in the order of their negations: bin 0 stays first
+    flip = np.roll(np.arange(xs.size)[::-1], int(xs[:1].tolist() == [0]))
+    return False, (op is np.add and np.array_equal(ys, (p - xs[flip]) % p)
+                   and np.array_equal(wy, wx[flip]))
+
+
+def _enumerate(x, y, op, p: int, by_value: bool, same: bool = False,
+               mirrored: bool = False) -> np.ndarray:
+    """meet of two sides given as _sparse (bins, counts), by enumerating
+    pairs in the blocks of _outer_chunks: by value, each bin repeated as
+    often as it counts, into plain bincounts; otherwise pairs of bins,
+    weighted by the products of their counts, in _exact_dtype of the total
+    (np.add.at past float64).  With same or mirrored (_symmetry), each
+    unordered pair comes once, and its weight-2 counts are added twice, or
+    once as they are and once negated.  Sums count over 2p bins, folded
+    once, or are reduced pair by pair when there are fewer pairs than p.
+    """
+    (xs, wx), (ys, wy) = x, y
+    if same or mirrored:  # y's entries in the order of their transposes
+        ys, wy = xs if same else (p - xs) % p, wx
+    if by_value:
+        xs, ys = np.repeat(xs, wx.astype(np.int64)), np.repeat(ys, wy.astype(np.int64))
+    else:
+        dtype = _exact_dtype(int(wx.sum()) * int(wy.sum()))
+        wx, wy = wx.astype(dtype), wy.astype(dtype)
+    bins = 2 * p if op is np.add and xs.size * ys.size >= p else p
     # counts[w] sums the bincounts of the weight-w chunks; the first one
     # is the accumulator, so no zeroed length-bins array is allocated
     counts = [None, None, None]
-    for weight, chunk in _outer_chunks(acc, last, op, p, same or mirrored):
-        c = np.bincount(chunk, minlength=bins)
+    for weight, rows, cols, chunk in _outer_chunks(xs, ys, op, p, bins, same or mirrored):
+        if by_value:
+            c = np.bincount(chunk, minlength=bins)
+        elif dtype is np.float64:
+            c = np.bincount(chunk, np.multiply.outer(wx[rows], wy[cols]).ravel(), bins)
+        else:
+            c = np.zeros(bins, dtype=dtype)
+            np.add.at(c, chunk, np.multiply.outer(wx[rows], wy[cols]).ravel())
         if counts[weight] is None:
             counts[weight] = c
         else:
             counts[weight] += c
     once, twice = (c if c is None or bins == p else c[:p] + c[p:] for c in counts[1:])
-    if once is None:  # an empty level: no pairs
+    if once is None:  # an empty side: no pairs
         return np.zeros(p, dtype=np.int64)
     if twice is not None:
         once += twice
-        # mirrored, the transpose of x + (p - y) is y + (p - x): negated
-        once += np.roll(twice[::-1], 1) if mirrored else twice
-    return once
+        # mirrored, the transpose of x + (p - y) is y + (p - x)
+        once += _negated(twice) if mirrored else twice
+    return once.astype(np.int64) if once.dtype == np.float64 else once
+
+
+def fold(h: np.ndarray, k: int, op, p: int, powers=None) -> np.ndarray:
+    """h met with itself k times under op: the histogram mod p of op over k
+    entries, each drawn with h's counts; k = 0 is one tuple at op's
+    identity.  Equal levels fold by squaring: fold(h, k // 2) meets itself,
+    and meets h once more when k is odd."""
+    if k == 0:
+        return np.bincount([0 if op is np.add else 1], minlength=p)
+    if k == 1:
+        return h
+    half = fold(h, k // 2, op, p, powers)
+    acc = meet(half, half, op, p, powers)
+    return meet(acc, h, op, p, powers) if k % 2 else acc
+
+
+def _histogram(vals, p: int) -> np.ndarray:
+    return np.bincount(np.asarray(vals, dtype=np.int64) % p, minlength=p)
 
 
 def sum_tally(vals: np.ndarray, signs, p: int) -> np.ndarray:
     """Histogram of all sums of signs[i] * x_i mod p, one entry x_i of vals
-    per sign.  No signs is the empty sum: one tuple, at 0."""
-    vals = np.asarray(vals, dtype=np.int64)
-    signs = np.asarray(signs, dtype=np.int64)
+    per sign of +1 or -1.  No signs is the empty sum: one tuple, at 0.  The
+    plus and the minus levels each fold, and the two folds meet once."""
     p = int(p)
-    if not signs.size:
-        return np.bincount([0], minlength=p)
-    return _tally([s * vals % p for s in signs], np.add, p)
-
-
-def _use_exponents(pairs: int, p: int) -> bool:
-    """Whether a product mod p that enumerates `pairs` pairs (or tuples)
-    takes a power table and goes over exponents.  The one rule for
-    _product_tally and counting._r_combine."""
-    return p < _EXPONENT_MAX_P and pairs >= _EXPONENT_PAIRS_PER_P * p
-
-
-def _product_tally(levels: list[np.ndarray], p: int, powers=None) -> np.ndarray:
-    """Histogram mod p of the product of one entry of each level, all tuples.
-
-    powers, when set, is a zero-argument callable that returns a checked
-    power table P, P[e] = g**e mod p.  It is called only for two levels or
-    more, when _use_exponents(tuples, p).  Then the exponents of the nonzero
-    entries are tallied as sums mod p - 1, out[P] maps the counts back to
-    residues, and bin 0 gets the tuples that hold a zero.  Otherwise the
-    products are tallied over residues.
-    """
-    tuples = math.prod(level.size for level in levels)
-    if powers is None or len(levels) < 2 or not _use_exponents(tuples, p):
-        return _tally(levels, np.multiply, p)
-    P = powers()
-    logs = np.empty(p, dtype=np.int64)
-    logs[P] = np.arange(p - 1, dtype=np.int64)
-    exponents = [logs[level[level != 0]] for level in levels]
-    del logs  # a length-p table the tally below does not need
-    out = np.empty(p, dtype=np.int64)
-    out[P] = _tally(exponents, np.add, p - 1)
-    out[0] = tuples - math.prod(e.size for e in exponents)
-    return out
+    signs = [int(s) for s in signs]
+    plus, minus = signs.count(1), signs.count(-1)
+    h = _histogram(vals, p)
+    folds = {k: fold(h, k, np.add, p) for k in {plus, minus}}
+    if not minus:
+        return folds[plus]
+    negative = _negated(folds[minus])
+    return meet(folds[plus], negative, np.add, p) if plus else negative
 
 
 def prod_tally(vals: np.ndarray, k: int, p: int, powers=None) -> np.ndarray:
-    """Histogram of all k-fold products of entries of vals mod p; over
-    exponents when _product_tally says so."""
+    """Histogram of all k-fold products of entries of vals mod p; each meet
+    goes over exponents when it says so."""
     p = int(p)
-    return _product_tally([np.asarray(vals, dtype=np.int64) % p] * int(k), p, powers)
+    return fold(_histogram(vals, p), int(k), np.multiply, p, powers)
 
 
 def pair_product_tally(va: np.ndarray, vb: np.ndarray, p: int, powers=None) -> np.ndarray:
     """Histogram of x*y mod p over all pairs from two value lists; over
-    exponents when _product_tally says so."""
-    va = np.asarray(va, dtype=np.int64)
-    vb = np.asarray(vb, dtype=np.int64)
-    return _product_tally([va, vb], int(p), powers)
+    exponents when the meet says so."""
+    p = int(p)
+    a = _histogram(va, p)
+    return meet(a, a if vb is va else _histogram(vb, p), np.multiply, p, powers)
 
 
 def inverse_table(full: np.ndarray, p: int) -> np.ndarray:
@@ -498,6 +509,6 @@ def double_sum_direct(
     vb = np.asarray(vb, dtype=np.int64)
     p = int(p)
     acc = 0.0 + 0.0j
-    for _, idx in _outer_chunks(int(a) * va % p, vb, np.multiply, p):
+    for *_, idx in _outer_chunks(int(a) * va % p, vb, np.multiply, p, p):
         acc += roots[idx].sum()
     return complex(acc)

@@ -120,6 +120,25 @@ def test_count_prints_bare_integer(capsys):
     assert out.strip() == "10"
 
 
+# The paper's headline representation m! n! + n_1! + ... + n_49!: the
+# count of Q with r = 49 at p = 1009 and lambda = 5, recorded while the
+# convolution engine still took its 49-fold power one step at a time.
+HEADLINE_Q49_P1009 = (
+    "1487976153987639724924617125863133084572944927565244723081812494429671"
+    "9090680385726243191138563196184729604638919970219507148052992498836225"
+    "11986287135"
+)
+
+
+def test_headline_shape_count(capsys):
+    code, out, _ = run_cli(
+        capsys, "count", "Q", "--r", "49", "--p", "1009", "--lambda", "5",
+        "--engine", "conv",
+    )
+    assert code == 0
+    assert out == HEADLINE_Q49_P1009 + "\n"
+
+
 def test_count_pair_product_family_forced_engines(capsys):
     # T and Q run through pair products, so the convolution route needs
     # the index table even though auto would pick brute force here

@@ -366,15 +366,35 @@ def test_convolution_at_matches_the_modulo_gather(rng, dtype, n):
 def test_r_brute_object_path_matches_int64_and_conv(contexts, monkeypatch):
     q = CountQuery(family="R", ctx=contexts[13], k=2, ell=2, r=2, lam=5)
     expected = count_convolution(q).count
-    # a limit of 0 sends every combine to object arrays; 30 grid entries
-    # split the 12 nonzero u into chunks of two, enumerated
+    # a limit of 0 sends every final dot to object arrays; chunks of 30
+    # entries split the enumerated meets into blocks of two rows
     for limit in (INT64_MAX, 0):
         monkeypatch.setattr(counting, "_INT64_MAX", limit)
-        for cost, grid in ((ENUMERATE, counting._GRID_ENTRIES), (ENUMERATE, 30),
-                           (DIRECT, counting._GRID_ENTRIES)):
+        for cost, chunk in ((ENUMERATE, kernels._NUMPY_CHUNK), (ENUMERATE, 30),
+                            (DIRECT, kernels._NUMPY_CHUNK)):
             monkeypatch.setattr(kernels, "_DIRECT_PAIR_COST", cost)
-            monkeypatch.setattr(counting, "_GRID_ENTRIES", grid)
-            assert brute_force_count(q).count == expected, (limit, cost, grid)
+            monkeypatch.setattr(kernels, "_NUMPY_CHUNK", chunk)
+            assert brute_force_count(q).count == expected, (limit, cost, chunk)
+
+
+def r_combine(A, B, c, p, powers=None):
+    """R's combine as the brute engine takes it: the product meet of A and
+    B without bin 0, dotted with c."""
+    A, B = A.copy(), B.copy()
+    A[0] = B[0] = 0
+    return counting._exact_dot(kernels.meet(A, B, np.multiply, p, powers), c)
+
+
+def pair_measure(a, b, op):
+    """The cost of enumerating the meet of a and b, in value pairs: the
+    pairs of values, or twice the pairs of nonzero bins, whichever is less,
+    halved when b equals a or (for sums) a at negated residues."""
+    n = a.size
+    halved = np.array_equal(a, b) or (
+        op is np.add and np.array_equal(b, a[(-np.arange(n)) % n]))
+    value_pairs = int(a.sum()) * int(b.sum())
+    bin_pairs = 2 * int(np.count_nonzero(a)) * int(np.count_nonzero(b))
+    return min(value_pairs, bin_pairs) // (2 if halved else 1)
 
 
 def test_r_combine_wide_tallies_match_python(monkeypatch):
@@ -391,11 +411,12 @@ def test_r_combine_wide_tallies_match_python(monkeypatch):
     )
     assert expected > INT64_MAX
     inv = kernels.inverse_table(kernels.factorial_window(p, 0, p - 1), p)
-    # over exponents: in grids, and met by direct convolution in Python ints
+    # weighted bin pairs over residues and over exponents, and met by direct
+    # convolution, all in Python ints
     for powers, cost in ((None, ENUMERATE), (power_table_of(p), ENUMERATE),
                          (power_table_of(p), DIRECT)):
         monkeypatch.setattr(kernels, "_DIRECT_PAIR_COST", cost)
-        assert counting._r_combine(A, B, C[lam * inv % p], p, powers) == expected
+        assert r_combine(A, B, C[lam * inv % p], p, powers) == expected
 
 
 # single-lambda counts against the profile and the brute engine
@@ -416,8 +437,8 @@ def power_table_of(p):
 @pytest.mark.parametrize("symmetric", [True, False])
 def test_r_combine_matches_a_direct_sum(monkeypatch, p, symmetric):
     # A equal to B takes each unordered (u, v) once; zeros in A and B drop
-    # rows and columns, so the grids are ragged; with a power table the
-    # grids run over exponents, at any size, or the combine meets directly
+    # rows and columns; with a power table the meet runs over exponents,
+    # at any size, enumerated or met directly
     monkeypatch.setattr(kernels, "_EXPONENT_PAIRS_PER_P", 0)
     monkeypatch.setattr(kernels, "_DIRECT_PAIR_COST", ENUMERATE)
     rng = np.random.default_rng(p)
@@ -428,23 +449,23 @@ def test_r_combine_matches_a_direct_sum(monkeypatch, p, symmetric):
     expected = r_combine_reference(A, B, c, p)
     for powers in (None, power_table_of(p)):
         for block in (kernels._ROW_BLOCK, 1, 2, 3):
-            for grid in (counting._GRID_ENTRIES, 1, 7):
+            for chunk in (kernels._NUMPY_CHUNK, 1, 7):
                 monkeypatch.setattr(kernels, "_ROW_BLOCK", block)
-                monkeypatch.setattr(counting, "_GRID_ENTRIES", grid)
-                got = counting._r_combine(A, B, c, p, powers)
-                assert got == expected, (powers, block, grid)
+                monkeypatch.setattr(kernels, "_NUMPY_CHUNK", chunk)
+                got = r_combine(A, B, c, p, powers)
+                assert got == expected, (powers, block, chunk)
         with monkeypatch.context() as mp:
             mp.setattr(counting, "_INT64_MAX", 0)
-            assert counting._r_combine(A, B, c, p, powers) == expected
+            assert r_combine(A, B, c, p, powers) == expected
         with monkeypatch.context() as mp:
             mp.setattr(kernels, "_DIRECT_PAIR_COST", DIRECT)
-            assert counting._r_combine(A, B, c, p, powers) == expected
+            assert r_combine(A, B, c, p, powers) == expected
 
 
 @given(st.sampled_from([2, 3, 5, 7, 11, 13]), st.booleans(), st.data())
 def test_r_combine_over_exponents_matches_itertools(p, symmetric, data):
     # sparse tallies with repeated counts; below the pair threshold the
-    # combine stays over residues and builds no table
+    # meet stays over residues and builds no table
     counts = st.lists(st.sampled_from([0, 0, 1, 3]), min_size=p, max_size=p)
     A = np.array(data.draw(counts, label="A"), dtype=np.int64)
     B = A.copy() if symmetric else np.array(data.draw(counts, label="B"), dtype=np.int64)
@@ -452,9 +473,13 @@ def test_r_combine_over_exponents_matches_itertools(p, symmetric, data):
                            label="c"), dtype=np.int64)
     table = kernels.power_table(p, find_primitive_root(p))
     expected = r_combine_reference(A, B, c, p)
-    pairs = np.count_nonzero(A[1:]) * np.count_nonzero(B[1:])
+    A0, B0 = A.copy(), B.copy()
+    A0[0] = B0[0] = 0
+    pairs = pair_measure(A0, B0, np.multiply)
+    # over exponents the nonzero bins meet as sums mod p - 1
+    exponent_pairs = pair_measure(A0[table], B0[table], np.add)
     # the threshold as it is, and 0 so that every size takes the table;
-    # over exponents, grids, direct convolution or the rule between them
+    # over exponents, enumerated, direct or by the rule between them
     for per_p, cost in itertools.product(
         (0, kernels._EXPONENT_PAIRS_PER_P),
         (ENUMERATE, DIRECT, kernels._DIRECT_PAIR_COST),
@@ -465,27 +490,34 @@ def test_r_combine_over_exponents_matches_itertools(p, symmetric, data):
             calls, direct = [], []
             convolve = kernels._direct_cyclic
             mp.setattr(kernels, "_direct_cyclic", lambda a, b: direct.append(1) or convolve(a, b))
-            got = counting._r_combine(A, B, c, p, lambda: calls.append(1) or table)
+            got = r_combine(A, B, c, p, lambda: calls.append(1) or table)
             assert got == expected, (per_p, cost)
-            assert bool(calls) == kernels._use_exponents(pairs, p)
-            enumerated = int(pairs) // 2 if np.array_equal(A, B) else int(pairs)
-            assert bool(direct) == (bool(calls) and kernels._use_direct(p - 1, enumerated))
+            # a side with no nonzero bin has no pairs to meet
+            nonempty = A0.any() and B0.any()
+            assert bool(calls) == (nonempty and kernels._use_exponents(pairs, p))
+            assert bool(direct) == (bool(calls) and kernels._use_direct(p - 1, exponent_pairs))
 
 
 def test_r_combine_takes_the_table_from_the_pair_threshold(monkeypatch):
-    # at p = 13 and 2 pairs per unit of p the threshold is 26 nonzero
-    # (u, v): 5 x 5 stays over residues, 3 x 9 takes the table
+    # at p = 13 and 2 pairs per unit of p the threshold is 26 value pairs:
+    # with counts of 1 the pairs of values, so 5 x 5 stays over residues and
+    # 3 x 9 takes the table; with counts of 2 and 3 twice the pairs of
+    # nonzero bins, so 2 x 3 x 4 stays and 2 x 3 x 5 takes the table
     p = 13
     monkeypatch.setattr(kernels, "_EXPONENT_PAIRS_PER_P", 2)
     table = kernels.power_table(p, find_primitive_root(p))
     c = np.arange(p, dtype=np.int64)
-    for nu, nv in ((5, 5), (3, 9)):
-        A, B = np.zeros(p, dtype=np.int64), np.zeros(p, dtype=np.int64)
-        A[1 : nu + 1], B[1 : nv + 1] = 2, 3
-        calls = []
-        got = counting._r_combine(A, B, c, p, lambda: calls.append(1) or table)
-        assert got == r_combine_reference(A, B, c, p)
-        assert bool(calls) == (nu * nv >= 2 * p), (nu, nv)
+    for weights, sizes in (((1, 1), ((5, 5), (3, 9))), ((2, 3), ((3, 4), (3, 5)))):
+        for nu, nv in sizes:
+            # B starts one bin after A, so the two are never equal
+            A, B = np.zeros(p, dtype=np.int64), np.zeros(p, dtype=np.int64)
+            A[1 : nu + 1], B[2 : nv + 2] = weights
+            calls = []
+            got = r_combine(A, B, c, p, lambda: calls.append(1) or table)
+            assert got == r_combine_reference(A, B, c, p)
+            pairs = min(nu * nv * weights[0] * weights[1], 2 * nu * nv)
+            assert pairs == pair_measure(A, B, np.multiply)
+            assert bool(calls) == (pairs >= 2 * p), (weights, nu, nv)
 
 
 @pytest.mark.parametrize(("k", "ell", "K", "M"), [
@@ -631,9 +663,8 @@ def test_brute_engine_reads_no_dlog(monkeypatch, capsys):
         assert brute_force_count(q).count == expected, family
         # every one of them meets some tallies by direct convolution
         assert direct, family
-    # I, T, Q and R go over exponents (T with r = 2 through its pair tallies);
-    # F with ell = 2 keeps its residue pairs
-    assert len(scans) == 4
+    # I, F, T, Q and R go over exponents (F and T through their pair tallies)
+    assert len(scans) == 5
     assert main(["verify", "T4.3", "--primes", "53..73", "--engine", "brute"]) == 0
     assert capsys.readouterr().out.count("T4.3,") == 6
 
@@ -676,9 +707,8 @@ def test_a_corrupted_power_table_raises_before_a_tally_reads_it(
             return fn(*args, **kwargs)
         return checked
 
-    # every tally, every direct convolution and every combine grid passes
-    # through one of these
-    for name in ("_tally", "_direct_cyclic", "_pair_blocks"):
+    # every tally and R's combine meet, directly or by enumeration
+    for name in ("meet", "_direct_cyclic", "_enumerate"):
         monkeypatch.setattr(kernels, name, before_the_table(getattr(kernels, name)))
     q = CountQuery(family=family, ctx=PrimeContext.create(53), lam=7, **params)
     with pytest.raises(EngineMismatchError, match="power table"):
@@ -964,10 +994,10 @@ def test_brute_t_meets_in_the_middle(window, r):
     p, windows = window
     ctx = PrimeContext.create(p)
     q = CountQuery(family="T", ctx=ctx, r=r, **windows).resolved()
-    # the count before the meet in the middle: every pair product
-    # materialized and the r-fold sum tallied in full
-    pairs = kernels.outer_residues(ctx.window(q.K, q.M).values, ctx.window(q.L, q.N).values,
-                                   np.multiply, p)
+    # the count before the meet in the middle: every pair product, listed
+    # one by one, and the r-fold sum tallied in full
+    pairs = [x * y % p for x in ctx.window(q.K, q.M).values.tolist()
+             for y in ctx.window(q.L, q.N).values.tolist()]
     want = kernels.sum_tally(pairs, (1,) * r, p)
     profile = count_profile(q)
     for lam in range(p):
@@ -975,21 +1005,68 @@ def test_brute_t_meets_in_the_middle(window, r):
         assert got == want[lam] == profile[lam], lam
 
 
-@pytest.mark.parametrize(("r", "pair_tallies", "sum_tallies"), [
-    (1, 1, 1),  # the pair tally and the empty second half
-    (2, 1, 0),  # one pair tally, which materializes no pairs, for both halves
-    (3, 1, 1),  # two materialized pair products, then one
-    (4, 0, 1),  # one tally of two materialized pair products for both halves
+@pytest.mark.parametrize(("r", "meets"), [
+    (1, 1),  # the pair tally and the empty second half
+    (2, 1),  # one pair tally for both halves
+    (3, 2),  # the pair tally met with itself, then the pair tally alone
+    (4, 2),  # the pair tally met with itself, for both halves
+    (5, 4),  # three pair products (two more meets), then two (one more)
 ])
-def test_brute_t_tallies_each_half(monkeypatch, ctx31, r, pair_tallies, sum_tallies):
+def test_brute_t_tallies_each_half(monkeypatch, ctx31, r, meets):
+    # every half folds the one pair tally, which is built once per count by
+    # one meet of its own
     calls = Counter()
-    for name in ("pair_product_tally", "sum_tally"):
+    for name in ("pair_product_tally", "sum_tally", "meet"):
         fn = getattr(kernels, name)
         monkeypatch.setattr(kernels, name, functools.partial(
             lambda fn, name, *a: calls.update([name]) or fn(*a), fn, name))
     q = CountQuery(family="T", ctx=ctx31, r=r, K=2, M=6, L=3, N=5, lam=3)
     brute_force_count(q)
-    assert (calls["pair_product_tally"], calls["sum_tally"]) == (pair_tallies, sum_tallies)
+    assert calls == Counter(pair_product_tally=1, meet=meets)
+
+
+def cyclic_python(a, b):
+    """The cyclic convolution of a and b in Python ints."""
+    n = len(a)
+    out = [0] * n
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[(i + j) % n] += int(x) * int(y)
+    return out
+
+
+@pytest.mark.parametrize("top", [1, 2**40])
+def test_power_squares_and_matches_the_chain(monkeypatch, ctx31, top):
+    # vec convolved with itself k times, k = 1..17, equals the chain one
+    # step at a time, in floor(log2 k) + popcount(k) - 1 convolutions.
+    # Counts of 1 stay on the float transform, within MAX_LIMBS limbs;
+    # counts near 2**40 pass MAX_LIMBS and take big integers.
+    vec = np.random.default_rng(top).integers(0, top + 1, size=8).astype(np.int64)
+    vec[0] = top
+    engines = set()
+    plan = transform.plan_cyclic_convolution
+    monkeypatch.setattr(transform, "plan_cyclic_convolution",
+                        lambda *a: engines.add(plan(*a).engine) or plan(*a))
+    chain = vec.tolist()
+    for k in range(1, 18):
+        inp = counting._Inputs(CountQuery(family="J", ctx=ctx31).resolved())
+        calls = []
+        convolve = inp.convolve
+        inp.convolve = lambda a, b: calls.append(1) or convolve(a, b)
+        assert [int(x) for x in inp.power(vec, k)] == chain, k
+        assert len(calls) == k.bit_length() + bin(k).count("1") - 2, k
+        chain = cyclic_python(chain, vec)
+    assert engines == ({"fft"} if top == 1 else {"fft", "bigint"})
+
+
+def test_brute_side_of_the_headline_shape():
+    # Q with r = 49 at p = 1009, past the brute guard, by the family row's
+    # brute plan: the 49-fold sum tally folds by squaring, in Python ints
+    # past 2**63, and meets the pair tally at lambda
+    q = CountQuery(family="Q", ctx=PrimeContext.create(1009), r=49, lam=5).resolved()
+    assert estimate_brute_work(q) > BRUTE_FORCE_GUARD
+    got = counting._FAMILIES["Q"].brute(q, counting._Inputs(q))
+    assert got == count_convolution(q).count
 
 
 def test_brute_t_with_r_2_at_p_1009():

@@ -11,6 +11,7 @@ every tally met by direct convolution.
 import functools
 import itertools
 import math
+import operator
 import tracemalloc
 
 import numpy as np
@@ -19,7 +20,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from factcong import kernels
-from factcong.errors import GuardExceededError
 from factcong.factorial import build_window, exponent_histogram
 from factcong.field import PrimeContext, find_primitive_root
 
@@ -340,14 +340,35 @@ def test_sum_tally_of_no_signs_is_the_empty_sum(p):
         np.testing.assert_array_equal(got, expect)
 
 
+def outer_residues(a, b, op, p, bins):
+    """The residues that _outer_chunks yields for a and b, ordered, joined."""
+    return [x for *_, chunk in kernels._outer_chunks(a, b, op, p, bins) for x in chunk.tolist()]
+
+
 @pytest.mark.parametrize("p", [2, 3, 101])
 @pytest.mark.parametrize("op", [np.add, np.multiply])
 def test_outer_residues_are_reduced(p, op):
+    # the chunks of an enumerated meet: products and sums into p bins are
+    # reduced into [0, p), and sums for 2p bins are left in [0, 2p)
     a = np.array([0, 1 % p, p - 1, p - 1, p // 2], dtype=np.int64)
     b = np.array([p - 1, 0, p // 2], dtype=np.int64)
-    expect = [int(op(x, y)) % p for x in a.tolist() for y in b.tolist()]
-    for chunk, got in at_each_chunk(kernels.outer_residues, a, b, op, p):
-        assert got.tolist() == expect, chunk
+    pairs = [int(op(x, y)) for x in a.tolist() for y in b.tolist()]
+    for chunk, got in enumerated(outer_residues, a, b, op, p, p):
+        assert got == [v % p for v in pairs], chunk
+    if op is np.add:
+        for chunk, got in enumerated(outer_residues, a, b, op, p, 2 * p):
+            assert got == pairs, chunk
+
+
+@pytest.mark.parametrize("p", [2, 7, 101])
+@pytest.mark.parametrize("op", [np.add, np.multiply])
+def test_outer_residues_keep_every_ordered_pair_of_one_level(p, op):
+    # ordered, the same array on both sides still gives all n**2 residues
+    # (double_sum_direct reads every one)
+    x = np.array([0, 1 % p, p - 1, p // 2, 1 % p], dtype=np.int64)
+    expect = [int(op(a, b)) % p for a in x.tolist() for b in x.tolist()]
+    for where, got in enumerated(outer_residues, x, x, op, p, p):
+        assert got == expect, where
 
 
 # The unordered enumeration: a level that meets itself (or, for sums, its
@@ -526,7 +547,8 @@ def test_pair_product_tally_over_exponents(p, data):
             for where, got in at_each_block(kernels.pair_product_tally, va, vb, p, powers):
                 np.testing.assert_array_equal(got, expect, err_msg=f"{per_p} {where}")
             # below the threshold the pairs stay over residues, with no table
-            assert bool(calls) == kernels._use_exponents(va.size * vb.size, p)
+            pairs = pair_measure(histogram(va, p), histogram(vb, p), np.multiply)
+            assert bool(calls) == kernels._use_exponents(pairs, p)
 
 
 @given(st.sampled_from(EXPONENT_PRIMES), st.sampled_from([1, 2, 3]), st.data())
@@ -541,30 +563,45 @@ def test_prod_tally_over_exponents(p, k, data):
             powers, calls = counted_powers(p)
             for where, got in at_each_block(kernels.prod_tally, vals, k, p, powers):
                 np.testing.assert_array_equal(got, expect, err_msg=f"{per_p} {where}")
-            # a single level is one bincount and takes no table
-            assert bool(calls) == (k > 1 and kernels._use_exponents(vals.size**k, p))
+            # a single level is one bincount and takes no table; no meet of
+            # at most 5**3 tuples reaches 128 p, so only a threshold of 0
+            # takes it
+            assert bool(calls) == (k > 1 and per_p == 0)
 
 
-@pytest.mark.parametrize("p", [13, 211])
-def test_the_exponent_path_starts_at_the_pair_threshold(p):
-    # one pair short of _EXPONENT_PAIRS_PER_P * p stays over residues;
-    # at the threshold the table is taken, and the tallies agree
-    per_p = kernels._EXPONENT_PAIRS_PER_P
-    va = kernels.factorial_window(p, 0, p - 1)
-    for pairs in (per_p * p - 1, per_p * p):
-        # a long level of repeated factorials against 2! alone
-        a, b = np.resize(va, pairs), va[1:2]
-        powers, calls = counted_powers(p)
-        got = kernels.pair_product_tally(a, b, p, powers)
-        assert bool(calls) == (pairs >= per_p * p) == kernels._use_exponents(pairs, p)
-        np.testing.assert_array_equal(got, kernels.pair_product_tally(a, b, p))
-    # so do the k-fold products: 3-fold at n**3 around the threshold
-    n = math.ceil((per_p * p) ** (1 / 3))
-    for size in (n - 1, n):
-        vals = np.resize(va, size)
-        powers, calls = counted_powers(p)
-        kernels.prod_tally(vals, 3, p, powers)
-        assert bool(calls) == (size**3 >= per_p * p)
+# (pairs per unit of p, [(counts, sizes one side of the threshold, sizes
+# the other side)]): counts of 1 cost their value pairs, and counts of 2
+# and 3 twice their bin pairs
+EXPONENT_THRESHOLDS = {
+    # 26 value pairs: 25 stay over residues, 27 take the table; 2 x 12
+    # stay, 2 x 15 take it
+    13: (2, [((1, 1), (5, 5), (3, 9)), ((2, 3), (3, 4), (3, 5))]),
+    # 27008 value pairs: 129 x 209 = 26961 stay, 130 x 208 = 27040 take
+    # the table; 2 x 64 x 209 = 26752 stay, 2 x 65 x 208 = 27040 take it
+    211: (kernels._EXPONENT_PAIRS_PER_P,
+          [((1, 1), (129, 209), (130, 208)), ((2, 3), (64, 209), (65, 208))]),
+}
+
+
+@pytest.mark.parametrize("p", sorted(EXPONENT_THRESHOLDS))
+def test_the_exponent_path_starts_at_the_pair_threshold(monkeypatch, p):
+    # below _EXPONENT_PAIRS_PER_P * p value pairs a product meet stays over
+    # residues; from there on it takes the table, and the meets agree
+    per_p, cases = EXPONENT_THRESHOLDS[p]
+    monkeypatch.setattr(kernels, "_EXPONENT_PAIRS_PER_P", per_p)
+    for weights, *sizes in cases:
+        for nx, ny in sizes:
+            # b starts one bin after a, so the two are never equal
+            a, b = np.zeros(p, dtype=np.int64), np.zeros(p, dtype=np.int64)
+            a[1 : nx + 1], b[2 : ny + 2] = weights
+            pairs = pair_measure(a, b, np.multiply)
+            assert pairs == min(nx * ny * weights[0] * weights[1], 2 * nx * ny)
+            powers, calls = counted_powers(p)
+            got = kernels.meet(a, b, np.multiply, p, powers)
+            takes = kernels._use_exponents(pairs, p)
+            assert bool(calls) == takes == (pairs >= per_p * p) == ((nx, ny) == sizes[1])
+            np.testing.assert_array_equal(got, kernels.meet(a, b, np.multiply, p))
+            assert got.tolist() == cyclic_reference(a, b, operator.mul)
 
 
 def test_the_exponent_path_stops_at_the_cap_on_p():
@@ -579,11 +616,13 @@ def test_the_exponent_path_stops_at_the_cap_on_p():
 # in float64 below 2**53, int64 below 2**63 and Python ints past that.
 
 
-def cyclic_reference(a, b):
-    """The cyclic convolution of a and b in Python ints, pair by pair."""
+def cyclic_reference(a, b, op=operator.add):
+    """out[op(i, j) mod len(a)] summed over a[i] * b[j], in Python ints, pair
+    by pair: the cyclic convolution of a and b, or with op = operator.mul
+    the meet of a product."""
     out = [0] * len(a)
     for (i, x), (j, y) in itertools.product(enumerate(a.tolist()), enumerate(b.tolist())):
-        out[(i + j) % len(a)] += int(x) * int(y)
+        out[op(i, j) % len(a)] += int(x) * int(y)
     return out
 
 
@@ -633,66 +672,184 @@ def direct_calls(monkeypatch):
 
 @pytest.mark.parametrize("p", [13, 211])
 def test_the_direct_path_starts_at_its_pair_threshold(monkeypatch, p):
-    # tallies below p * p / _DIRECT_PAIR_COST enumerated pairs per
-    # convolution enumerate; from there on they meet directly, and agree
+    # sum meets that would enumerate fewer than p * p / _DIRECT_PAIR_COST
+    # value pairs enumerate; from there on they meet directly, and agree
     monkeypatch.setattr(kernels, "_EXPONENT_PAIRS_PER_P", 0)
     calls = direct_calls(monkeypatch)
     powers, _ = counted_powers(p)
-    full = kernels.factorial_window(p, 0, p - 1)
     start = -(-p * p // kernels._DIRECT_PAIR_COST)
-    # (tally, arguments, pairs per convolution, bins)
+    # (op, a, b, modulus of the direct meet): a run of n bins from 1 and
+    # one of m bins from 2, so a != b
     cases = []
-    for pairs in (start - 1, start):
-        # ordered pairs: a long level against the single entry 2! (the
-        # second, so it differs from the first)
-        a = np.resize(full, pairs)
-        cases.append((kernels._tally, ([a, full[1:2]], np.add, p), pairs, p))
-        # three levels: tuples over two convolutions
-        cases.append((kernels._tally, ([a, full[1:2], full[1:3]], np.add, p), pairs, p))
-        # products over exponents, p - 1 bins
-        cases.append((kernels.pair_product_tally, (a, full[1:2], p, powers), pairs, p - 1))
+    for weights, cost in (((1, 1), 1), ((2, 3), 2)):
+        # the value pairs, or twice the bin pairs, straddle the start
+        for n in range(1, p - 2):
+            m = -(-start // (cost * n))
+            for m in (m - 1, m):
+                if 1 <= m <= p - 3:
+                    a, b = runs(p, (1, n, weights[0]), (2, m, weights[1]))
+                    cases.append((np.add, a, b, p))
+                    # a product over exponents meets its p - 1 bins
+                    cases.append((np.multiply, a, b, p - 1))
     for n in range(math.isqrt(2 * start) - 1, math.isqrt(2 * start) + 3):
-        # a level that meets itself enumerates each unordered pair once
-        a = np.resize(full, n)
-        cases.append((kernels.sum_tally, (a, [1, 1], p), n * n // 2, p))
-        cases.append((kernels.sum_tally, (a, [1, -1], p), n * n // 2, p))
+        # a side that meets itself, or itself negated, counts each
+        # unordered pair once
+        (a,) = runs(p, (0, min(n, p), 1))
+        cases.append((np.add, a, a.copy(), p))
+        cases.append((np.add, a, kernels._negated(a), p))
     sides = set()
-    for fn, args, pairs, bins in cases:
+    for op, a, b, bins in cases:
         calls.clear()
-        got = fn(*args)
-        assert bool(calls) == kernels._use_direct(bins, pairs), (fn.__name__, pairs)
+        got = kernels.meet(a, b, op, p, powers)
+        exponents = powers() if op is np.multiply else np.arange(p)
+        pairs = pair_measure(a[exponents], b[exponents], np.add)
+        assert bool(calls) == kernels._use_direct(bins, pairs), (op, pairs)
         sides.add(bool(calls))
         with monkeypatch.context() as mp:
             mp.setattr(kernels, "_DIRECT_PAIR_COST", ENUMERATE)
-            np.testing.assert_array_equal(got, fn(*args))
+            np.testing.assert_array_equal(got, kernels.meet(a, b, op, p))
     assert sides == {False, True}
 
 
-@pytest.mark.parametrize("p", [2, 7, 101])
-@pytest.mark.parametrize("op", [np.add, np.multiply])
-def test_outer_residues_keep_every_ordered_pair_of_one_level(p, op):
-    # outer_residues materializes a level that later steps combine entry by
-    # entry, so the same array on both sides still gives all n**2 residues
-    x = np.array([0, 1 % p, p - 1, p // 2, 1 % p], dtype=np.int64)
-    expect = [int(op(a, b)) % p for a in x.tolist() for b in x.tolist()]
-    for where, got in at_each_block(kernels.outer_residues, x, x, op, p):
-        assert got.tolist() == expect, where
+def histogram(vals, p):
+    return np.bincount(np.asarray(vals, dtype=np.int64) % p, minlength=p)
 
 
-def test_materialize_cap_names_the_cap(monkeypatch):
-    # Enumerated, k = 3 materializes the 5 x 5 partial sums, which the cap
-    # forbids; the last level of k = 2 is only held a chunk at a time, so
-    # it passes.  Met by direct convolution, k = 3 materializes no tuples.
-    monkeypatch.setattr(kernels, "_NUMPY_MATERIALIZE_CAP", 17)
-    vals = np.arange(5, dtype=np.int64)
-    assert met_directly(kernels.sum_tally, vals, [1, 1, 1], 7)[1].sum() == 125
+def runs(p, *spans):
+    """Count vectors of length p, each with `count` in the `size` bins
+    from `first`: one per (first, size, count)."""
+    out = []
+    for first, size, count in spans:
+        h = np.zeros(p, dtype=np.int64)
+        h[first : first + size] = count
+        out.append(h)
+    return out
+
+
+def pair_measure(a, b, op):
+    """The cost of enumerating the meet of a and b, in value pairs: the
+    pairs of values, or twice the pairs of nonzero bins, whichever is less,
+    halved when b equals a or (for sums) a at negated residues."""
+    n = a.size
+    halved = np.array_equal(a, b) or (
+        op is np.add and np.array_equal(b, a[(-np.arange(n)) % n]))
+    value_pairs = int(a.sum()) * int(b.sum())
+    bin_pairs = 2 * int(np.count_nonzero(a)) * int(np.count_nonzero(b))
+    return min(value_pairs, bin_pairs) // (2 if halved else 1)
+
+
+# The meet's own paths: pairs of values, weighted pairs of bins and the
+# direct convolution, each against Python ints.
+
+OPS = {"add": (np.add, operator.add), "multiply": (np.multiply, operator.mul)}
+
+
+def each_enumeration(a, b, op, p):
+    """[(where, histogram)]: a and b enumerated by value (when that is
+    small) and by weighted bins, at each chunk size and row block."""
+    x, y = kernels._sparse(a), kernels._sparse(b)
+    same, mirrored = kernels._symmetry(x, y, op, p)
+    small = int(a.sum()) * int(b.sum()) <= 10**4
+    out = []
+    for by_value in (True, False) if small else (False,):
+        out += [((by_value, where), got) for where, got in at_each_block(
+            kernels._enumerate, x, y, op, p, by_value, same, mirrored)]
+    return out
+
+
+@given(st.sampled_from([2, 3, 5, 7, 11, 13]), st.sampled_from(sorted(OPS)), st.data())
+def test_meet_paths_agree_with_itertools(p, name, data):
+    # counts from 0 to 4, so bins repeat, and b drawn, equal to a, or (for
+    # sums) a at negated residues: both sides of the value/bin rule
+    op, py_op = OPS[name]
+    counts = st.lists(st.integers(0, 4), min_size=p, max_size=p)
+    a = np.array(data.draw(counts, label="a"), dtype=np.int64)
+    b = data.draw(st.sampled_from(["drawn", "equal", "negated"]), label="b")
+    if b == "drawn":
+        b = np.array(data.draw(counts, label="b values"), dtype=np.int64)
+    else:
+        b = a.copy() if b == "equal" else kernels._negated(a)
+    expect = cyclic_reference(a, b, py_op)
+    for where, got in each_enumeration(a, b, op, p):
+        assert got.dtype == np.int64 and got.tolist() == expect, where
+    if op is np.add:
+        assert kernels._direct_cyclic(a, b).tolist() == expect
+    for cost in (ENUMERATE, DIRECT):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernels, "_DIRECT_PAIR_COST", cost)
+            mp.setattr(kernels, "_EXPONENT_PAIRS_PER_P", 0)
+            powers, _ = counted_powers(p)
+            assert kernels.meet(a, b, op, p).tolist() == expect, cost
+            assert kernels.meet(a, b, op, p, powers).tolist() == expect, cost
+
+
+@pytest.mark.parametrize("name", sorted(OPS))
+def test_meet_takes_values_or_weighted_bins_by_their_pairs(monkeypatch, name):
+    # value pairs when they are at most twice the pairs of nonzero bins
+    op, py_op = OPS[name]
+    p = 13
+    seen = []
+    enumerate_ = kernels._enumerate
+    monkeypatch.setattr(kernels, "_enumerate",
+                        lambda *a: seen.append(a[4]) or enumerate_(*a))
     monkeypatch.setattr(kernels, "_DIRECT_PAIR_COST", ENUMERATE)
-    assert kernels.sum_tally(vals, [1, 1], 7).sum() == 25
-    with pytest.raises(GuardExceededError) as info:
-        kernels.sum_tally(vals, [1, 1, 1], 7)
-    message = str(info.value)
-    assert "cap" in message and "17" in message, message
-    assert "backend" not in message, message
+    # (a, b): value pairs 4 x 5 = 20 against twice 4 x 5 bin pairs; 2 x 3 x
+    # 4 x 5 = 120 against 40; 2 x 4 x 5 = 40 against 40, the tie
+    cases = [runs(p, (1, 4, 1), (3, 5, 1)), runs(p, (1, 4, 2), (3, 5, 3)),
+             runs(p, (1, 4, 2), (3, 5, 1))]
+    for a, b in cases:
+        assert kernels.meet(a, b, op, p).tolist() == cyclic_reference(a, b, py_op)
+    assert seen == [True, False, True]
+
+
+@pytest.mark.parametrize("total", [2**53 - 1, 2**53 + 1, 2**63 - 1, 2**63 + 1])
+@pytest.mark.parametrize("name", sorted(OPS))
+def test_weighted_and_direct_meets_are_exact_at_each_switch(total, name):
+    # sum(a) * sum(b) = total.  With one bin on each side, the whole total
+    # lands in one bin: float64 would round it at 2**53 + 1, and int64
+    # wrap at 2**63 + 1.  Spread over two bins each, the pairs land in
+    # four bins.
+    op, py_op = OPS[name]
+    p = 7
+    small = min(f for f in range(3, 10**6, 2) if total % f == 0)
+    big = total // small
+    one_bin = runs(p, (2, 1, big), (4, 1, small))
+    spread = runs(p, (2, 1, big - 1), (4, 1, small - 2))
+    spread[0][3], spread[1][1] = 1, 2
+    for a, b in (one_bin, spread):
+        assert int(a.sum()) * int(b.sum()) == total
+        expect = cyclic_reference(a, b, py_op)
+        for where, got in each_enumeration(a, b, op, p):
+            assert got.tolist() == expect, where
+        if op is np.add:
+            assert kernels._direct_cyclic(a, b).tolist() == expect
+        for cost in (ENUMERATE, DIRECT):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(kernels, "_DIRECT_PAIR_COST", cost)
+                mp.setattr(kernels, "_EXPONENT_PAIRS_PER_P", 0)
+                powers, _ = counted_powers(p)
+                assert kernels.meet(a, b, op, p, powers).tolist() == expect, cost
+
+
+@pytest.mark.parametrize("name", sorted(OPS))
+@pytest.mark.parametrize("k", range(0, 8))
+def test_fold_squares_and_matches_the_chain(name, k):
+    # k = 0 is one tuple at op's identity; otherwise fold by squaring takes
+    # floor(log2 k) + popcount(k) - 1 meets and equals meeting h one
+    # level at a time
+    op, py_op = OPS[name]
+    p = 11
+    h = histogram([0, 1, 1, 3, 10], p)
+    chain = [0] * p
+    chain[0 if op is np.add else 1] = 1
+    for _ in range(k):
+        chain = cyclic_reference(np.array(chain, dtype=object), h, py_op)
+    meets = []
+    with pytest.MonkeyPatch.context() as mp:
+        meet = kernels.meet
+        mp.setattr(kernels, "meet", lambda *a: meets.append(1) or meet(*a))
+        assert kernels.fold(h, k, op, p).tolist() == chain
+    assert len(meets) == (k.bit_length() + bin(k).count("1") - 2 if k else 0)
 
 
 @pytest.mark.parametrize("p", [2, 101, 100043, 2**31 - 1])

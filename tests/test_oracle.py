@@ -109,10 +109,13 @@ def oracle(family, p, q):
 @st.composite
 def queries(draw):
     family = draw(st.sampled_from(["J", "SIGNED", "F", "I", "T", "Q", "R"]))
-    p = draw(st.sampled_from([3, 5, 7, 11, 13]))
-    q = {name: draw(st.integers(1, 3), label=name) for name in ("ell", "k", "r")}
+    p = draw(st.sampled_from([3, 5, 7, 11, 13, 17, 23, 31, 43, 53]))
+    # the families whose brute tallies fold a level by squaring, and whose
+    # convolution parts are powers, draw up to six copies of it
+    most = 6 if family in ("F", "I", "T", "Q", "R") else 3
+    q = {name: draw(st.integers(1, most), label=name) for name in ("ell", "k", "r")}
     if family == "R":
-        q["k"] = draw(st.integers(0, 3), label="k")
+        q["k"] = draw(st.integers(0, most), label="k")
     q["signs"] = tuple(draw(st.lists(st.sampled_from([1, -1]),
                                      min_size=q["k"], max_size=q["k"]), label="signs"))
     uses = dict(variables(family, q))
