@@ -30,7 +30,6 @@ import functools
 import inspect
 import math
 from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -319,8 +318,8 @@ def verify_sweep(
     """Evaluate each listed bound at each prime.
 
     Each prime gets one context, shared by all of its cells; it keeps the
-    windows and the tables they read, and saves windows and discrete-log
-    tables in cache_dir if given.  threads > 1 evaluates that many primes
+    windows and the tables they read, and saves discrete-log tables in
+    cache_dir if given.  threads > 1 evaluates that many primes
     at once.  A cell outside its bound's hypotheses or past a size or work
     guard is skipped and recorded rather than raised.
     """
@@ -338,8 +337,13 @@ def verify_sweep(
                 out.append((bound_id, p, str(exc)))
         return out
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        by_prime = list((pool.map if threads > 1 else map)(cells, primes))
+    if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor  # costs 7 ms to import
+
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            by_prime = list(pool.map(cells, primes))
+    else:
+        by_prime = list(map(cells, primes))
     by_bound = [cell for column in zip(*by_prime) for cell in column]
     return SweepResult(
         reports=[c for c in by_bound if isinstance(c, BoundReport)],

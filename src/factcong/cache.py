@@ -1,4 +1,11 @@
-"""Binary caches for discrete-log tables and factorial windows.
+"""Binary cache for discrete-log tables, and the factorial-window format.
+
+``dlog_table`` is the one cached artifact: the FCL1 table of a context,
+loaded from the context's cache directory when that holds a good copy,
+else built and saved there.  Factorial windows are never cached; each
+context builds its own (``PrimeContext.window``), since a build costs
+less than a write and a read.  The FCW1 window format keeps its saver
+and loader.
 
 Both formats are little-endian with a fixed magic and a fully determined
 size, so a loader can reject truncation before touching the payload.
@@ -33,19 +40,17 @@ from pathlib import Path
 
 import numpy as np
 
-from . import factorial, kernels
+from . import kernels
 from .errors import CacheFormatError, FactcongWarning
 from .factorial import FactorialWindow
 from .field import PrimeContext, check_table_limit
 
 __all__ = [
     "dlog_cache_path",
-    "window_cache_path",
     "save_dlog_table",
     "load_dlog_table",
     "save_window",
     "load_window",
-    "window",
     "dlog_table",
 ]
 
@@ -59,10 +64,6 @@ _SAMPLE_SEED = 0x46434C31  # spells the dlog magic
 
 def dlog_cache_path(cache_dir: str | Path, p: int) -> Path:
     return Path(cache_dir) / f"dlog_p{p}.fcl1"
-
-
-def window_cache_path(cache_dir: str | Path, p: int, L: int, N: int) -> Path:
-    return Path(cache_dir) / f"window_p{p}_L{L}_N{N}.fcw1"
 
 
 def _write_atomic(path: str | Path, header: bytes, payload: np.ndarray) -> Path:
@@ -170,48 +171,31 @@ def _verify_window_samples(path, values: np.ndarray, p: int, L: int) -> None:
             raise CacheFormatError(f"{path}: recurrence check failed at index {i}")
 
 
-def window(ctx: PrimeContext, L: int, N: int) -> FactorialWindow:
-    """The window (L, L+N] of ctx, through ctx.cache_dir when it is set;
-    ctx.window reads it once and keeps it."""
-    path = ctx.cache_dir and window_cache_path(ctx.cache_dir, ctx.p, L, N)
-    return _cached(path, lambda path: load_window(path, ctx, L, N),
-                   lambda: factorial.build_window(ctx, L, N), save_window)
-
-
 def dlog_table(ctx: PrimeContext) -> np.ndarray:
-    """The discrete-log table of ctx, through ctx.cache_dir when it is set."""
-
-    def load(path):
-        table, g = load_dlog_table(path, ctx.p)
-        if g != ctx.g:
-            raise CacheFormatError(f"{path}: built for generator {g}, not {ctx.g}")
-        return table
-
-    check_table_limit(ctx.p, f"the discrete-log table for p={ctx.p}")
-    path = ctx.cache_dir and dlog_cache_path(ctx.cache_dir, ctx.p)
-    return _cached(path, load, lambda: kernels.dlog_table(ctx.p, ctx.g),
-                   lambda path, table: save_dlog_table(path, ctx, table))
-
-
-def _cached(path: Path | None, load, build, save):
-    """load(path) when path holds a good file, else build() saved to path.
+    """The discrete-log table of ctx: loaded from ctx.cache_dir when that
+    holds a good file, else built and saved there.
 
     A file that fails verification is discarded and a failed write leaves
-    the value uncached; each is a FactcongWarning.  No path, no cache.
+    the table uncached; each is a FactcongWarning.  No directory, no cache.
     """
-    if not path:
-        return build()
+    check_table_limit(ctx.p, f"the discrete-log table for p={ctx.p}")
+    if not ctx.cache_dir:
+        return kernels.dlog_table(ctx.p, ctx.g)
+    path = dlog_cache_path(ctx.cache_dir, ctx.p)
     if path.exists():
         try:
-            return load(path)
+            table, g = load_dlog_table(path, ctx.p)
+            if g != ctx.g:
+                raise CacheFormatError(f"{path}: built for generator {g}, not {ctx.g}")
+            return table
         except CacheFormatError as exc:
             warnings.warn(f"discarding bad cache file: {exc}", FactcongWarning)
-    value = build()
+    table = kernels.dlog_table(ctx.p, ctx.g)
     try:
-        save(path, value)
+        save_dlog_table(path, ctx, table)
     except OSError as exc:
         warnings.warn(f"cache not written: {exc}", FactcongWarning)
-    return value
+    return table
 
 
 def _read_all(path: str | Path) -> bytes:

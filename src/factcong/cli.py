@@ -139,7 +139,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default=None, metavar="FILE",
                         help="write output to FILE instead of stdout")
     parser.add_argument("--cache-dir", default=None, metavar="DIR",
-                        help=f"cache directory (default ${CACHE_ENV})")
+                        help=f"discrete-log table cache (default ${CACHE_ENV})")
     parser.add_argument("--threads", type=_positive, default=1)
     parser.add_argument("--seed", type=_nonnegative, default=0,
                         help="seed for sampled spot checks")

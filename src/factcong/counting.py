@@ -372,7 +372,7 @@ def _meet(q: CountQuery, inp: _Inputs, signs: tuple[int, ...], tally=None) -> in
     if sorted(tail) == sorted(head):  # T with r = 2 or 4, ++ and the like
         G2 = G1
     elif sorted(tail) == sorted(-s for s in head):  # J, +-, +-+- and the like
-        G2 = np.roll(G1[::-1], 1)  # G2[y] = G1[-y]: the same sums negated
+        G2 = kernels.negated(G1)  # G2[y] = G1[-y]: the same sums negated
     else:
         G2 = tally(tail)
     return _convolution_at(G1, G2, q.lam)

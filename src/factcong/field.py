@@ -2,8 +2,9 @@
 
 A ``PrimeContext`` fixes the modulus p and the smallest primitive root g.
 Its power table of g**e mod p, its dense index table of discrete logs
-base g and its factorial windows are built the first time they are read;
-the latter two are loaded from the context's cache directory if it has them.
+base g and its factorial windows are built the first time they are read
+and kept; only the discrete-log table is loaded from, and saved to, the
+context's cache directory.
 """
 
 from __future__ import annotations
@@ -121,10 +122,10 @@ class PrimeContext:
 
     ``power_table()`` serves exponent histograms, products and ``index``;
     ``dlog`` (dlog[x] = e with g**e = x, dlog[0] = -1) only direct
-    character sums.  Each is made on first read and kept; ``dlog`` and
-    the windows of ``window`` are loaded from ``cache_dir`` when that holds
-    a good copy, else built (and saved there).  The context keeps every
-    window it was asked for; a new context starts empty.
+    character sums.  Each is made on first read and kept; ``dlog`` is
+    loaded from ``cache_dir`` when that holds a good copy, else built (and
+    saved there).  ``window`` builds each window it is asked for, never
+    from a file, and keeps it; a new context starts empty.
     """
 
     p: int
@@ -140,15 +141,15 @@ class PrimeContext:
     def create(cls, p: int, with_dlog: bool = False, cache_dir=None) -> "PrimeContext":
         """The context for the odd prime p; with_dlog reads the table now."""
         p = int(p)
-        if not is_probable_prime(p):
-            raise CompositeModulusError(f"{p} is not prime")
-        if p < 3:
-            raise ParameterError("the modulus must be an odd prime, got p < 3")
+        # before find_primitive_root, which would factor p - 1
         if p > MAX_CONTEXT_PRIME:
             raise ParameterError(
                 f"p={p} exceeds the 31-bit kernel limit {MAX_CONTEXT_PRIME}"
             )
-        ctx = cls(p=p, g=find_primitive_root(p), cache_dir=cache_dir)
+        g = find_primitive_root(p)  # raises CompositeModulusError
+        if p < 3:
+            raise ParameterError("the modulus must be an odd prime, got p < 3")
+        ctx = cls(p=p, g=g, cache_dir=cache_dir)
         if with_dlog:
             ctx.dlog  # noqa: B018 -- the read builds or loads the table
         return ctx
@@ -161,12 +162,12 @@ class PrimeContext:
 
     def window(self, L: int = 0, N: int | None = None):
         """The factorial window (L, L+N], N = p-1-L by default."""
-        from . import cache, factorial
+        from . import factorial  # factorial builds on this module
 
         L = int(L)
         N = self.p - 1 - L if N is None else int(N)
         if (L, N) not in self._windows:
-            values = cache.window(self, L, N).values
+            values = factorial.build_window(self, L, N).values
             values.flags.writeable = False
             # threads that race to build one window all keep the first array
             self._windows.setdefault((L, N), values)

@@ -45,6 +45,7 @@ __all__ = [
     "ntt_inplace",
     "meet",
     "fold",
+    "negated",
     "sum_tally",
     "prod_tally",
     "pair_product_tally",
@@ -326,7 +327,7 @@ def _direct_cyclic(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _negated(h: np.ndarray) -> np.ndarray:
+def negated(h: np.ndarray) -> np.ndarray:
     """h read at negated residues: out[y] = h[-y mod len(h)]."""
     out = np.empty_like(h)
     out[0], out[1:] = h[0], h[:0:-1]
@@ -428,7 +429,7 @@ def _enumerate(x, y, op, p: int, by_value: bool, same: bool = False,
     if twice is not None:
         once += twice
         # mirrored, the transpose of x + (p - y) is y + (p - x)
-        once += _negated(twice) if mirrored else twice
+        once += negated(twice) if mirrored else twice
     return once.astype(np.int64) if once.dtype == np.float64 else once
 
 
@@ -461,7 +462,7 @@ def sum_tally(vals: np.ndarray, signs, p: int) -> np.ndarray:
     folds = {k: fold(h, k, np.add, p) for k in {plus, minus}}
     if not minus:
         return folds[plus]
-    negative = _negated(folds[minus])
+    negative = negated(folds[minus])
     return meet(folds[plus], negative, np.add, p) if plus else negative
 
 

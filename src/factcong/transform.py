@@ -26,7 +26,7 @@ exact total sum(a) * sum(b).  A result that fails either check is
 recomputed by big integers.  No caller supplies a coefficient bound:
 the certificate rests on the inputs' norms alone, and the exact total
 sizes the result, int64 when sum(a) * sum(b) fits and Python integers
-past it.  A quadratic schoolbook engine is the test oracle.
+past it.
 
 Spectra need complex DFTs whose length is a prime p or the composite
 p - 1; numpy's FFT computes them, and every spectrum carries a
@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -49,7 +48,6 @@ __all__ = [
     "plan_cyclic_convolution",
     "cyclic_convolve_exact",
     "cyclic_convolution_power",
-    "cyclic_convolve_direct",
     "index_reversed",
     "dft_prime_length",
     "dft_error_bound",
@@ -220,8 +218,10 @@ def _norm_ceiling(arr: np.ndarray) -> float:
         root = math.sqrt(s)
     except OverflowError:
         return math.inf
-    while Fraction(root) ** 2 < s:
+    n, d = root.as_integer_ratio()
+    while n * n < s * d * d:  # root**2 < s, in integers
         root = math.nextafter(root, math.inf)
+        n, d = root.as_integer_ratio()
     return root
 
 
@@ -405,28 +405,6 @@ def cyclic_convolution_power(a, k: int) -> np.ndarray:
     for _ in range(k - 1):
         acc = cyclic_convolve_exact(acc, arr)
     return acc
-
-
-def cyclic_convolve_direct(a, b) -> np.ndarray:
-    """Schoolbook O(n^2) cyclic convolution in exact Python integers.
-
-    Reference oracle for the fast engines; quadratic, keep lengths small.
-    """
-    arr_a, total_a = _as_int_vector(a)
-    arr_b, total_b = _as_int_vector(b)
-    if arr_a.size != arr_b.size:
-        raise ParameterError("cyclic convolution needs equal lengths")
-    n = arr_a.size
-    va = [int(x) for x in arr_a.tolist()]
-    vb = [int(x) for x in arr_b.tolist()]
-    out = [0] * n
-    for i, x in enumerate(va):
-        if x == 0:
-            continue
-        for j, y in enumerate(vb):
-            if y:
-                out[(i + j) % n] += x * y
-    return _finalize(np.array(out, dtype=object), total_a * total_b)
 
 
 def index_reversed(a) -> np.ndarray:

@@ -26,7 +26,8 @@ from factcong.counting import (
 from factcong.expsums import batch_double_sums, batch_single_sums, character_sum
 from factcong.factorial import build_window, sum_histogram
 from factcong.field import PrimeContext, primes_between
-from factcong.transform import cyclic_convolve_direct, cyclic_convolve_exact, dft_prime_length
+from factcong.transform import cyclic_convolve_exact, dft_prime_length
+from schoolbook import cyclic_convolve_direct
 
 
 def report(name: str, ok: bool, started: float, note: str = "") -> None:

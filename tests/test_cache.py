@@ -4,14 +4,13 @@ import warnings
 import numpy as np
 import pytest
 
-from factcong import cache, kernels
+from factcong import factorial, kernels
 from factcong.cache import (
     dlog_cache_path,
     load_dlog_table,
     load_window,
     save_dlog_table,
     save_window,
-    window_cache_path,
 )
 from factcong.errors import CacheFormatError, FactcongWarning
 from factcong.factorial import build_window
@@ -21,6 +20,10 @@ from factcong.field import PrimeContext
 @pytest.fixture
 def ctx10007():
     return PrimeContext.create(10007, with_dlog=True)
+
+
+def window_path(tmp_path, p, L, N):
+    return tmp_path / f"window_p{p}_L{L}_N{N}.fcw1"
 
 
 def test_dlog_roundtrip_bit_exact(tmp_path, ctx10007):
@@ -33,7 +36,7 @@ def test_dlog_roundtrip_bit_exact(tmp_path, ctx10007):
 
 def test_window_roundtrip_p7(tmp_path, ctx7):
     window = build_window(ctx7, 0, 6)
-    path = window_cache_path(tmp_path, 7, 0, 6)
+    path = window_path(tmp_path, 7, 0, 6)
     save_window(path, window)
     loaded = load_window(path, ctx7, 0, 6)
     assert loaded.values.tolist() == [1, 2, 6, 3, 1, 6]
@@ -85,7 +88,7 @@ def test_dlog_rejects_tampered_payload(tmp_path, ctx10007):
 
 def test_window_rejects_mismatched_parameters(tmp_path, ctx7):
     window = build_window(ctx7, 0, 6)
-    path = window_cache_path(tmp_path, 7, 0, 6)
+    path = window_path(tmp_path, 7, 0, 6)
     save_window(path, window)
     with pytest.raises(CacheFormatError, match="wanted"):
         load_window(path, ctx7, 1, 5)
@@ -93,7 +96,7 @@ def test_window_rejects_mismatched_parameters(tmp_path, ctx7):
 
 def test_window_rejects_tampered_values(tmp_path, ctx101):
     window = build_window(ctx101, 0, 100)
-    path = window_cache_path(tmp_path, 101, 0, 100)
+    path = window_path(tmp_path, 101, 0, 100)
     save_window(path, window)
     raw = bytearray(path.read_bytes())
     # shift every residue by one in-range step; all joints break
@@ -109,7 +112,7 @@ def test_window_rejects_tampered_values(tmp_path, ctx101):
 
 def test_window_rejects_out_of_range_residue(tmp_path, ctx7):
     window = build_window(ctx7, 0, 6)
-    path = window_cache_path(tmp_path, 7, 0, 6)
+    path = window_path(tmp_path, 7, 0, 6)
     save_window(path, window)
     raw = bytearray(path.read_bytes())
     raw[28:36] = (200).to_bytes(8, "little")
@@ -123,26 +126,33 @@ def test_missing_file_is_format_error(tmp_path):
         load_dlog_table(tmp_path / "absent.fcl1", 7)
 
 
-def test_get_or_build_window_caches(tmp_path):
+def test_windows_are_built_and_never_cached(tmp_path, monkeypatch):
+    builds = []
+    build_window = factorial.build_window
+    monkeypatch.setattr(factorial, "build_window",
+                        lambda *a: builds.append(a[1:]) or build_window(*a))
     ctx = PrimeContext.create(7, cache_dir=tmp_path)
-    w1 = cache.window(ctx, 0, 6)
-    assert window_cache_path(tmp_path, 7, 0, 6).exists()
-    w2 = cache.window(ctx, 0, 6)
-    np.testing.assert_array_equal(w1.values, w2.values)
+    assert ctx.window().values.tolist() == [1, 2, 6, 3, 1, 6]
+    assert ctx.window(0, 6).values.tolist() == [1, 2, 6, 3, 1, 6]
+    assert builds == [(0, 6)]
+    assert list(tmp_path.iterdir()) == []
+    PrimeContext.create(7, cache_dir=tmp_path).window()
+    assert builds == [(0, 6), (0, 6)]
 
 
-def test_get_or_build_window_recovers_from_corruption(tmp_path):
-    ctx = PrimeContext.create(7, cache_dir=tmp_path)
-    cache.window(ctx, 0, 6)
-    path = window_cache_path(tmp_path, 7, 0, 6)
+def test_get_or_build_dlog_recovers_from_corruption(tmp_path, ctx7):
+    PrimeContext.create(7, cache_dir=tmp_path).dlog  # noqa: B018
+    path = dlog_cache_path(tmp_path, 7)
     path.write_bytes(b"garbage")
     with pytest.warns(FactcongWarning, match="discarding bad cache file"):
-        window = cache.window(ctx, 0, 6)
-    assert window.values.tolist() == [1, 2, 6, 3, 1, 6]
+        table = PrimeContext.create(7, cache_dir=tmp_path).dlog
+    np.testing.assert_array_equal(table, ctx7.dlog)
     # the bad file was replaced with a good one
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert cache.window(ctx, 0, 6).values.tolist() == [1, 2, 6, 3, 1, 6]
+        np.testing.assert_array_equal(
+            PrimeContext.create(7, cache_dir=tmp_path).dlog, ctx7.dlog
+        )
 
 
 def test_get_or_build_dlog_caches(tmp_path, monkeypatch):
@@ -168,7 +178,7 @@ def test_dlog_of_another_generator_is_a_bad_file(tmp_path, ctx7):
 
 def test_save_window_ignores_stale_tmp_dir(tmp_path, ctx7):
     # a directory squatting on the old fixed temp name no longer blocks saves
-    path = window_cache_path(tmp_path, 7, 0, 6)
+    path = window_path(tmp_path, 7, 0, 6)
     path.with_name(path.name + ".tmp").mkdir()
     save_window(path, build_window(ctx7, 0, 6))
     assert load_window(path, ctx7, 0, 6).values.tolist() == [1, 2, 6, 3, 1, 6]
@@ -180,20 +190,17 @@ def _refuse(src, dst):
 
 def test_failed_write_warns_and_leaves_no_temp_file(tmp_path, monkeypatch):
     monkeypatch.setattr(os, "replace", _refuse)
-    with pytest.warns(FactcongWarning, match="cache not written"):
-        window = cache.window(PrimeContext.create(7, cache_dir=tmp_path), 0, 6)
-    assert window.values.tolist() == [1, 2, 6, 3, 1, 6]
     ctx = PrimeContext.create(13, cache_dir=tmp_path)
-    with pytest.warns(FactcongWarning, match="disk full"):
+    with pytest.warns(FactcongWarning, match="cache not written: disk full"):
         assert ctx.dlog.tolist() == kernels.dlog_table(13, ctx.g).tolist()
     assert list(tmp_path.iterdir()) == []
 
 
 def test_bad_file_that_cannot_be_rewritten_warns_twice(tmp_path, monkeypatch):
-    window_cache_path(tmp_path, 7, 0, 6).write_bytes(b"junk")
+    dlog_cache_path(tmp_path, 7).write_bytes(b"junk")
     monkeypatch.setattr(os, "replace", _refuse)
     with pytest.warns(FactcongWarning) as record:
-        cache.window(PrimeContext.create(7, cache_dir=tmp_path), 0, 6)
+        PrimeContext.create(7, cache_dir=tmp_path).dlog  # noqa: B018
     assert [str(w.message).split(":")[0] for w in record] == [
         "discarding bad cache file", "cache not written"
     ]

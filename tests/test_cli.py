@@ -1,5 +1,8 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from types import SimpleNamespace
@@ -7,7 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from factcong import cache, cli, counting, factorial, field, kernels
+from factcong import cli, counting, factorial, field, kernels
 from factcong.analysis import BOUND_IDS
 from factcong.cli import (
     CommandOutput,
@@ -627,24 +630,27 @@ def test_cache_dir_flag(tmp_path, capsys):
     assert out1 == out2
 
 
+# Only the discrete-log table goes to the cache, and a direct character
+# sum is the one command that reads it.
+CHAR = ("expsum", "char", "--p", "101", "--quadratic")
+DLOG_101 = "dlog_p101.fcl1"
+
+
 def test_cache_env_var(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("FACTCONG_CACHE_DIR", str(tmp_path))
-    code, _, _ = run_cli(capsys, "stats", "--p", "101", "--H", "100")
+    code, _, _ = run_cli(capsys, *CHAR)
     assert code == 0
-    assert (tmp_path / "window_p101_L0_N100.fcw1").exists()
+    assert (tmp_path / DLOG_101).exists()
 
 
 # main keeps one parser for the process; each command reads the cache
 # variable when it runs, and no parse leaves state behind for the next.
-COUNT_I = ("count", "I", "--p", "101", "--engine", "conv")
-
-
 def test_cache_env_var_set_after_the_first_call(tmp_path, monkeypatch, capsys):
     monkeypatch.delenv("FACTCONG_CACHE_DIR", raising=False)
-    assert run_cli(capsys, *COUNT_I)[0] == 0
+    assert run_cli(capsys, *CHAR)[0] == 0
     monkeypatch.setenv("FACTCONG_CACHE_DIR", str(tmp_path))
-    assert run_cli(capsys, *COUNT_I)[0] == 0
-    assert (tmp_path / "window_p101_L0_N100.fcw1").exists()
+    assert run_cli(capsys, *CHAR)[0] == 0
+    assert (tmp_path / DLOG_101).exists()
 
 
 def test_cache_env_var_unset_after_the_first_call(tmp_path, monkeypatch, capsys):
@@ -653,19 +659,19 @@ def test_cache_env_var_unset_after_the_first_call(tmp_path, monkeypatch, capsys)
     cwd.mkdir()
     monkeypatch.chdir(cwd)
     monkeypatch.setenv("FACTCONG_CACHE_DIR", str(cache_dir))
-    assert run_cli(capsys, *COUNT_I)[0] == 0
-    assert (cache_dir / "window_p101_L0_N100.fcw1").exists()
+    assert run_cli(capsys, *CHAR)[0] == 0
+    assert (cache_dir / DLOG_101).exists()
     for path in cache_dir.iterdir():
         path.unlink()
     monkeypatch.delenv("FACTCONG_CACHE_DIR")
-    assert run_cli(capsys, *COUNT_I)[0] == 0
+    assert run_cli(capsys, *CHAR)[0] == 0
     assert list(cache_dir.iterdir()) == list(cwd.iterdir()) == []
 
 
 def test_run_reads_the_cache_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv("FACTCONG_CACHE_DIR", str(tmp_path))
-    cli.run(cli.build_parser().parse_args(list(COUNT_I)))
-    assert (tmp_path / "window_p101_L0_N100.fcw1").exists()
+    cli.run(cli.build_parser().parse_args(list(CHAR)))
+    assert (tmp_path / DLOG_101).exists()
 
 
 def test_no_option_carries_over_to_the_next_call(capsys):
@@ -681,27 +687,22 @@ def test_no_option_carries_over_to_the_next_call(capsys):
 
 
 def test_corrupt_cache_recovers_with_warning(tmp_path, capsys):
-    run_cli(capsys, "factorials", "--p", "101", "--cache-dir", str(tmp_path))
-    victim = tmp_path / "window_p101_L0_N100.fcw1"
+    _, first, _ = run_cli(capsys, *CHAR, "--cache-dir", str(tmp_path))
+    victim = tmp_path / DLOG_101
     victim.write_bytes(b"junk")
-    code, out, err = run_cli(
-        capsys, "factorials", "--p", "101", "--cache-dir", str(tmp_path)
-    )
+    code, out, err = run_cli(capsys, *CHAR, "--cache-dir", str(tmp_path))
     assert code == 0
     assert "discarding" in err
-    assert len(out.split()) == 100
+    assert out == first
+    assert victim.stat().st_size > len(b"junk")
 
 
 def test_cache_dir_that_is_a_file_warns(tmp_path, capsys):
     # the cache cannot be written, so the value is computed without it
     blocker = tmp_path / "not_a_dir"
     blocker.write_text("")
-    # auto counts T at p = 101 by brute force, which reads no cached table
-    code, plain, _ = run_cli(capsys, "count", "T", "--p", "101", "--engine", "conv")
-    code2, out, err = run_cli(
-        capsys, "count", "T", "--p", "101", "--engine", "conv",
-        "--cache-dir", str(blocker),
-    )
+    code, plain, _ = run_cli(capsys, *CHAR)
+    code2, out, err = run_cli(capsys, *CHAR, "--cache-dir", str(blocker))
     assert code == code2 == 0
     assert "cache not written" in err
     assert out == plain
@@ -746,26 +747,25 @@ def test_brute_count_past_the_dlog_limit(capsys):
         assert run_cli(capsys, *argv, "--engine", "conv")[0] == 3
 
 
-def test_stats_reads_one_window_when_both_windows_agree(tmp_path, capsys, monkeypatch):
-    argv = ("stats", "--p", "30011", "--H", "100", "--cache-dir", str(tmp_path))
-    assert run_cli(capsys, *argv)[0] == 0
-    loads = _counting_calls(monkeypatch, cache, "load_window")
+def test_stats_reads_one_window_when_both_windows_agree(capsys, monkeypatch):
+    argv = ("stats", "--p", "30011", "--H", "100")
+    builds = _counting_calls(monkeypatch, factorial, "build_window")
     histograms = _counting_calls(monkeypatch, factorial, "exponent_histogram")
-    assert run_cli(capsys, *argv)[0] == 0
-    assert (len(loads), len(histograms)) == (1, 1)
+    for runs in (1, 2):
+        assert run_cli(capsys, *argv)[0] == 0
+        assert (len(builds), len(histograms)) == (runs, runs)
 
 
-def test_count_loads_its_window_from_the_cache_dir(tmp_path, capsys, monkeypatch):
-    argv = ("count", "F", "--p", "101", "--engine", "conv", "--cache-dir", str(tmp_path))
-    code, first, _ = run_cli(capsys, *argv)
-    assert code == 0
-    assert (tmp_path / "window_p101_L0_N100.fcw1").exists()
-    loads = _counting_calls(monkeypatch, cache, "load_window")
-    builds = _counting_calls(monkeypatch, kernels, "factorial_window")
-    code, second, _ = run_cli(capsys, *argv)
-    assert code == 0
-    assert (len(loads), builds) == (1, [])
-    assert second == first
+def test_no_command_writes_a_window_file(tmp_path, capsys):
+    # a context builds its windows and keeps them in memory; only the
+    # discrete-log table of a direct character sum goes to the cache
+    for argv in (("factorials", "--p", "101"),
+                 ("count", "F", "--p", "101", "--engine", "conv"),
+                 ("stats", "--p", "101", "--H", "100"),
+                 ("sweep", "--bounds", "T3.1,B-CharSum", "--primes", "53..61")):
+        code, _, err = run_cli(capsys, *argv, "--cache-dir", str(tmp_path))
+        assert code == 0, err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("target", ["", "missing/x"])  # a directory, no parent
@@ -795,3 +795,16 @@ def test_version_flag(capsys):
     code, out, _ = run_cli(capsys, "--version")
     assert code == 0
     assert "factcong" in out
+
+
+def test_import_loads_neither_fractions_nor_a_thread_pool():
+    # every command pays for the package's imports in a fresh interpreter;
+    # a sweep imports concurrent.futures only when it runs threads
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, factcong, factcong.cli; "
+            "print(sorted({'fractions', 'concurrent.futures'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

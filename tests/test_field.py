@@ -75,6 +75,23 @@ def test_context_create_validates():
         PrimeContext.create(2**31 + 11)
 
 
+def test_context_create_tests_primality_once(monkeypatch):
+    calls = []
+    is_prime = field.is_probable_prime
+    monkeypatch.setattr(field, "is_probable_prime",
+                        lambda n: calls.append(n) or is_prime(n))
+    assert PrimeContext.create(1009).g == 11
+    assert calls == [1009]
+
+    def forbidden(n):
+        raise AssertionError(f"factored {n}")
+
+    # a prime past the 31-bit limit is refused before p - 1 is factored
+    monkeypatch.setattr(field, "factorize", forbidden)
+    with pytest.raises(ParameterError, match="31-bit"):
+        PrimeContext.create(2**31 + 11)
+
+
 def test_context_dlog_roundtrip(ctx101):
     table = ctx101.dlog
     assert table[0] == -1

@@ -696,7 +696,7 @@ def test_the_direct_path_starts_at_its_pair_threshold(monkeypatch, p):
         # unordered pair once
         (a,) = runs(p, (0, min(n, p), 1))
         cases.append((np.add, a, a.copy(), p))
-        cases.append((np.add, a, kernels._negated(a), p))
+        cases.append((np.add, a, kernels.negated(a), p))
     sides = set()
     for op, a, b, bins in cases:
         calls.clear()
@@ -768,7 +768,7 @@ def test_meet_paths_agree_with_itertools(p, name, data):
     if b == "drawn":
         b = np.array(data.draw(counts, label="b values"), dtype=np.int64)
     else:
-        b = a.copy() if b == "equal" else kernels._negated(a)
+        b = a.copy() if b == "equal" else kernels.negated(a)
     expect = cyclic_reference(a, b, py_op)
     for where, got in each_enumeration(a, b, op, p):
         assert got.dtype == np.int64 and got.tolist() == expect, where

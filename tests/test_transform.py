@@ -12,13 +12,13 @@ from factcong.errors import ParameterError
 from factcong.transform import (
     MAX_LIMBS,
     cyclic_convolution_power,
-    cyclic_convolve_direct,
     cyclic_convolve_exact,
     dft_error_bound,
     dft_prime_length,
     index_reversed,
     plan_cyclic_convolution,
 )
+from schoolbook import cyclic_convolve_direct
 
 
 def as_ints(vec):
@@ -259,6 +259,35 @@ def test_sum_of_squares_past_31_bits_is_exact(rng, bits):
 def test_norm_ceiling_past_int64():
     assert_tight_norm_ceiling(np.array([2**70, 3, 0], dtype=object))
     assert transform._norm_ceiling(np.array([2**600], dtype=object)) == math.inf
+
+
+def fraction_norm_ceiling(s):
+    """The ceiling's former form: step up while Fraction(root) ** 2 < s."""
+    try:
+        root = math.sqrt(s)
+    except OverflowError:
+        return math.inf
+    while Fraction(root) ** 2 < s:
+        root = math.nextafter(root, math.inf)
+    return root
+
+
+def test_norm_ceiling_equals_the_fraction_form(monkeypatch):
+    # the integer test n * n < s * d * d is Fraction(root) ** 2 < s, so
+    # every plan and certified error stays bit-identical
+    rng = np.random.default_rng(27)
+    edges = [0, 1, 2, 3, 4, 5, 2**52, 2**53 - 1, 2**53, 2**53 + 1,
+             (2**53 - 1) ** 2, (2**53 - 1) ** 2 + 1, (2**53 + 1) ** 2 - 1,
+             2**106 + 1, 2**126 - 1, 10**300 + 7, 2**1023 + 1, 2**1024 - 2**971,
+             2**1024 - 1]
+    drawn = [int(rng.integers(1, 2**62)) << int(rng.integers(0, 960))
+             for _ in range(200)]
+    roots = [int(rng.integers(1, 2**62)) << int(rng.integers(0, 450))
+             for _ in range(200)]
+    near_squares = [k * k + d for k in roots for d in (-1, 0, 1)]
+    for s in edges + drawn + near_squares:
+        monkeypatch.setattr(transform, "_sum_of_squares", lambda arr, s=s: s)
+        assert transform._norm_ceiling(np.zeros(1, np.int64)) == fraction_norm_ceiling(s), s
 
 
 def test_group_at_two_to_the_53_is_not_certified():
