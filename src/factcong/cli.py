@@ -6,7 +6,8 @@ Every run produces a ReportEnvelope whose config echo replays the run
 byte for byte; floating output uses repr so reruns diff clean.
 
 Exit codes: 0 success, 2 validation error, 3 a size or work guard,
-4 engine disagreement.
+4 engine disagreement; 0, with nothing on stderr, when the reader closes
+stdout early (``| head``).
 
 ``main`` may be called any number of times in one process: it builds its
 argument parser on the first call and reuses it.  ``$FACTCONG_CACHE_DIR``
@@ -152,7 +153,11 @@ def _add_window(parser, offset: str, length: str, role: str) -> None:
                         help=f"length of the {role} window (default p-1-{offset})")
 
 
-def _add_multiplicities(parser):
+def _add_count_flags(parser):
+    """The windows, multiplicities and --engine of count, verify and sweep."""
+    _add_window(parser, "L", "N", "main")
+    _add_window(parser, "K", "M", "second")
+    _add_window(parser, "S", "T", "third")
     parser.add_argument("--ell", type=_positive, default=None)
     parser.add_argument("--k", type=_positive, default=None)
     parser.add_argument("--r", type=_positive, default=None)
@@ -162,6 +167,7 @@ def _add_multiplicities(parser):
     parser.add_argument("--signs", type=parse_signs, default=None,
                         help='sign pattern, e.g. "+-" or "1,-1"; join one that '
                         'starts with "-" by "=", as in --signs=-+--')
+    parser.add_argument("--engine", choices=ENGINES, default="auto")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -212,11 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     cnt = sub.add_parser("count", help="exact solution count for one family")
     cnt.add_argument("family", choices=FAMILIES)
     cnt.add_argument("--p", type=_positive, required=True)
-    _add_window(cnt, "L", "N", "main")
-    _add_window(cnt, "K", "M", "second")
-    _add_window(cnt, "S", "T", "third")
-    _add_multiplicities(cnt)
-    cnt.add_argument("--engine", choices=ENGINES, default="auto")
+    _add_count_flags(cnt)
     cnt.add_argument("--profile", action="store_true",
                      help="emit the full count-by-residue table")
     _add_common(cnt)
@@ -226,22 +228,14 @@ def build_parser() -> argparse.ArgumentParser:
                      help=f"one of {', '.join(BOUND_IDS)}")
     ver.add_argument("--primes", required=True, type=parse_primes,
                      help='range "A..B" or comma list')
-    _add_window(ver, "L", "N", "main")
-    _add_window(ver, "K", "M", "second")
-    _add_window(ver, "S", "T", "third")
-    _add_multiplicities(ver)
-    ver.add_argument("--engine", choices=ENGINES, default="auto")
+    _add_count_flags(ver)
     _add_common(ver)
 
     swp = sub.add_parser("sweep", help="verify several bounds in one table")
     swp.add_argument("--bounds", required=True,
                      help=f"comma list from {', '.join(BOUND_IDS)}")
     swp.add_argument("--primes", required=True, type=parse_primes)
-    _add_window(swp, "L", "N", "main")
-    _add_window(swp, "K", "M", "second")
-    _add_window(swp, "S", "T", "third")
-    _add_multiplicities(swp)
-    swp.add_argument("--engine", choices=ENGINES, default="auto")
+    _add_count_flags(swp)
     _add_common(swp)
 
     st = sub.add_parser("stats", help="value distribution and discrepancy")
@@ -689,7 +683,13 @@ def main(argv: list[str] | None = None) -> int:
                   file=sys.stderr)
             return 2
     else:
-        print(text)
+        try:
+            print(text, flush=True)
+        except BrokenPipeError:
+            # the reader stopped; the interpreter's flush at exit goes to devnull
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
     return 0
 
 

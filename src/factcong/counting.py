@@ -21,12 +21,15 @@ engine folds histograms with exact cyclic convolutions.  A profile (the
 counts at every lambda) ends in one exact convolution X * Y.  A
 single-lambda count of J, SIGNED, T, Q or R builds the same X and Y but
 evaluates only that last step, at lambda, as the exact dot sum_i X[i]
-Y[lambda - i]; F and I are sums of squares of the full X * Y.  SIGNED
-and J share one correlation of sum histograms (_correlation).  Each call
-builds every histogram it needs once and runs each distinct exact
-convolution once (_Inputs).  Exponents are read through the context's
-power table (PrimeContext.power_table); no engine reads the
-discrete-log table.
+Y[lambda - i].  A count that is one k-fold power of a histogram x (T,
+and SIGNED with one sign) meets in the middle, as the brute engine does:
+X and Y are the halves of the power (_Inputs.halves), x^(k // 2) and
+x^(k - k // 2).  J, and SIGNED with both signs, correlate two sum
+histograms (_correlation); Q and R convolve their own parts.  F and I
+are sums of squares of the whole power x^ell.  Each call builds every
+histogram it needs once and runs each distinct exact convolution once
+(_Inputs).  Exponents are read through the context's power table
+(PrimeContext.power_table); no engine reads the discrete-log table.
 
 The brute-force engine builds every tally from one kernel,
 kernels.meet, which meets two histograms mod p under + or x: by direct
@@ -157,10 +160,10 @@ class _Inputs:
     Windows come from the query's context, which keeps each one.  Each
     histogram is built once per call and kept per window, so roles that
     coincide share one object.  Each exact convolution runs once per call:
-    convolve keeps its results, keyed by operand identity, and sums and
-    power go through it, so two roles on one window share every step.  An
-    instance lives for one call: a CountResult keeps its query, and a
-    sweep keeps many results.
+    convolve keeps its results, keyed by operand identity, and sums,
+    power and halves go through it, so two roles on one window share every
+    step.  An instance lives for one call: a CountResult keeps its query,
+    and a sweep keeps many results.
     """
 
     def __init__(self, q: CountQuery):
@@ -194,19 +197,18 @@ class _Inputs:
         return self._convs[key][2]
 
     def power(self, vec: np.ndarray, k: int) -> np.ndarray:
-        """vec convolved with itself k times, by squaring: power(vec, k // 2)
-        squared, times vec once more when k is odd, in floor(log2 k) +
-        popcount(k) - 1 convolutions."""
-        if k == 1:
-            return vec
-        half = self.power(vec, k // 2)
-        acc = self.convolve(half, half)
-        return self.convolve(acc, vec) if k % 2 else acc
+        """vec convolved with itself k times, as the convolution of its
+        halves, in floor(log2 k) + popcount(k) - 1 convolutions."""
+        return vec if k == 1 else self.convolve(*self.halves(vec, k))
 
-    def powered(self, vec: np.ndarray, k: int) -> list[np.ndarray]:
-        """Parts whose convolution is the k-fold power of vec: [vec] or
-        [power(vec, k - 1), vec], so a single-lambda count ends in a dot."""
-        return [self.power(vec, k - 1), vec] if k > 1 else [vec]
+    def halves(self, vec: np.ndarray, k: int) -> list[np.ndarray]:
+        """power(vec, k) less its last convolution, for a count that ends in
+        one dot: [vec] for k = 1, else with half = power(vec, k // 2),
+        [half * vec, half] for odd k and [half, half] for even k."""
+        if k == 1:
+            return [vec]
+        half = self.power(vec, k // 2)
+        return [self.convolve(half, vec) if k % 2 else half, half]
 
     def sums(self, role: str, k: int) -> np.ndarray:
         """The k-fold sum histogram of the window, over residues."""
@@ -284,15 +286,13 @@ def _correlation(inp: _Inputs, signs: tuple[int, ...]) -> list[np.ndarray]:
     """Parts whose convolution at lambda counts the tuples of window
     factorials whose sum with these signs equals lambda: with a plus and b
     minus signs, the correlation sum_x S_a[x] S_b[x - lambda], as S_a *
-    rev(S_b).  A side with no terms is left out, and a lone side S_k goes
-    as S_(k-1) * S_1, so a single-lambda count still ends in a dot."""
+    rev(S_b).  With one sign only, the parts are the halves of that
+    side's power (_Inputs.halves), each reversed for minus signs."""
     plus, minus = signs.count(1), signs.count(-1)
-    sides = [(plus, 1), (minus, -1)]
-    if not (plus and minus):
-        k, sign = max(sides)  # the side with terms
-        sides = [(k - 1, sign), (1, sign)] if k > 1 else [(1, sign)]
-    sums = [(inp.sums("n", k), sign) for k, sign in sides]
-    return [S if sign == 1 else transform.index_reversed(S) for S, sign in sums]
+    if plus and minus:
+        return [inp.sums("n", plus), transform.index_reversed(inp.sums("n", minus))]
+    parts = inp.halves(inp.sums("n", 1), plus or minus)
+    return parts if plus else [transform.index_reversed(S) for S in parts]
 
 
 def _conv_profile(q: CountQuery, inp: _Inputs, at: int | None = None):
@@ -515,16 +515,16 @@ _FAMILIES = {
                       lambda q, N, M, T, p: _meet_work(N, q.k, p),
                       signs=lambda k: tuple(1 if i % 2 == 0 else -1 for i in range(k))),
     "F": _Family({"ell": 1, "K": None, "M": None},
-                 lambda q, inp: inp.powered(inp.pairs(), q.ell),
+                 lambda q, inp: [inp.power(inp.pairs(), q.ell)],
                  lambda q, inp: inp.pair_sums(q.ell),
                  lambda q, N, M, T, p: M * N + (M * N) ** q.ell + p, diagonal=True),
     "I": _Family({"ell": 1},
-                 lambda q, inp: inp.powered(inp.exponents("n"), q.ell),
+                 lambda q, inp: [inp.power(inp.exponents("n"), q.ell)],
                  lambda q, inp: kernels.prod_tally(inp.values("n"), q.ell, q.ctx.p,
                                                    inp.powers),
                  lambda q, N, M, T, p: N**q.ell + p, diagonal=True),
     "T": _Family({"r": 1, "K": None, "M": None},
-                 lambda q, inp: inp.powered(inp.pairs(), q.r),
+                 lambda q, inp: inp.halves(inp.pairs(), q.r),
                  lambda q, inp: _meet(q, inp, (1,) * q.r, lambda s: inp.pair_sums(len(s))),
                  lambda q, N, M, T, p: (M * N if q.r == 1
                                         else M * N + _meet_work(M * N, q.r, p))),

@@ -390,11 +390,9 @@ def cyclic_convolve_exact(a, b) -> np.ndarray:
 
 
 def cyclic_convolution_power(a, k: int) -> np.ndarray:
-    """k-fold cyclic self-convolution, chaining exact pairwise convs.
-
-    Chaining keeps the transform size at the pairwise padding regardless
-    of k, which matters for long vectors.
-    """
+    """k-fold cyclic self-convolution by square and multiply, in
+    floor(log2 k) + popcount(k) - 1 exact pairwise convolutions, each at
+    the pairwise padding whatever k is, which matters for long vectors."""
     k = int(k)
     if k < 1:
         raise ParameterError("convolution power needs k >= 1")
@@ -402,8 +400,10 @@ def cyclic_convolution_power(a, k: int) -> np.ndarray:
     if k == 1:
         return _finalize(arr.copy(), total)
     acc = arr
-    for _ in range(k - 1):
-        acc = cyclic_convolve_exact(acc, arr)
+    for bit in bin(k)[3:]:
+        acc = cyclic_convolve_exact(acc, acc)
+        if bit == "1":
+            acc = cyclic_convolve_exact(acc, arr)
     return acc
 
 

@@ -797,14 +797,37 @@ def test_version_flag(capsys):
     assert "factcong" in out
 
 
+def fresh_env() -> dict:
+    """The environment of a fresh interpreter that imports this package."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def test_import_loads_neither_fractions_nor_a_thread_pool():
     # every command pays for the package's imports in a fresh interpreter;
     # a sweep imports concurrent.futures only when it runs threads
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = ("import sys, factcong, factcong.cli; "
             "print(sorted({'fractions', 'concurrent.futures'} & set(sys.modules)))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+    out = subprocess.run([sys.executable, "-c", code], env=fresh_env(), check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_a_reader_that_closes_stdout_early_ends_the_command_quietly():
+    # about 600 kB of csv, far past a pipe's buffer, so the write meets the
+    # closed pipe; as `| head -1`, the reader takes one line and stops
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "factcong.cli", "expsum", "batch", "--p", "10007",
+         "--format", "csv"],
+        env=fresh_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        assert proc.stdout.readline() == b"a,re,im,abs\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 0
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+    assert err == b""

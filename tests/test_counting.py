@@ -818,7 +818,8 @@ def transform_calls(monkeypatch):
     ("SIGNED", {"k": 3, "signs": (1, -1, 1)}),
     # S_2 serves both sides
     ("SIGNED", {"k": 4, "signs": (1, -1, -1, 1)}),
-    # a lone side S_3 goes as S_2 * h and ends in a dot
+    # a lone side of three signs splits into the halves h * h and h, and
+    # ends in a dot
     ("SIGNED", {"k": 3, "signs": (1, 1, 1)}),
     ("J", {"ell": 2}),
     # A * B and the first step of u^2 are one convolution of one object
@@ -1056,6 +1057,51 @@ def test_power_squares_and_matches_the_chain(monkeypatch, ctx31, top):
         assert len(calls) == k.bit_length() + bin(k).count("1") - 2, k
         chain = cyclic_python(chain, vec)
     assert engines == ({"fft"} if top == 1 else {"fft", "bigint"})
+
+
+def halves_cost(k):
+    """Convolutions before the dot of the halves of a k-fold power: those of
+    power(vec, k // 2), floor(log2) + popcount - 1, and one more for odd k."""
+    m = k // 2
+    return 0 if k == 1 else m.bit_length() + bin(m).count("1") - 2 + k % 2
+
+
+def test_t_meets_its_power_in_the_middle(transform_calls):
+    # the pair histogram is one convolution, then the halves of its r-fold
+    # power, then a dot.  The brute engine's plan is the reference, past
+    # its guard.
+    ctx = PrimeContext.create(53)
+    for r in range(1, 34):
+        q = CountQuery(family="T", ctx=ctx, r=r, lam=7).resolved()
+        transform_calls.clear()
+        got = count_convolution(q).count
+        assert transform_calls["cyclic_convolve_exact"] <= 1 + halves_cost(r), r
+        assert got == counting._FAMILIES["T"].brute(q, counting._Inputs(q)), r
+
+
+@pytest.mark.parametrize("sign", (1, -1))
+def test_one_sided_signed_meets_its_power_in_the_middle(transform_calls, sign):
+    ctx = PrimeContext.create(53)
+    for k in range(1, 13):
+        q = CountQuery(family="SIGNED", ctx=ctx, k=k, signs=(sign,) * k, lam=7)
+        q = q.resolved()
+        transform_calls.clear()
+        got = count_convolution(q).count
+        assert transform_calls["cyclic_convolve_exact"] <= halves_cost(k), k
+        assert got == counting._FAMILIES["SIGNED"].brute(q, counting._Inputs(q)), k
+
+
+@pytest.mark.parametrize(("family", "p", "params"), (
+    ("T", 11, {"r": 8}),
+    ("T", 53, {"r": 9, "N": 7, "M": 7}),
+    ("F", 13, {"ell": 4}),
+    ("I", 31, {"ell": 6}),
+    ("SIGNED", 53, {"k": 6, "signs": (-1,) * 6}),
+))
+def test_deep_powers_agree_under_both_engines(family, p, params):
+    # each shape within the brute guard; "both" raises if the engines differ
+    q = CountQuery(family=family, ctx=PrimeContext.create(p), lam=3, **params)
+    assert count(q, engine="both").count > 0
 
 
 def test_brute_side_of_the_headline_shape():

@@ -111,8 +111,9 @@ def queries(draw):
     family = draw(st.sampled_from(["J", "SIGNED", "F", "I", "T", "Q", "R"]))
     p = draw(st.sampled_from([3, 5, 7, 11, 13, 17, 23, 31, 43, 53]))
     # the families whose brute tallies fold a level by squaring, and whose
-    # convolution parts are powers, draw up to six copies of it
-    most = 6 if family in ("F", "I", "T", "Q", "R") else 3
+    # convolution parts are powers, draw up to nine copies of it, so that
+    # odd and even powers split in the middle past their first squares
+    most = 9 if family in ("F", "I", "T", "Q", "R") else 6
     q = {name: draw(st.integers(1, most), label=name) for name in ("ell", "k", "r")}
     if family == "R":
         q["k"] = draw(st.integers(0, most), label="k")

@@ -410,6 +410,23 @@ def test_power_matches_repeated_direct(k, data):
     assert as_ints(got) == as_ints(want)
 
 
+def test_power_squares_and_multiplies(monkeypatch):
+    # k = 1..40 in floor(log2 k) + popcount(k) - 1 exact convolutions,
+    # not the k - 1 of a chain; the oracle chains the schoolbook product
+    a = np.array([3, 0, 1, 2, 5, 1, 0], dtype=np.int64)
+    calls = []
+    convolve = transform.cyclic_convolve_exact
+    monkeypatch.setattr(transform, "cyclic_convolve_exact",
+                        lambda *args: calls.append(1) or convolve(*args))
+    want = a
+    for k in range(1, 41):
+        calls.clear()
+        got = cyclic_convolution_power(a, k)
+        assert len(calls) <= k.bit_length() + bin(k).count("1") - 2, k
+        assert got.dtype == want.dtype and as_ints(got) == as_ints(want), k
+        want = cyclic_convolve_direct(want, a)
+
+
 def test_index_reversed():
     a = np.array([10, 11, 12, 13])
     assert index_reversed(a).tolist() == [10, 13, 12, 11]
