@@ -1,14 +1,15 @@
-"""Binary cache for discrete-log tables, and the factorial-window format.
+"""Binary cache for discrete-log tables.
 
 ``dlog_table`` is the one cached artifact: the FCL1 table of a context,
 loaded from the context's cache directory when that holds a good copy,
 else built and saved there.  Factorial windows are never cached; each
 context builds its own (``PrimeContext.window``), since a build costs
-less than a write and a read.  The FCW1 window format keeps its saver
-and loader.
+less than a write and a read.  ``save_window`` and ``load_window`` are
+placeholders that raise; they stay only while perfbench/tracing.py lists
+them in its span table.
 
-Both formats are little-endian with a fixed magic and a fully determined
-size, so a loader can reject truncation before touching the payload.
+The format is little-endian with a fixed magic and a fully determined
+size, so the loader can reject truncation before touching the payload.
 Loaded tables are re-verified on 64 deterministic pseudorandom samples;
 a cheap spot check that catches bit rot and mismatched parameters
 without recomputing the whole table.  The sample is what makes the dlog
@@ -21,13 +22,6 @@ FCL1 (discrete logs):
     p       u64
     g       u64  generator the table was built from
     table   (p-1) * u32, entry i holds dlog of x = i + 1
-
-FCW1 (factorial window):
-    magic   4s   b"FCW1"
-    p       u64
-    L       u64
-    N       u64
-    values  N * u64
 """
 
 from __future__ import annotations
@@ -42,22 +36,17 @@ import numpy as np
 
 from . import kernels
 from .errors import CacheFormatError, FactcongWarning
-from .factorial import FactorialWindow
 from .field import PrimeContext, check_table_limit
 
 __all__ = [
     "dlog_cache_path",
     "save_dlog_table",
     "load_dlog_table",
-    "save_window",
-    "load_window",
     "dlog_table",
 ]
 
 DLOG_MAGIC = b"FCL1"
-WINDOW_MAGIC = b"FCW1"
 _DLOG_HEADER = struct.Struct("<4sQQ")
-_WINDOW_HEADER = struct.Struct("<4sQQQ")
 _SAMPLE_COUNT = 64
 _SAMPLE_SEED = 0x46434C31  # spells the dlog magic
 
@@ -128,47 +117,14 @@ def _verify_dlog_samples(path, table: np.ndarray, p: int, g: int) -> None:
             raise CacheFormatError(f"{path}: sample check failed at x={x}")
 
 
-def save_window(path: str | Path, window: FactorialWindow) -> Path:
-    header = _WINDOW_HEADER.pack(WINDOW_MAGIC, window.p, window.L, window.N)
-    return _write_atomic(path, header, window.values.astype("<u8"))
+def save_window(*args, **kwargs):
+    """Removed; kept only while perfbench/tracing.py lists it in SPANS."""
+    raise NotImplementedError("save_window was removed: windows are never files")
 
 
-def load_window(path: str | Path, ctx: PrimeContext, L: int, N: int) -> FactorialWindow:
-    raw = _read_all(path)
-    if len(raw) < _WINDOW_HEADER.size:
-        raise CacheFormatError(f"{path}: shorter than a header")
-    magic, file_p, file_L, file_N = _WINDOW_HEADER.unpack_from(raw)
-    if magic != WINDOW_MAGIC:
-        raise CacheFormatError(f"{path}: bad magic {magic!r}")
-    if (file_p, file_L, file_N) != (ctx.p, L, N):
-        raise CacheFormatError(
-            f"{path}: holds (p={file_p}, L={file_L}, N={file_N}), "
-            f"wanted (p={ctx.p}, L={L}, N={N})"
-        )
-    expected = _WINDOW_HEADER.size + 8 * N
-    if len(raw) != expected:
-        raise CacheFormatError(
-            f"{path}: size {len(raw)} != expected {expected} for N={N}"
-        )
-    values = np.frombuffer(raw, dtype="<u8", offset=_WINDOW_HEADER.size).astype(
-        np.int64
-    )
-    if values.min(initial=1) < 1 or values.max(initial=1) >= ctx.p:
-        raise CacheFormatError(f"{path}: residue out of range")
-    _verify_window_samples(path, values, ctx.p, L)
-    return FactorialWindow(ctx=ctx, L=L, N=N, values=values)
-
-
-def _verify_window_samples(path, values: np.ndarray, p: int, L: int) -> None:
-    # (L+i+1)! carries to (L+i+2)! by one multiplication; check random joints
-    n = values.size
-    if n < 2:
-        return
-    rng = np.random.default_rng(_SAMPLE_SEED + p + L)
-    for i in rng.integers(0, n - 1, size=_SAMPLE_COUNT):
-        i = int(i)
-        if values[i] * (L + i + 2) % p != values[i + 1]:
-            raise CacheFormatError(f"{path}: recurrence check failed at index {i}")
+def load_window(*args, **kwargs):
+    """Removed; kept only while perfbench/tracing.py lists it in SPANS."""
+    raise NotImplementedError("load_window was removed: windows are never files")
 
 
 def dlog_table(ctx: PrimeContext) -> np.ndarray:

@@ -220,7 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
     cnt.add_argument("--p", type=_positive, required=True)
     _add_count_flags(cnt)
     cnt.add_argument("--profile", action="store_true",
-                     help="emit the full count-by-residue table")
+                     help="emit the full count-by-residue table, by the "
+                     "convolution engine (refuses --engine brute and both)")
     _add_common(cnt)
 
     ver = sub.add_parser("verify", help="sweep one bound across primes")
@@ -300,7 +301,11 @@ def _tune_malloc() -> None:
 
 
 def config_to_argv(config: dict) -> list[str]:
-    """Rebuild an argv that replays this run (excluding --out/--cache-dir)."""
+    """Rebuild an argv that replays this run (excluding --out/--cache-dir).
+
+    A sign pattern is one token, --signs=+-, since a separate value that
+    starts with "-" would be read as a flag.
+    """
     argv = list(config["_argv_head"])
     for key, value in config.items():
         if key.startswith("_") or value is None:
@@ -313,7 +318,7 @@ def config_to_argv(config: dict) -> list[str]:
                 argv.append(flag)
             continue
         if key == "signs":
-            argv.extend([flag, ",".join(str(s) for s in value)])
+            argv.append(flag + "=" + "".join("+" if s > 0 else "-" for s in value))
             continue
         if key == "primes":
             argv.extend([flag, ",".join(str(p) for p in value)])
@@ -432,6 +437,10 @@ def _count_query(ns, ctx) -> CountQuery:
 
 
 def _cmd_count(ns) -> CommandOutput:
+    if ns.profile and ns.engine in ("brute", "both"):
+        raise ParameterError(
+            f"count --profile runs the convolution engine, not --engine {ns.engine}"
+        )
     ctx = PrimeContext.create(ns.p, cache_dir=ns.cache_dir)
     query = _count_query(ns, ctx)
     if ns.profile:

@@ -30,6 +30,9 @@ sum(a) * sum(b), so ``_exact_dtype`` of that total holds each exactly:
 float64 below 2**53, then int64, then Python ints.  All modular
 arithmetic here assumes the modulus fits in 31 bits, so that
 intermediate products stay below 2**62 and int64 never overflows.
+
+``ntt_inplace`` is a placeholder that raises; the name stays only while
+perfbench/tracing.py lists it in its span table.
 """
 
 from __future__ import annotations
@@ -42,7 +45,6 @@ __all__ = [
     "factorial_window",
     "dlog_table",
     "power_table",
-    "ntt_inplace",
     "meet",
     "fold",
     "negated",
@@ -195,48 +197,9 @@ def power_table(p: int, g: int) -> np.ndarray:
     return out
 
 
-def ntt_inplace(a: np.ndarray, q: int, root: int, invert: bool = False) -> None:
-    """In-place radix-2 number-theoretic transform mod q, stage-vectorized.
-
-    len(a) must be a power of two and root a primitive len(a)-th root of
-    unity mod q.  No path in the package calls it; perfbench/tracing.py
-    wraps it by name.
-    """
-    n = a.shape[0]
-    if n == 1:
-        return
-    qi = int(q)
-    k = n.bit_length() - 1
-    idx = np.arange(n)
-    rev = np.zeros(n, dtype=np.int64)
-    for _ in range(k):
-        rev = (rev << 1) | (idx & 1)
-        idx >>= 1
-    a[:] = a[rev]
-    ln = 2
-    while ln <= n:
-        half = ln >> 1
-        w_ln = pow(int(root), n // ln, qi)
-        if invert:
-            w_ln = pow(w_ln, qi - 2, qi)
-        w = np.ones(1, dtype=np.int64)
-        while w.shape[0] < half:
-            m = w.shape[0]
-            w = np.concatenate([w, w * pow(w_ln, m, qi) % qi])
-        w = w[:half]
-        blocks = a.reshape(-1, ln)
-        u = blocks[:, :half].copy()
-        v = blocks[:, half:] * w % qi
-        s = u + v
-        s[s >= qi] -= qi
-        d = u - v
-        d[d < 0] += qi
-        blocks[:, :half] = s
-        blocks[:, half:] = d
-        ln <<= 1
-    if invert:
-        n_inv = pow(int(n), qi - 2, qi)
-        a[:] = a * n_inv % qi
+def ntt_inplace(*args, **kwargs):
+    """Removed; kept only while perfbench/tracing.py lists it in SPANS."""
+    raise NotImplementedError("ntt_inplace was removed: counts convolve by FFT")
 
 
 def _pair_blocks(n: int, m: int, entries: int, symmetric: bool = False, bins: int = 0):

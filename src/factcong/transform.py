@@ -77,8 +77,9 @@ class ConvolutionPlan:
     rests on the inputs' norms alone, with no coefficient bound.  An "fft"
     plan splits each input into at most ``limbs`` limbs of ``limb_bits``
     bits, and ``error`` is its certified ceiling, below 1/2, on the rounding
-    error of any one limb product.  ``moduli`` is always empty, since no
-    engine works modulo primes; perfbench/tracing.py still reads it.
+    error of any one limb product.  A plan holds only what it decides:
+    ``moduli`` is a class attribute, always empty since no engine works
+    modulo primes, kept only while perfbench/tracing.py reads it.
     """
 
     length: int
@@ -87,7 +88,7 @@ class ConvolutionPlan:
     limbs: int = 0
     limb_bits: int = 0
     error: float = 0.0
-    moduli: tuple[int, ...] = ()
+    moduli = ()
 
 
 def _next_pow2(n: int) -> int:

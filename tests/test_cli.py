@@ -199,6 +199,15 @@ def test_count_profile_csv(capsys):
     assert [int(line.split(",")[1]) for line in lines[1:]] == [10, 3, 6, 4, 4, 6, 3]
 
 
+@pytest.mark.parametrize("engine", ["brute", "both"])
+def test_count_profile_refuses_engines_it_does_not_run(capsys, engine):
+    code, out, err = run_cli(capsys, "count", "Q", "--p", "5", "--r", "2",
+                             "--engine", engine, "--profile")
+    assert code == 2
+    assert out == ""
+    assert f"--engine {engine}" in err
+
+
 def test_stats_plain(capsys):
     code, out, _ = run_cli(capsys, "stats", "--p", "7")
     assert code == 0
@@ -523,6 +532,34 @@ def test_replay_reproduces_results(capsys):
     code5, out5, _ = run_cli(capsys, *argv_csv)
     assert out5 == out1
     assert all(c == 0 for c in (code1, code2, code3, code5))
+
+
+@pytest.mark.parametrize("command", [
+    "count SIGNED --k 2 --signs=-+ --p 53 --lambda 3",
+    "count SIGNED --k 1 --signs=- --p 53 --lambda 3",
+    "count T --r 1 --p 53 --lambda -3",
+    "verify C2.2 --primes 53 --k 2 --signs=-+",
+    "sweep --bounds T2.1,B-I --primes 11,13 --ell 1",
+    "expsum single --p 101 --a 5",
+    "expsum char --p 101 --quadratic",
+    "stats --p 101 --H 50",
+    "factorials --p 7",
+])
+def test_envelope_argv_replays(capsys, command):
+    def envelope(argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, (argv, err)
+        env = json.loads(out)
+        for row in env["results"]:
+            row.pop("seconds", None)
+        return env
+
+    first = envelope([*command.split(), "--format", "json"])
+    again = envelope(first["argv"])
+    assert again["argv"] == first["argv"]
+    assert again["config"] == first["config"]
+    assert again["results"] == first["results"]
+    assert again.get("series") == first.get("series")
 
 
 def test_config_to_argv_roundtrip():

@@ -1,10 +1,10 @@
 """Kernel correctness against references computed here.
 
 Each kernel is checked against known values, a plain-Python loop,
-itertools enumeration, a direct DFT mod q, or an identity its output must
-satisfy.  The tallies and the direct double sum also run with their chunk
-size shrunk to one to three entries, so their outer products are cut into
-many chunks, with direct convolution off; the tallies run once more with
+itertools enumeration, or an identity its output must satisfy.  The
+tallies and the direct double sum also run with their chunk size shrunk
+to one to three entries, so their outer products are cut into many
+chunks, with direct convolution off; the tallies run once more with
 every tally met by direct convolution.
 """
 
@@ -203,45 +203,6 @@ def test_dlog_table_across_many_rows(monkeypatch, row):
         g = find_primitive_root(p)
         table = kernels.dlog_table(p, g)
         assert table.tolist() == sequential_dlog(p, g), p
-
-
-def direct_dft_mod_q(data, q, root):
-    """out[t] = sum_j data[j] * root**(t*j) mod q, with no call into kernels.
-
-    Each term is reduced below q < 2**31 before summing, so the int64 row
-    sums stay exact for any length below 2**32.
-    """
-    n = data.shape[0]
-    powers = np.array([pow(root, e, q) for e in range(n)], dtype=np.int64)
-    j = np.arange(n)
-    terms = data[None, :] * powers[np.outer(j, j) % n] % q
-    return terms.sum(axis=1) % q
-
-
-@pytest.mark.parametrize("size", [1, 2, 8, 64, 1024])
-def test_ntt_roundtrip_and_agreement(size, rng):
-    q = 2013265921
-    g = find_primitive_root(q)
-    root = pow(g, (q - 1) // size, q)
-    data = rng.integers(0, q, size=size).astype(np.int64)
-    reference = direct_dft_mod_q(data, q, root)
-    work = data.copy()
-    kernels.ntt_inplace(work, q, root, invert=False)
-    np.testing.assert_array_equal(work, reference)
-    kernels.ntt_inplace(work, q, root, invert=True)
-    np.testing.assert_array_equal(work, data)
-
-
-def test_ntt_matches_direct_dft_mod_q(rng):
-    q, size = 257, 16
-    g = find_primitive_root(q)
-    root = pow(g, (q - 1) // size, q)
-    data = rng.integers(0, q, size=size).astype(np.int64)
-    work = data.copy()
-    kernels.ntt_inplace(work, q, root, invert=False)
-    for t in range(size):
-        direct = sum(int(data[j]) * pow(root, t * j, q) for j in range(size)) % q
-        assert work[t] == direct
 
 
 @given(
