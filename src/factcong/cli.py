@@ -93,21 +93,20 @@ def _nonnegative(text: str) -> int:
 
 
 def parse_signs(text: str) -> tuple[int, ...]:
-    """Sign pattern, written compactly ("+-+") or as a list ("1,-1,1")."""
+    """Sign pattern, written compactly ("+-+") or as a list ("1,-1,1");
+    a lone integer ("-1") is a list of one."""
     text = text.strip()
     if not text:
         raise ParameterError("empty sign pattern")
-    if "," in text:
+    table = {"+": 1, "-": -1}
+    if all(ch in table for ch in text):
+        signs = tuple(table[ch] for ch in text)
+    else:
         try:
             signs = tuple(int(tok) for tok in text.split(","))
         except ValueError as exc:
-            raise ParameterError(f"bad sign list {text!r}") from exc
-    else:
-        table = {"+": 1, "-": -1}
-        try:
-            signs = tuple(table[ch] for ch in text)
-        except KeyError as exc:
-            raise ParameterError(f"bad sign character in {text!r}") from exc
+            raise ParameterError(
+                f"bad sign pattern {text!r}: write +-+ or 1,-1,1") from exc
     if any(s not in (-1, 1) for s in signs):
         raise ParameterError("signs must be +1 or -1")
     return signs
@@ -132,6 +131,18 @@ def parse_primes(text: str) -> list[int]:
     except ValueError as exc:
         raise ParameterError(f"bad prime list {text!r}") from exc
     return primes
+
+
+def _argument(parse):
+    """parse as an argparse type: argparse prints a ParameterError's own
+    text, where it would name the function, and still exits 2."""
+    def typed(text: str):
+        try:
+            return parse(text)
+        except ParameterError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+
+    return typed
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -164,7 +175,7 @@ def _add_count_flags(parser):
     parser.add_argument("--s", type=_nonnegative, default=None)
     parser.add_argument("--lambda", dest="lam", type=int, default=None,
                         help="target residue")
-    parser.add_argument("--signs", type=parse_signs, default=None,
+    parser.add_argument("--signs", type=_argument(parse_signs), default=None,
                         help='sign pattern, e.g. "+-" or "1,-1"; join one that '
                         'starts with "-" by "=", as in --signs=-+--')
     parser.add_argument("--engine", choices=ENGINES, default="auto")
@@ -227,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="sweep one bound across primes")
     ver.add_argument("theorem", choices=BOUND_IDS, metavar="BOUND",
                      help=f"one of {', '.join(BOUND_IDS)}")
-    ver.add_argument("--primes", required=True, type=parse_primes,
+    ver.add_argument("--primes", required=True, type=_argument(parse_primes),
                      help='range "A..B" or comma list')
     _add_count_flags(ver)
     _add_common(ver)
@@ -235,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     swp = sub.add_parser("sweep", help="verify several bounds in one table")
     swp.add_argument("--bounds", required=True,
                      help=f"comma list from {', '.join(BOUND_IDS)}")
-    swp.add_argument("--primes", required=True, type=parse_primes)
+    swp.add_argument("--primes", required=True, type=_argument(parse_primes))
     _add_count_flags(swp)
     _add_common(swp)
 
@@ -267,14 +278,13 @@ def _tune_malloc() -> None:
     trim thresholds at 32 MiB; elsewhere, or where mallopt is missing, do
     nothing.
 
-    An exact convolution at p ~ 1e5 runs rfft/irfft at 2^18 points.  By
-    default glibc trims the heap top once twice its dynamic mmap
-    threshold lies free there, so it returns pocketfft's scratch and the
-    2 MiB temporaries to the kernel after each transform, and the next
-    one faults every page in again: about 3,500 minor faults per
-    convolution and 31,600 per warm pass of the benchmark's count-conv
-    workload, at 3-4 us a page on a 2-CPU Linux VM.  With these values a
-    warm pass takes almost none.
+    An exact convolution at p ~ 1e5 runs rfft/irfft at 204,800 points
+    (25 * 2^13).  By default glibc trims the heap top once twice its
+    dynamic mmap threshold lies free there, so it returns pocketfft's
+    scratch and the 1.6 MiB temporaries to the kernel after each
+    transform, and the next one faults every page in again: about 2,300
+    minor faults per self-convolution at p = 100043, at 3-4 us a page on
+    a 2-CPU Linux VM.  With these values it takes none.
 
     Calling mallopt turns glibc's dynamic threshold off, so the mmap
     threshold is pinned at that threshold's 64-bit ceiling, 32 MiB: at
@@ -406,7 +416,8 @@ def _cmd_expsum(ns) -> CommandOutput:
         sv = expsums.double_sum(wm, window, ns.a)
         return _sum_value_output("a", sv.a, sv)
     j = (ctx.p - 1) // 2 if ns.quadratic else ns.j
-    return _sum_value_output("j", j, expsums.character_sum(window, j))
+    sv = expsums.character_sum(window, j)
+    return _sum_value_output("j", sv.a, sv)
 
 
 def _sum_value_output(key: str, index: int, sv) -> CommandOutput:

@@ -2,31 +2,36 @@
 
 Counting work needs cyclic convolutions of nonnegative integer vectors
 whose entries must come out exactly.  The primary engine multiplies
-float64 spectra from numpy's real FFT at a power-of-two length and rounds
-the product, but only where a proven rounding bound keeps every error
-below 1/2: Percival's bound for radix-2 FFT multiplication (Math. Comp.
-72, 2003) in the form of Brent, Percival and Zimmermann (Math. Comp. 76,
-2007).  Inputs too wide for one certified product are split into limbs of
-a few bits.  Each distinct input is validated, normed and split once,
-and each limb is transformed once: a self-product (two inputs equal by
-content) transforms only one side, and an input whose top entry fits in
-one limb is its own limb, with the norm the plan already took.  Limb
-products of the same shift i + j are added in the frequency domain and
-share one inverse transform, in groups whose summed bound stays below
-1/2; a lone group is the result as it rounds.  Callers ask for each
-distinct convolution once: the counting engine keeps every convolution of
-a count, and takes the correlations of J and SIGNED as one convolution
-with an ``index_reversed`` sum histogram.  Inputs that
-would need more than ``MAX_LIMBS`` limbs take exact big-integer
-arithmetic by Kronecker packing.  numpy's FFT runs mixed radix passes
-over real data, not the textbook radix-2 transform the bound is proved
-for, so every rounded group is checked as well: each entry must lie
-within the certified error of an integer, and the result must have the
-exact total sum(a) * sum(b).  A result that fails either check is
-recomputed by big integers.  No caller supplies a coefficient bound:
-the certificate rests on the inputs' norms alone, and the exact total
-sizes the result, int64 when sum(a) * sum(b) fits and Python integers
-past it.
+float64 spectra from numpy's real FFT and rounds the product, but only
+where a proven rounding bound keeps every error below 1/2: Percival's
+bound for FFT multiplication (Math. Comp. 72, 2003) in the form of
+Brent, Percival and Zimmermann (Math. Comp. 76, 2007), which depends on
+the transform length only through its number of radix-2 levels.  A
+length n that is not a power of two is padded to the shortest of 2^a,
+5 * 2^a and 25 * 2^a points that holds 2n - 1, and the bound counts
+ceil(log2 padded) levels; a power of two runs unpadded.  Inputs too wide
+for one certified product are split into limbs of a few bits.  Each
+distinct input is validated, normed and split once, and each limb is
+transformed once: a self-product (two inputs equal by content)
+transforms only one side, and an input whose top entry fits in one limb
+is its own limb, with the norm the plan already took.  Limb products of
+the same shift i + j are added in the frequency domain and share one
+inverse transform, in groups whose summed bound stays below 1/2; a lone
+group is the result as it rounds.  Callers ask for each distinct
+convolution once: the counting engine keeps every convolution of a
+count, and takes the correlations of J and SIGNED as one convolution
+with an ``index_reversed`` sum histogram.  Inputs that would need more
+than ``MAX_LIMBS`` limbs take exact big-integer arithmetic by Kronecker
+packing.  The bound is proved for textbook radix-2 levels, while numpy's
+FFT runs radix-2, 4 and 5 passes over real data; _fft_error_factor
+derives that each such pass stays within the error of the levels it
+stands for.  Every rounded group is checked as well, against the gap
+between that model and the compiled code: each entry must lie within
+the certified error of an integer, and the result must have the exact
+total sum(a) * sum(b).  A result that fails either check is recomputed
+by big integers.  No caller supplies a coefficient bound: the
+certificate rests on the inputs' norms alone, and the exact total sizes
+the result, int64 when sum(a) * sum(b) fits and Python integers past it.
 
 Spectra need complex DFTs whose length is a prime p or the composite
 p - 1; numpy's FFT computes them, and every spectrum carries a
@@ -72,14 +77,15 @@ MAX_LIMBS = 8
 class ConvolutionPlan:
     """Resolved strategy for one exact cyclic convolution.
 
-    engine is "fft" or "bigint"; padded is the power-of-two transform size
-    (equal to length when length is itself a power of two).  The plan
-    rests on the inputs' norms alone, with no coefficient bound.  An "fft"
-    plan splits each input into at most ``limbs`` limbs of ``limb_bits``
-    bits, and ``error`` is its certified ceiling, below 1/2, on the rounding
-    error of any one limb product.  A plan holds only what it decides:
-    ``moduli`` is a class attribute, always empty since no engine works
-    modulo primes, kept only while perfbench/tracing.py reads it.
+    engine is "fft" or "bigint"; padded is the transform size that
+    _padded_length picks (length itself when length is a power of two).
+    The plan rests on the inputs' norms alone, with no coefficient bound.
+    An "fft" plan splits each input into at most ``limbs`` limbs of
+    ``limb_bits`` bits, and ``error`` is its certified ceiling, below 1/2,
+    on the rounding error of any one limb product.  A plan holds only what
+    it decides: ``moduli`` is a class attribute, always empty since no
+    engine works modulo primes, kept only while perfbench/tracing.py reads
+    it.
     """
 
     length: int
@@ -95,16 +101,63 @@ def _next_pow2(n: int) -> int:
     return 1 << max(0, (n - 1).bit_length())
 
 
+def _padded_length(length: int) -> int:
+    """The transform size of a cyclic convolution: length itself when it
+    is a power of two, else the shortest of 2^a, 5 * 2^a and 25 * 2^a that
+    holds the 2 * length - 1 entries of the linear product.  numpy's FFT
+    runs these faster than the next power of two and than other smooth
+    sizes near them: a self-convolution at length 100043 took 9.9 ms at
+    204,800 = 25 * 2^13 points, against 16.3 ms at 2^18, 12.1 ms at
+    200,704 = 2^12 * 7^2 and 10.9 ms at 202,500 = 2^2 * 3^4 * 5^4, the
+    shortest 5-smooth size (numpy 2.4, one core of a 2-CPU x86-64
+    machine)."""
+    if length & (length - 1) == 0:
+        return length
+    need = 2 * length - 1
+    # r * 2^a for the least a with r * 2^a >= need
+    return min(r << (-(-need // r) - 1).bit_length() for r in (1, 5, 25))
+
+
 def _fft_error_factor(padded: int, adds: int = 0) -> float:
     """Ceiling on |computed - exact| / (||a||_2 * ||b||_2) for one product.
 
     The radix-2 bound (1+eps)^(3m+adds) (1+eps*sqrt5)^(3m+1) (1+beta)^3m - 1
-    with m = log2(padded), eps = 2**-53 the float64 unit roundoff, beta =
-    2**-50 the twiddle error and adds the spectrum additions before the
-    inverse (see _group_error), evaluated through log1p/expm1 and then
+    with m = ceil(log2(padded)), eps = 2**-53 the float64 unit roundoff,
+    beta = 2**-50 the twiddle error and adds the spectrum additions before
+    the inverse (see _group_error), evaluated through log1p/expm1 and then
     widened by 2**-20 of itself to cover the rounding of this evaluation.
+
+    Each of the 3m levels (m in each forward transform and in the inverse)
+    is one twiddle product, within eps*sqrt5 (Brent, Percival and
+    Zimmermann) and beta, and one addition, so it holds its transform
+    within a factor L2 = (1+eps)(1+eps*sqrt5)(1+beta) of exact, relative
+    in the Euclidean norm.  The proof needs only that every pass is
+    sqrt(r) times a unitary map, computed within such a factor of its
+    exact output, and the factors of numpy's passes fit the levels they
+    stand for.  A radix-4 pass (radf4/radb4) takes one twiddle product
+    and two additions, within (1+eps*sqrt5)(1+beta)(1+sqrt2*gamma_2),
+    gamma_k = k eps / (1 - k eps), about 13.1 eps, under L2^2, about
+    22.5 eps.  A radix-5 pass (radf5/radb5) takes one twiddle product,
+    then the butterfly on its twiddled entries y0..y4: the outputs
+    y0 + c1 s1 + c2 s2 +- i (t1 d1 + t2 d2) and y0 + c2 s1 + c1 s2
+    +- i (t2 d1 - t1 d2), with s and d the sums and differences of y1, y4
+    and of y2, y3, and c and t the cosines and sines of 2 pi / 5 and
+    4 pi / 5.  No term passes through more than 6 roundings, counting its
+    rounded constant (numpy's four are the correctly rounded doubles,
+    within 0.8 eps).  Since c^2 + t^2 = 1 and |s|^2 + |d|^2 is twice the
+    squares of its pair, each output's sum of absolute terms is at most
+    |y0| + sqrt2 (|(y1, y4)| + |(y2, y3)|) <= sqrt5 ||y||, so the five
+    have norm at most 5 ||y|| against sqrt5 ||y|| for the exact outputs:
+    the pass is within (1+eps*sqrt5)(1+beta)(1+sqrt5*gamma_6), about
+    23.7 eps, where ceil(log2(padded)) leaves each radix-5 pass 3 levels
+    at 5 * 2^a and 2.5 at 25 * 2^a, at least 28.1 eps.  Such a padding
+    also rounds the inverse's scale 1/padded and each scaled entry, a
+    factor (1+eps)^2 that the radix-5 passes' slack covers.  So
+    ceil(log2(padded)) needs no extra level, and a plan keeps the factor
+    of the power of two it would otherwise pad to; tests/test_transform.py
+    checks the whole product for every 5^f * 2^a against this factor.
     """
-    m = padded.bit_length() - 1
+    m = (padded - 1).bit_length()
     growth = (
         (3 * m + adds) * math.log1p(_EPS)
         + (3 * m + 1) * math.log1p(_EPS * math.sqrt(5.0))
@@ -126,10 +179,7 @@ def plan_cyclic_convolution(length: int, norm_a: float, norm_b: float) -> Convol
     length = int(length)
     if length < 1:
         raise ParameterError("convolution length must be at least 1")
-    if length & (length - 1) == 0:
-        padded = length
-    else:
-        padded = _next_pow2(2 * length - 1)
+    padded = _padded_length(length)
     bigint = ConvolutionPlan(length, padded, "bigint")
     norms = [float(norm_a), float(norm_b)]
     if not all(math.isfinite(v) for v in norms):

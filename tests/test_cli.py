@@ -46,6 +46,37 @@ def test_parse_signs():
         parse_signs("1,2")
     with pytest.raises(ParameterError):
         parse_signs("")
+    # a comma-free integer is a list of one
+    assert parse_signs("-1") == (-1,)
+    assert parse_signs("1") == (1,)
+    with pytest.raises(ParameterError):
+        parse_signs("2")
+
+
+@pytest.mark.parametrize(("signs", "compact"), [("--signs=-1", "--signs=-"),
+                                                ("--signs=1", "--signs=+")])
+def test_single_sign_as_a_list(capsys, signs, compact):
+    argv = ("count", "SIGNED", "--k", "1", "--p", "53", "--lambda", "3")
+    code, out, err = run_cli(capsys, *argv, signs)
+    assert (code, err) == (0, "")
+    assert out == run_cli(capsys, *argv, compact)[1]
+
+
+@pytest.mark.parametrize(("argv", "message"), [
+    (("count", "SIGNED", "--k", "2", "--signs=1,2", "--p", "53"),
+     "argument --signs: signs must be +1 or -1"),
+    (("count", "SIGNED", "--k", "2", "--signs=+x", "--p", "53"),
+     "argument --signs: bad sign pattern '+x'"),
+    (("verify", "T2.1", "--primes", "5..3"),
+     "argument --primes: no primes in [5, 3]"),
+    (("verify", "T2.1", "--primes", "5,x"),
+     "argument --primes: bad prime list '5,x'"),
+])
+def test_parser_reports_its_own_message(capsys, argv, message):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert message in err
+    assert "invalid" not in err
 
 
 def test_parse_primes_range_and_list():
@@ -224,6 +255,19 @@ def test_quadratic_char_shortcut(capsys):
     row = envelope["results"][0]
     assert row["j"] == 3
     assert abs(row["re"]) < 1e-9 and abs(row["im"]) < 1e-9
+
+
+def test_char_reports_the_reduced_index(capsys):
+    # j = 100 at p = 101 is the principal character, j = 0, and its row
+    # says so; the config echo keeps the index given
+    argv = ("expsum", "char", "--p", "101", "--format", "json")
+    code, out, _ = run_cli(capsys, *argv, "--j", "100")
+    assert code == 0
+    envelope = json.loads(out)
+    assert envelope["config"]["j"] == 100
+    principal = json.loads(run_cli(capsys, *argv, "--j", "0")[1])
+    assert envelope["results"] == principal["results"]
+    assert envelope["results"][0]["j"] == 0
 
 
 # exit codes

@@ -1,5 +1,7 @@
+import bisect
 import math
 from collections import Counter
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -36,11 +38,153 @@ def test_plan_picks_float_with_one_limb():
     assert small.engine == "fft"
     assert small.limbs == 1
     assert small.error < 0.5
-    assert small.padded >= 199
-    assert small.padded & (small.padded - 1) == 0
+    # 199 points pad to 25 * 2^3, the shortest of 256, 320 and 200
+    assert small.padded == 200
     assert small.moduli == ()
     pow2 = plan_cyclic_convolution(128, norm(a[:28]), norm(a[:28]))
     assert pow2.padded == 128
+
+
+# every 2^a, 5 * 2^a and 25 * 2^a up to 25 * 2^25
+PADDING_FORMS = sorted(r << a for r in (1, 5, 25) for a in range(26))
+
+
+def power_of_two_padding(n):
+    """The transform size before 5 * 2^a and 25 * 2^a: n itself when it is
+    a power of two, else the next power of two from 2n - 1."""
+    return n if n & (n - 1) == 0 else transform._next_pow2(2 * n - 1)
+
+
+def widest_certified_limb(n, factor):
+    """The most bits b for which a full vector of b-bit limbs certifies at
+    length n, by the plan's own test."""
+    def certified(b):
+        return (math.sqrt(n) * ((1 << b) - 1)) ** 2 * factor < 0.5
+
+    b = max(1, int(math.log2(math.sqrt(0.5 / factor / n))))
+    while not certified(b):
+        b -= 1
+    while certified(b + 1):
+        b += 1
+    return b
+
+
+def test_padding_rule_keeps_every_certificate(monkeypatch):
+    # a length pads to the shortest 2^a, 5 * 2^a or 25 * 2^a that holds
+    # 2n - 1, and where that is shorter than the former power-of-two
+    # padding, its plan's limbs, limb bits and error are those the factor
+    # at the former padding gives
+    factor = transform._fft_error_factor
+    at = [None]
+    monkeypatch.setattr(transform, "_fft_error_factor",
+                        lambda padded, adds=0: factor(at[0] or padded, adds))
+    spots = [99_991, 100_043, 131_073, 204_800, 10**6 + 3, 2**22 + 1, 5_000_011, 10**7]
+    for n in [*range(2, 70_001), *spots]:
+        padded, former = transform._padded_length(n), power_of_two_padding(n)
+        if n & (n - 1) == 0:
+            assert padded == n
+        else:
+            assert padded == PADDING_FORMS[bisect.bisect_left(PADDING_FORMS, 2 * n - 1)]
+        if padded == former:
+            continue
+        width = widest_certified_limb(n, factor(former))
+        # entries of b, 2b and 8b bits: one, two and eight limbs of b bits
+        for limbs in (1, 2, 8):
+            norm_ = float(2 ** (limbs * width - 1))
+            at[0] = None
+            plan = plan_cyclic_convolution(n, norm_, norm_)
+            at[0] = former
+            want = plan_cyclic_convolution(n, norm_, norm_)
+            assert plan.padded == padded, n
+            assert (plan.limbs, plan.limb_bits, plan.error) == (
+                want.limbs, want.limb_bits, want.error), n
+            if n <= 70_000:
+                assert (plan.engine, plan.limbs, plan.limb_bits) == (
+                    "fft", limbs, width), n
+
+
+def pass_by_pass_factor(padded, adds):
+    """The rounding factor of one product at a 5^f * 2^a padding, derived
+    pass by pass for numpy's real FFT: radix-2 passes take the textbook
+    level, radix-4 and radix-5 passes the bounds in _fft_error_factor's
+    docstring, and a length that is not a power of two two more roundings
+    for the inverse's scale 1/padded.  Evaluated in 50 digits."""
+    fives = 0
+    while padded % 5 == 0:
+        padded //= 5
+        fives += 1
+    twos = padded.bit_length() - 1
+    assert padded == 1 << twos
+    with localcontext() as ctx:
+        ctx.prec = 50
+        eps, beta = Decimal(2) ** -53, Decimal(2) ** -50
+        sqrt2, sqrt5 = Decimal(2).sqrt(), Decimal(5).sqrt()
+
+        def gamma(k):
+            return k * eps / (1 - k * eps)
+
+        twiddle = (1 + sqrt5 * eps) * (1 + beta)
+        radix2 = (1 + eps) * twiddle
+        radix4 = twiddle * (1 + sqrt2 * gamma(2))
+        radix5 = twiddle * (1 + sqrt5 * gamma(6))
+        transform_ = radix2 ** (twos % 2) * radix4 ** (twos // 2) * radix5**fives
+        scale = (1 + eps) ** 2 if fives else 1
+        return transform_**3 * (1 + sqrt5 * eps) * (1 + eps) ** adds * scale - 1
+
+
+@pytest.mark.parametrize("fives", [0, 1, 2])
+def test_every_pass_fits_the_levels_it_is_counted_as(fives):
+    # ceil(log2 padded) radix-2 levels cover numpy's radix-2, 4 and 5
+    # passes and the inexact scale, so no padding needs an extra level
+    for twos in range(31):
+        padded = 5**fives << twos
+        for adds in (0, 1, 7, 63):
+            derived = pass_by_pass_factor(padded, adds)
+            assert derived <= Decimal(transform._fft_error_factor(padded, adds)), padded
+
+
+def one_limb_cap(n):
+    """The largest entry v whose constant vector of length n still plans
+    one limb, by bisection."""
+    lo, hi = 1, 2**40
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        ceiling = transform._norm_ceiling(np.full(n, mid, dtype=np.int64))
+        if plan_cyclic_convolution(n, ceiling, ceiling).limbs == 1:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+@pytest.mark.parametrize(("n", "padded"), [
+    (1031, 5 * 2**9),
+    (1597, 25 * 2**7),
+    (10009, 5 * 2**12),
+])
+def test_rounding_stays_below_the_certified_error(n, padded, rng, monkeypatch):
+    # at the one-limb cap, every inverse entry lies within the plan's
+    # error of its integer, and the product is exact
+    irfft, distances = np.fft.irfft, []
+
+    def measured(*args, **kwargs):
+        out = irfft(*args, **kwargs)
+        distances.append(float(np.abs(out - np.rint(out)).max()))
+        return out
+
+    monkeypatch.setattr(np.fft, "irfft", measured)
+    cap = one_limb_cap(n)
+    full = np.full(n, cap, dtype=np.int64)
+    drawn = rng.integers(0, cap + 1, size=n, dtype=np.int64)
+    for a, b in [(full, full), (drawn, drawn), (full, drawn)]:
+        norm_a, norm_b = transform._norm_ceiling(a), transform._norm_ceiling(b)
+        plan = plan_cyclic_convolution(n, norm_a, norm_b)
+        assert (plan.engine, plan.padded, plan.limbs) == ("fft", padded, 1)
+        distances.clear()
+        got = cyclic_convolve_exact(a, b)
+        assert len(distances) == 1 and distances[0] < plan.error
+        total = int(a.sum()) * int(b.sum())
+        assert as_ints(got) == transform._cyclic_convolve_bigint(a, b, total)
 
 
 def test_plan_splits_wide_inputs_into_limbs(rng):
@@ -90,9 +234,9 @@ CORRUPTIONS = [
 ]
 
 
-def assert_corruption_is_recomputed(a, b, corruption, monkeypatch):
+def assert_corruption_is_recomputed(a, b, corruption):
     irfft = np.fft.irfft
-    calls = []
+    calls, recomputed = [], []
 
     def corrupted(*args, **kwargs):
         out = irfft(*args, **kwargs)
@@ -101,31 +245,41 @@ def assert_corruption_is_recomputed(a, b, corruption, monkeypatch):
         calls.append(1)
         return out
 
-    monkeypatch.setattr(np.fft, "irfft", corrupted)
     bigint = transform._cyclic_convolve_bigint
-    recomputed = []
-    monkeypatch.setattr(transform, "_cyclic_convolve_bigint",
-                        lambda *args: recomputed.append(1) or bigint(*args))
-    got = cyclic_convolve_exact(a, b)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(np.fft, "irfft", corrupted)
+        monkeypatch.setattr(transform, "_cyclic_convolve_bigint",
+                            lambda *args: recomputed.append(1) or bigint(*args))
+        got = cyclic_convolve_exact(a, b)
     assert calls
     assert recomputed == [1]
     assert as_ints(got) == as_ints(cyclic_convolve_direct(a, b))
 
 
+# lengths that pad to 5 * 2^5, 25 * 2^3 and 2^8 points
+CORRUPTED_LENGTHS = [(80, 160), (97, 200), (120, 256)]
+
+
 @pytest.mark.parametrize("corruption", CORRUPTIONS)
-def test_corrupted_float_product_is_recomputed(corruption, rng, monkeypatch):
+def test_corrupted_float_product_is_recomputed(corruption, rng):
     # one limb each: the lone group is the result as it rounds
-    a = rng.integers(0, 1000, size=97).astype(np.int64)
-    b = rng.integers(0, 1000, size=97).astype(np.int64)
-    assert_corruption_is_recomputed(a, b, corruption, monkeypatch)
+    for n, padded in CORRUPTED_LENGTHS:
+        a = rng.integers(0, 1000, size=n).astype(np.int64)
+        b = rng.integers(0, 1000, size=n).astype(np.int64)
+        plan = plan_cyclic_convolution(n, norm(a), norm(b))
+        assert (plan.padded, plan.limbs) == (padded, 1)
+        assert_corruption_is_recomputed(a, b, corruption)
 
 
 @pytest.mark.parametrize("corruption", CORRUPTIONS)
-def test_corrupted_multi_limb_product_is_recomputed(corruption, rng, monkeypatch):
+def test_corrupted_multi_limb_product_is_recomputed(corruption, rng):
     # two limbs each: three shifts are combined
-    a = rng.integers(0, 2**33, size=97).astype(np.int64)
-    b = rng.integers(0, 2**33, size=97).astype(np.int64)
-    assert_corruption_is_recomputed(a, b, corruption, monkeypatch)
+    for n, padded in CORRUPTED_LENGTHS:
+        a = rng.integers(0, 2**33, size=n).astype(np.int64)
+        b = rng.integers(0, 2**33, size=n).astype(np.int64)
+        plan = plan_cyclic_convolution(n, norm(a), norm(b))
+        assert (plan.padded, plan.limbs) == (padded, 2)
+        assert_corruption_is_recomputed(a, b, corruption)
 
 
 @pytest.fixture
