@@ -6,11 +6,14 @@ produce the whole spectrum at once through one DFT of the matching
 histogram; each result carries a conservative absolute error bound.
 Throughout, e(z) denotes exp(2*pi*i*z/p).
 
-Past field.DLOG_MEMORY_LIMIT the single-sum spectrum is refused before
-it is allocated; the double sums and the character spectrum read the
-power table, and a direct character sum the discrete-log table, whose
-builds refuse there themselves.  A direct single sum allocates only per
-term.
+A direct character sum builds no factorial window: chi is multiplicative,
+so ind(n!) = ind(L!) + ind(L+1) + ... + ind(n) mod p - 1, and the indices
+of the whole window are one running sum over the discrete-log table.
+
+Past field.DLOG_MEMORY_LIMIT the single-sum spectrum and a direct
+character sum are refused before they allocate; the double sums and the
+character spectrum read the power table, whose build refuses there
+itself.  A direct single sum allocates only per term.
 """
 
 from __future__ import annotations
@@ -122,7 +125,9 @@ def single_sum(window: FactorialWindow, a: int) -> SpectrumValue:
     p = window.p
     a = int(a) % p
     roots = _roots(p, window.N)
-    value = complex(roots((a * window.values) % p).sum())
+    phases = a * window.values
+    kernels.reduce_scaled(phases, p)
+    value = complex(roots(phases).sum())
     return SpectrumValue(a=a, value=value, abs_error=_sum_error_bound(window.N))
 
 
@@ -185,14 +190,24 @@ def character_sum(window: FactorialWindow, j: int) -> SpectrumValue:
     """Sum over the window of the multiplicative character of order index j.
 
     The character maps x to exp(2*pi*i * j * ind(x) / (p-1)); j = 0 is the
-    principal character and j = (p-1)/2 the quadratic one.
+    principal character and j = (p-1)/2 the quadratic one.  It reads the
+    window's ctx, L and N, never its values: ind((L+k)!) is ind(L!) plus
+    the running sum of ind(L+1), ..., ind(L+k), each a discrete-log table
+    entry, so no factorial window is built.  The running sum stays below
+    p**2 < 2**63 under field.DLOG_MEMORY_LIMIT, and each phase is the
+    integer j * ind(n!) mod p - 1, as from a gather through the window.
     """
-    p = window.p
-    j = int(j) % (p - 1)
-    roots = _roots(p - 1, window.N)
-    phases = (j * window.ctx.dlog[window.values]) % (p - 1)
+    p, L, N = window.p, window.L, window.N
+    n = p - 1
+    j = int(j) % n
+    field.check_table_limit(p, f"the discrete-log table for p={p}")
+    roots = _roots(n, N)
+    dlog = window.ctx.dlog
+    phases = np.cumsum(dlog[L + 1 : L + N + 1])
+    phases += int(dlog[1 : L + 1].sum())
+    kernels.reduce_scaled(phases, n, j)
     value = complex(roots(phases).sum())
-    return SpectrumValue(a=j, value=value, abs_error=_sum_error_bound(window.N))
+    return SpectrumValue(a=j, value=value, abs_error=_sum_error_bound(N))
 
 
 def batch_character_sums(window: FactorialWindow) -> Spectrum:

@@ -10,7 +10,9 @@ Python integers in an object array once exact convolution passes int64.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from collections.abc import Callable
+from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
@@ -20,6 +22,7 @@ from .field import PrimeContext
 
 __all__ = [
     "FactorialWindow",
+    "check_window",
     "build_window",
     "value_histogram",
     "exponent_histogram",
@@ -30,23 +33,30 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class FactorialWindow:
-    """Consecutive factorials (L+1)!, ..., (L+N)! reduced mod p."""
+    """Consecutive factorials (L+1)!, ..., (L+N)! reduced mod p.
+
+    ``values`` is made by ``make`` on its first read and kept, so a window
+    whose values nothing reads, such as the one a direct character sum
+    takes, never holds them.
+    """
 
     ctx: PrimeContext
     L: int
     N: int
-    values: np.ndarray
+    make: Callable[[], np.ndarray] = dataclass_field(repr=False)
 
     @property
     def p(self) -> int:
         return self.ctx.p
 
+    @functools.cached_property
+    def values(self) -> np.ndarray:
+        return self.make()
 
-def build_window(ctx: PrimeContext, L: int, N: int) -> FactorialWindow:
-    """Compute one factorial window, the build step of ``ctx.window``;
-    requires 0 <= L and L + N <= p - 1.  Refused before any allocation
-    past field.BRUTE_TALLY_LIMIT entries."""
-    L, N = int(L), int(N)
+
+def check_window(ctx: PrimeContext, L: int, N: int) -> None:
+    """Raise WindowRangeError unless 0 <= L, 1 <= N and L + N <= p - 1,
+    and GuardExceededError past field.BRUTE_TALLY_LIMIT entries."""
     if N < 1:
         raise WindowRangeError(f"window length must be positive, got N={N}")
     if L < 0 or L + N >= ctx.p:
@@ -58,7 +68,15 @@ def build_window(ctx: PrimeContext, L: int, N: int) -> FactorialWindow:
             f"the factorial window ({L}, {L + N}] mod p={ctx.p} needs {N} "
             f"entries, above the limit of {field.BRUTE_TALLY_LIMIT}"
         )
-    return FactorialWindow(ctx=ctx, L=L, N=N, values=kernels.factorial_window(ctx.p, L, N))
+
+
+def build_window(ctx: PrimeContext, L: int, N: int) -> FactorialWindow:
+    """Compute one factorial window, the build step of ``ctx.window``;
+    check_window refuses it before any allocation."""
+    L, N = int(L), int(N)
+    check_window(ctx, L, N)
+    values = kernels.factorial_window(ctx.p, L, N)
+    return FactorialWindow(ctx=ctx, L=L, N=N, make=lambda: values)
 
 
 def value_histogram(window: FactorialWindow) -> np.ndarray:

@@ -124,8 +124,9 @@ class PrimeContext:
     ``dlog`` (dlog[x] = e with g**e = x, dlog[0] = -1) only direct
     character sums.  Each is made on first read and kept; ``dlog`` is
     loaded from ``cache_dir`` when that holds a good copy, else built (and
-    saved there).  ``window`` builds each window it is asked for, never
-    from a file, and keeps it; a new context starts empty.
+    saved there).  ``window`` builds the values of each window it is asked
+    for on their first read, never from a file, and keeps them; a new
+    context starts empty.
     """
 
     p: int
@@ -161,17 +162,29 @@ class PrimeContext:
         return cache.dlog_table(self)
 
     def window(self, L: int = 0, N: int | None = None):
-        """The factorial window (L, L+N], N = p-1-L by default."""
+        """The factorial window (L, L+N], N = p-1-L by default.
+
+        (L, N) is checked now; the values are built on their first read
+        and kept, one read-only array per (L, N).
+        """
         from . import factorial  # factorial builds on this module
 
         L = int(L)
         N = self.p - 1 - L if N is None else int(N)
+        factorial.check_window(self, L, N)
+        return factorial.FactorialWindow(
+            self, L, N, functools.partial(self._window_values, L, N)
+        )
+
+    def _window_values(self, L: int, N: int) -> np.ndarray:
+        from . import factorial
+
         if (L, N) not in self._windows:
             values = factorial.build_window(self, L, N).values
             values.flags.writeable = False
             # threads that race to build one window all keep the first array
             self._windows.setdefault((L, N), values)
-        return factorial.FactorialWindow(self, L, N, self._windows[L, N])
+        return self._windows[L, N]
 
     @functools.cached_property
     def _powers(self) -> np.ndarray:

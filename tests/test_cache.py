@@ -79,11 +79,13 @@ def test_windows_are_built_and_never_cached(tmp_path, monkeypatch):
     monkeypatch.setattr(factorial, "build_window",
                         lambda *a: builds.append(a[1:]) or build_window(*a))
     ctx = PrimeContext.create(7, cache_dir=tmp_path)
-    assert ctx.window().values.tolist() == [1, 2, 6, 3, 1, 6]
+    window = ctx.window()
+    assert builds == []  # the values are built on their first read
+    assert window.values.tolist() == [1, 2, 6, 3, 1, 6]
     assert ctx.window(0, 6).values.tolist() == [1, 2, 6, 3, 1, 6]
     assert builds == [(0, 6)]
     assert list(tmp_path.iterdir()) == []
-    PrimeContext.create(7, cache_dir=tmp_path).window()
+    PrimeContext.create(7, cache_dir=tmp_path).window().values  # noqa: B018
     assert builds == [(0, 6), (0, 6)]
 
 

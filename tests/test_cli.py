@@ -453,6 +453,43 @@ def test_short_windows_at_a_huge_prime_answer_or_refuse_without_allocating(
     assert peak < 1 << 26, peak
 
 
+def test_char_builds_no_factorial_window(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a character sum built a factorial window")
+
+    windows = ((), ("--L", "30", "--N", "50"))
+    want = [run_cli(capsys, *CHAR, *extra)[1] for extra in windows]
+    monkeypatch.setattr(kernels, "factorial_window", refuse)
+    for extra, out in zip(windows, want):
+        code, got, err = run_cli(capsys, *CHAR, *extra)
+        assert code == 0, err
+        assert got == out
+
+
+def test_char_refuses_a_window_out_of_range(capsys):
+    code, out, err = run_cli(capsys, "expsum", "char", "--p", "101", "--L", "90",
+                             "--N", "20", "--j", "1")
+    assert code == 2
+    assert out == ""
+    assert err == "factcong: window (L, L+N] = (90, 110] must stay inside (0, 101)\n"
+
+
+def test_char_past_the_table_limit_refuses_before_allocating(capsys):
+    # the full window at p = 10000019 passes the window guard; the
+    # discrete-log table and the roots table would not be small
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "expsum", "char", "--p", "10000019", "--j", "1")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert out == ""
+    assert err.startswith("factcong: guard exceeded: the discrete-log table for "
+                          "p=10000019 needs 10000019 entries"), err
+    assert peak < 1 << 20, peak
+
+
 def test_the_table_limit_refuses_spectra_not_windows(capsys, monkeypatch):
     # the limit guards length-p tables: with it at 100, windows of 1008
     # entries still answer, and only the spectrum of stats --H refuses

@@ -16,6 +16,7 @@ from factcong.expsums import (
 )
 from factcong.factorial import build_window, product_histogram
 from factcong.field import PrimeContext
+from schoolbook import character_sum_direct
 
 PRIMES = [5, 7, 11, 13, 17]
 
@@ -167,3 +168,56 @@ def test_direct_sums_match_the_roots_table_bit_for_bit(N):
     for j in (1, 504, 1007):
         table = roots_table(1008)[(j * ctx.dlog[w.values]) % 1008]
         assert character_sum(w, j).value == complex(table.sum())
+
+
+def _gathered_character_sum(w, j: int) -> complex:
+    """The character sum as it was computed through the window's values,
+    roots(j * dlog[values] mod (p - 1)).sum(), with the roots read from
+    the table, which _roots matches bit for bit."""
+    n = w.p - 1
+    roots = roots_table(n)
+    return complex(roots[(j % n * w.ctx.dlog[w.values]) % n].sum())
+
+
+# (p, L, N): full windows, windows with L > 0, and windows that end at
+# p - 1; _roots reads the table when 4N >= p - 1 and takes terms below,
+# and at p = 1009 the two sides meet between N = 251 and N = 252
+_CHARACTER_WINDOWS = [
+    (p, L, N) for p in (101, 1009, 10007)
+    for L, N in ((0, p - 1), (0, 3), (17, 40), (17, p - 18), (p - 51, 50))
+] + [(1009, 30, 251), (1009, 30, 252)]
+
+
+@pytest.mark.parametrize("p, L, N", _CHARACTER_WINDOWS)
+def test_character_sum_is_the_gathered_sum_bit_for_bit(p, L, N):
+    # the running sum of indices gives every phase the integer the gather
+    # through the window's values gave
+    w = PrimeContext.create(p).window(L, N)
+    for j in (0, 1, (p - 1) // 2, p - 2):
+        assert character_sum(w, j).value == _gathered_character_sum(w, j), j
+
+
+def test_character_sum_bit_for_bit_on_the_full_window_at_p_1000033():
+    ctx = PrimeContext.create(1000033)
+    w = ctx.window()
+    for j in (0, 1, (ctx.p - 1) // 2, ctx.p - 2, 777):
+        assert character_sum(w, j).value == _gathered_character_sum(w, j), j
+
+
+def test_character_sum_reads_no_window_values():
+    ctx = PrimeContext.create(1009)
+    w = ctx.window(40, 900)
+    character_sum(w, 5)
+    assert "values" not in vars(w)
+    assert ctx._windows == {}
+
+
+@pytest.mark.parametrize("p", [53, 101, 211, 1009])
+def test_character_sum_matches_the_schoolbook_sum(p):
+    ctx = PrimeContext.create(p)
+    for L, N in ((0, p - 1), (7, p - 20), (p // 2, p // 3)):
+        w = ctx.window(L, N)
+        for j in (1, 2, (p - 1) // 2, p - 2):
+            got = character_sum(w, j)
+            want = character_sum_direct(p, L, N, j)
+            assert abs(got.value - want) <= got.abs_error, (L, N, j)

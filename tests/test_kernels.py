@@ -828,6 +828,18 @@ def test_whole_array_reduction_near_2_62(rng, p):
     assert x.tolist() == want
 
 
+@pytest.mark.parametrize("n", [2, 1008, 1000032, 2**31 - 2])
+@pytest.mark.parametrize("size", [0, 1, (1 << 16) - 1, (1 << 16) + 5, 3 << 16])
+def test_reduce_scaled_matches_python_integers(rng, n, size):
+    # running sums of discrete logs reach about 1e14, and a scale reaches
+    # the modulus; blocks end at multiples of _PRODUCT_CHUNK
+    x = rng.integers(0, 10**14, size=size)
+    for scale in (0, 1, 2, n - 1, 2**31 - 1):
+        got = x.copy()
+        kernels.reduce_scaled(got, n, scale)
+        assert got.tolist() == [scale * (v % n) % n for v in x.tolist()]
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 101, 997])
 def test_inverse_table(p):
     table = kernels.inverse_table(kernels.factorial_window(p, 0, p - 1), p)
