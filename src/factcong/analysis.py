@@ -286,7 +286,13 @@ def evaluate_cell(
         resolved.setdefault(offset, 0)
         resolved.setdefault(length, p - 1 - resolved[offset])
     resolved["p"] = p
-    rhs = bound_rhs(bound_id, **resolved)
+    try:
+        rhs = bound_rhs(bound_id, **resolved)
+    except OverflowError:
+        rhs = math.inf
+    if not math.isfinite(rhs):
+        raise GuardExceededError(f"the right side of {bound_id} at p={p} passes "
+                                 "the float range")
     if bound.family is not None:
         family = counting._FAMILIES[bound.family]
         if family.signs:
@@ -297,7 +303,11 @@ def evaluate_cell(
         c = counting.count(query, engine).count
         num, den = bound.main(**resolved) if bound.main else (0, 1)
         # |c - num/den|, exact until the one rounding division
-        lhs = abs(c * den - num) / den
+        try:
+            lhs = abs(c * den - num) / den
+        except OverflowError:
+            raise GuardExceededError(f"|count - main term| of {bound_id} at p={p} "
+                                     "passes the float range") from None
     else:
         spectrum, direct, terms = bound.sums(ctx, resolved)
         if engine == "both":

@@ -13,7 +13,8 @@ stdout early (``| head``).
 argument parser on the first call and reuses it.  ``$FACTCONG_CACHE_DIR``
 is read when each command runs, so changing it between calls takes effect.
 On glibc the first call also sets the process's malloc thresholds
-(``_tune_malloc``); the library API leaves process settings alone.
+(``_tune_malloc``), and each call lifts the 4,300-digit limit on printed
+integers; the library API leaves process settings alone.
 """
 
 from __future__ import annotations
@@ -674,6 +675,8 @@ def run(ns: argparse.Namespace) -> tuple[dict, CommandOutput]:
 
 def main(argv: list[str] | None = None) -> int:
     _tune_malloc()
+    if hasattr(sys, "set_int_max_str_digits"):  # a count may pass 4,300 digits
+        sys.set_int_max_str_digits(0)
     try:
         ns = _parser().parse_args(argv)
     except SystemExit as exc:

@@ -46,8 +46,8 @@ class CacheFormatError(ParameterError):
 
 class GuardExceededError(FactcongError):
     """A request would pass a size or work guard: the work of an exhaustive
-    engine, or the memory of a power or discrete-log table.  A sweep skips
-    the cell and goes on."""
+    engine, the memory of a power or discrete-log table, or a bound's side
+    past the float range.  A sweep skips the cell and goes on."""
 
 
 class EngineMismatchError(FactcongError):

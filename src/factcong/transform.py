@@ -10,28 +10,28 @@ the transform length only through its number of radix-2 levels.  A
 length n that is not a power of two is padded to the shortest of 2^a,
 5 * 2^a and 25 * 2^a points that holds 2n - 1, and the bound counts
 ceil(log2 padded) levels; a power of two runs unpadded.  Inputs too wide
-for one certified product are split into limbs of a few bits.  Each
-distinct input is validated, normed and split once, and each limb is
-transformed once: a self-product (two inputs equal by content)
-transforms only one side, and an input whose top entry fits in one limb
-is its own limb, with the norm the plan already took.  Limb products of
-the same shift i + j are added in the frequency domain and share one
-inverse transform, in groups whose summed bound stays below 1/2; a lone
-group is the result as it rounds.  Callers ask for each distinct
-convolution once: the counting engine keeps every convolution of a
-count, and takes the correlations of J and SIGNED as one convolution
-with an ``index_reversed`` sum histogram.  Inputs that would need more
-than ``MAX_LIMBS`` limbs take exact big-integer arithmetic by Kronecker
-packing.  The bound is proved for textbook radix-2 levels, while numpy's
-FFT runs radix-2, 4 and 5 passes over real data; _fft_error_factor
-derives that each such pass stays within the error of the levels it
-stands for.  Every rounded group is checked as well, against the gap
-between that model and the compiled code: each entry must lie within
-the certified error of an integer, and the result must have the exact
-total sum(a) * sum(b).  A result that fails either check is recomputed
-by big integers.  No caller supplies a coefficient bound: the
-certificate rests on the inputs' norms alone, and the exact total sizes
-the result, int64 when sum(a) * sum(b) fits and Python integers past it.
+for one certified product, however wide, are split into as many limbs of
+a few bits as the certificate needs.  Each distinct input is validated,
+normed and split once, and each limb is transformed once: a self-product
+(two inputs equal by content) transforms only one side, and an input
+whose top entry fits in one limb is its own limb, with the norm the plan
+already took.  Limb products of the same shift i + j are added in the
+frequency domain and share one inverse transform, in groups whose summed
+bound stays below 1/2; a lone group is the result as it rounds.  Callers
+ask for each distinct convolution once: the counting engine keeps every
+convolution of a count, and takes the correlations of J and SIGNED as
+one convolution with an ``index_reversed`` sum histogram.  The bound is
+proved for textbook radix-2 levels, while numpy's FFT runs radix-2, 4
+and 5 passes over real data; _fft_error_factor derives that each such
+pass stays within the error of the levels it stands for.  Every rounded
+group is checked as well, against the gap between that model and the
+compiled code: each entry must lie within the certified error of an
+integer, and the result must have the exact total sum(a) * sum(b).  A
+result that fails either check is recomputed by big integers through
+Kronecker packing, the one use of that route.  No caller supplies a
+coefficient bound: the certificate rests on the inputs' norms alone, and
+the exact total sizes the result, int64 when sum(a) * sum(b) fits and
+Python integers past it.
 
 Spectra need complex DFTs whose length is a prime p or the composite
 p - 1; numpy's FFT computes them, and every spectrum carries a
@@ -40,6 +40,7 @@ conservative absolute error bound.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -48,7 +49,6 @@ import numpy as np
 from .errors import ParameterError
 
 __all__ = [
-    "MAX_LIMBS",
     "ConvolutionPlan",
     "plan_cyclic_convolution",
     "cyclic_convolve_exact",
@@ -66,39 +66,32 @@ _EPS = 2.0**-53
 # 8 units in the last place.
 _TWIDDLE_ERR = 2.0**-50
 
-# Limbs per input the float engine may split into; wider inputs take the
-# bigint engine.  Limb products grow as limbs squared, yet at length 1e5
-# six limbs of 63-bit entries took 0.5 s where bigint took 11 s (one core
-# of a 2-CPU x86-64 machine, numpy 2.4).
-MAX_LIMBS = 8
+# A shift sums its rounded groups in int64: it has at most as many as the
+# fewer limbs of its two inputs, each at most 2**53 - 1 per entry, and
+# 1024 * (2**53 - 1) < 2**63.  Wider inputs sum in Python integers.
+_INT64_GROUPS = 1024
 
 
 @dataclass(frozen=True)
 class ConvolutionPlan:
     """Resolved strategy for one exact cyclic convolution.
 
-    engine is "fft" or "bigint"; padded is the transform size that
-    _padded_length picks (length itself when length is a power of two).
-    The plan rests on the inputs' norms alone, with no coefficient bound.
-    An "fft" plan splits each input into at most ``limbs`` limbs of
-    ``limb_bits`` bits, and ``error`` is its certified ceiling, below 1/2,
-    on the rounding error of any one limb product.  A plan holds only what
-    it decides: ``moduli`` is a class attribute, always empty since no
-    engine works modulo primes, kept only while perfbench/tracing.py reads
-    it.
+    padded is the transform size that _padded_length picks (length itself
+    when length is a power of two).  The plan rests on the inputs' norms
+    alone, with no coefficient bound.  It splits each input into at most
+    ``limbs`` limbs of ``limb_bits`` bits, and ``error`` is its certified
+    ceiling, below 1/2, on the rounding error of any one limb product.  A
+    plan holds only what it decides: ``moduli`` is a class attribute,
+    always empty since no engine works modulo primes, kept only while
+    perfbench/tracing.py reads it.
     """
 
     length: int
     padded: int
-    engine: str
-    limbs: int = 0
-    limb_bits: int = 0
-    error: float = 0.0
+    limbs: int
+    limb_bits: int
+    error: float
     moduli = ()
-
-
-def _next_pow2(n: int) -> int:
-    return 1 << max(0, (n - 1).bit_length())
 
 
 def _padded_length(length: int) -> int:
@@ -118,6 +111,7 @@ def _padded_length(length: int) -> int:
     return min(r << (-(-need // r) - 1).bit_length() for r in (1, 5, 25))
 
 
+@functools.cache
 def _fft_error_factor(padded: int, adds: int = 0) -> float:
     """Ceiling on |computed - exact| / (||a||_2 * ||b||_2) for one product.
 
@@ -166,35 +160,34 @@ def _fft_error_factor(padded: int, adds: int = 0) -> float:
     return math.expm1(growth) * (1.0 + 2.0**-20)
 
 
-def plan_cyclic_convolution(length: int, norm_a: float, norm_b: float) -> ConvolutionPlan:
-    """Pick the engine, transform size and limb split for one convolution.
+def plan_cyclic_convolution(length: int, norm_a: float | int,
+                            norm_b: float | int) -> ConvolutionPlan:
+    """Pick the transform size and limb split for one convolution.
 
     norm_a and norm_b are ceilings on the Euclidean norms of the two
-    inputs, infinite where they pass the float range.  The plan takes the
-    fewest limbs per input, at most MAX_LIMBS, for which every limb is
-    exact in float64 and the product of any two limbs is certified to
-    within 1/2 of its exact value and stays below 2**53; when no split
-    qualifies it falls back to big integers.
+    inputs: floats, or integers where they pass the float range.  The plan
+    takes the fewest limbs per input for which every limb is exact in
+    float64 and the product of any two limbs is certified to within 1/2 of
+    its exact value and stays below 2**53.  The search starts at
+    ceil(bits / 53) limbs, the fewest of at most 53 bits, so no limb norm
+    leaves the float range.  Past about 3 * 10**12 points not even one-bit
+    limbs certify, and the plan raises ParameterError.
     """
     length = int(length)
     if length < 1:
         raise ParameterError("convolution length must be at least 1")
     padded = _padded_length(length)
-    bigint = ConvolutionPlan(length, padded, "bigint")
-    norms = [float(norm_a), float(norm_b)]
-    if not all(math.isfinite(v) for v in norms):
-        return bigint
     factor = _fft_error_factor(padded)
     # every entry is at most its vector's norm
-    bits = max(1, max(int(v).bit_length() for v in norms))
-    for limbs in range(1, MAX_LIMBS + 1):
+    bits = max(1, int(norm_a).bit_length(), int(norm_b).bit_length())
+    for limbs in range(-(-bits // 53), bits + 1):
         limb_bits = -(-bits // limbs)
         limb_norm = math.sqrt(length) * ((1 << limb_bits) - 1)
-        worst = min(norms[0], limb_norm) * min(norms[1], limb_norm)
+        worst = min(norm_a, limb_norm) * min(norm_b, limb_norm)
         error = worst * factor
-        if limb_bits <= 53 and error < 0.5 and worst < 2.0**53:
-            return ConvolutionPlan(length, padded, "fft", limbs, limb_bits, error)
-    return bigint
+        if error < 0.5 and worst < 2.0**53:
+            return ConvolutionPlan(length, padded, limbs, limb_bits, error)
+    raise ParameterError(f"no limb split certifies a convolution of length {length}")
 
 
 def _exact_sum(arr: np.ndarray) -> int:
@@ -255,35 +248,26 @@ def _sum_of_squares(arr: np.ndarray) -> int:
     return (_exact_sum(h * h) << 64) + (_exact_sum(h * l) << 33) + _exact_sum(l * l)
 
 
-def _norm_ceiling(arr: np.ndarray) -> float:
+def _norm_ceiling(arr: np.ndarray) -> float | int:
     """Ceiling on the Euclidean norm of a nonnegative integer vector.
 
     Proof: s, the sum of squares, is exact (_sum_of_squares), and the
     float returned has an exact square of at least s, so it is a ceiling;
     math.sqrt(s) rounds twice (s to float64, then the root), so it starts
     within about one unit in the last place of sqrt(s) and the loop steps
-    up at most twice.
+    up at most twice.  Past the float range the ceiling is the integer
+    isqrt(s) + 1.
     """
     s = _sum_of_squares(arr)
     try:
         root = math.sqrt(s)
     except OverflowError:
-        return math.inf
+        return math.isqrt(s) + 1
     n, d = root.as_integer_ratio()
     while n * n < s * d * d:  # root**2 < s, in integers
         root = math.nextafter(root, math.inf)
         n, d = root.as_integer_ratio()
     return root
-
-
-def _split_limbs(arr: np.ndarray, limb_bits: int) -> list[np.ndarray]:
-    """The limb_bits-bit limbs of every entry, least significant first, as
-    int64 vectors; [arr] itself when its top entry fits in one limb."""
-    count = -(-int(arr.max()).bit_length() // limb_bits)
-    if count <= 1:
-        return [arr]
-    mask = (1 << limb_bits) - 1
-    return [(arr >> (limb_bits * i)) & mask for i in range(count)]
 
 
 def _group_error(size: float, terms: int, padded: int) -> float:
@@ -322,26 +306,34 @@ def _shift_groups(norms_a: list[float], norms_b: list[float], padded: int):
         yield shift, pairs, _group_error(size, len(pairs), padded)
 
 
-def _limb_spectra(arr: np.ndarray, norm: float, plan: ConvolutionPlan):
-    """The rfft of every limb of arr, and a ceiling on every limb's norm.
+def _limb_spectra(arr: np.ndarray, norm: float | int, plan: ConvolutionPlan):
+    """The rfft of every limb of arr, least significant first, and a
+    ceiling on every limb's norm.
 
-    An input of one limb is its own limb, and norm, the ceiling already
-    taken for the plan, is its limb's.  Otherwise the norms come from the
-    int64 limbs.  The float64 cast is exact, since limb_bits <= 53."""
-    limbs = _split_limbs(arr, plan.limb_bits)
-    norms = [norm] if len(limbs) == 1 else list(map(_norm_ceiling, limbs))
+    An input whose top entry fits in one limb is its own limb, with norm,
+    the ceiling taken for the plan.  The float64 cast is exact, since
+    limb_bits <= 53."""
+    width = plan.limb_bits
+    count = -(-int(arr.max()).bit_length() // width)
+    if count <= 1:
+        limbs, norms = [arr], [norm]
+    else:
+        mask = (1 << width) - 1
+        limbs = [((arr >> (width * i)) & mask).astype(np.int64, copy=False)
+                 for i in range(count)]
+        norms = list(map(_norm_ceiling, limbs))
     return [np.fft.rfft(v.astype(np.float64), plan.padded) for v in limbs], norms
 
 
 def _cyclic_convolve_fft(a: np.ndarray, b: np.ndarray, plan: ConvolutionPlan,
-                         norm_a: float, norm_b: float):
+                         norm_a: float | int, norm_b: float | int):
     """Exact cyclic convolution by float FFT products of limbs.
 
     norm_a and norm_b are the ceilings the plan was made from.  One
     spectrum per limb, shared by both sides when b is a; one inverse per
     group of ``_shift_groups``.  A lone group (both inputs of one limb) is
-    the result as it rounds; otherwise the rounded groups of a shift are
-    summed in int64 (each is below 2**53) and the shifts are combined.
+    the result as it rounds; otherwise each shift sums its rounded groups,
+    in int64 within _INT64_GROUPS limbs a side, and the shifts combine.
     Returns an int64 or object vector, or None when a group is not
     certified below 1/2, or a rounded entry sat farther from its integer
     than its group's certified error allows.
@@ -352,6 +344,7 @@ def _cyclic_convolve_fft(a: np.ndarray, b: np.ndarray, plan: ConvolutionPlan,
         (spectra_a, norms_a) if b is a else _limb_spectra(b, norm_b, plan)
     )
     groups = list(_shift_groups(norms_a, norms_b, padded))
+    wide = min(len(norms_a), len(norms_b)) > _INT64_GROUPS
     shifts: dict[int, np.ndarray] = {}
     for shift, pairs, error in groups:
         if error >= 0.5:
@@ -367,20 +360,12 @@ def _cyclic_convolve_fft(a: np.ndarray, b: np.ndarray, plan: ConvolutionPlan,
         group = rounded[:n].astype(np.int64)
         if len(groups) == 1:
             return group
-        if shift in shifts:
-            shifts[shift] += group
-        else:
-            shifts[shift] = group
+        if wide:
+            group = group.astype(object)
+        shifts[shift] = shifts[shift] + group if shift in shifts else group
     top = sum(int(v.max()) << (width * s) for s, v in shifts.items())
-    if top <= _INT64_MAX:
-        return sum(v << (width * s) for s, v in shifts.items())
-    return sum(v.astype(object) << (width * s) for s, v in shifts.items())
-
-
-def _pack_bigint(values: list[int], limb_bytes: int) -> int:
-    return int.from_bytes(
-        b"".join(v.to_bytes(limb_bytes, "little") for v in values), "little"
-    )
+    dtype = np.int64 if top <= _INT64_MAX else object
+    return sum(v.astype(dtype, copy=False) << (width * s) for s, v in shifts.items())
 
 
 def _cyclic_convolve_bigint(a: np.ndarray, b: np.ndarray, total: int) -> list[int]:
@@ -390,16 +375,17 @@ def _cyclic_convolve_bigint(a: np.ndarray, b: np.ndarray, total: int) -> list[in
     total, sum(a) * sum(b), which no coefficient of the product passes, so
     no limb carries into its neighbor.
     """
-    n = a.size
-    limb_bytes = max(1, (max(total, 1).bit_length() + 7) // 8)
-    A = _pack_bigint([int(x) for x in a.tolist()], limb_bytes)
-    B = _pack_bigint([int(x) for x in b.tolist()], limb_bytes)
-    raw = (A * B).to_bytes(limb_bytes * 2 * n, "little")
-    limbs = [
-        int.from_bytes(raw[i * limb_bytes : (i + 1) * limb_bytes], "little")
-        for i in range(2 * n)
-    ]
-    return [limbs[t] + (limbs[t + n] if t + n < 2 * n else 0) for t in range(n)]
+    n, size = a.size, max(1, (max(total, 1).bit_length() + 7) // 8)
+
+    def pack(v: np.ndarray) -> int:
+        return int.from_bytes(
+            b"".join(int(x).to_bytes(size, "little") for x in v.tolist()), "little"
+        )
+
+    raw = (pack(a) * pack(b)).to_bytes(size * 2 * n, "little")
+    linear = [int.from_bytes(raw[i * size : (i + 1) * size], "little")
+              for i in range(2 * n)]
+    return [linear[t] + linear[t + n] for t in range(n)]
 
 
 def _finalize(values: np.ndarray, total: int) -> np.ndarray:
@@ -415,10 +401,10 @@ def cyclic_convolve_exact(a, b) -> np.ndarray:
     out[t] = sum over i+j = t (mod n) of a[i] * b[j].  The result dtype is
     int64 exactly when its total sum(a) * sum(b), which no entry passes,
     fits, and Python integers otherwise.  A float result must also have
-    that exact total, or it is recomputed by big integers.  A length-1
-    input is [a0 * b0], with no plan.  Each distinct input is validated,
-    normed and split once: b passed as a, or equal to a by content, is a
-    self-product.
+    that exact total and each entry near its integer, or it is recomputed
+    by big integers.  A length-1 input is [a0 * b0], with no plan.  Each
+    distinct input is validated, normed and split once: b passed as a, or
+    equal to a by content, is a self-product.
     """
     arr_a, total_a = _as_int_vector(a)
     arr_b, total_b = (arr_a, total_a) if b is a else _as_int_vector(b)
@@ -432,10 +418,9 @@ def cyclic_convolve_exact(a, b) -> np.ndarray:
     norm_a = _norm_ceiling(arr_a)
     norm_b = norm_a if arr_b is arr_a else _norm_ceiling(arr_b)
     plan = plan_cyclic_convolution(arr_a.size, norm_a, norm_b)
-    if plan.engine == "fft":
-        out = _cyclic_convolve_fft(arr_a, arr_b, plan, norm_a, norm_b)
-        if out is not None and _exact_sum(out) == total:
-            return _finalize(out, total)
+    out = _cyclic_convolve_fft(arr_a, arr_b, plan, norm_a, norm_b)
+    if out is not None and _exact_sum(out) == total:
+        return _finalize(out, total)
     exact = _cyclic_convolve_bigint(arr_a, arr_b, total)
     return _finalize(np.array(exact, dtype=object), total)
 
@@ -471,7 +456,7 @@ def index_reversed(a) -> np.ndarray:
 
 def dft_error_bound(length: int, l1_norm: float) -> float:
     """Conservative absolute error ceiling for one spectrum entry."""
-    padded = _next_pow2(max(2 * length - 1, 2))
+    padded = 1 << (max(2 * length - 1, 2) - 1).bit_length()
     stages = max(1.0, math.log2(padded))
     return 24.0 * np.finfo(np.float64).eps * (stages + 4.0) * float(l1_norm)
 

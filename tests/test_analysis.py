@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -230,6 +231,31 @@ def test_verify_sweep_skips_cells_past_the_dlog_limit(monkeypatch):
     assert [rep.p for rep in result.reports] == [53, 59]
     assert [p for _, p, _ in result.skipped] == [61, 67]
     assert "exceeds the limit of 60 entries" in result.skipped[0][2]
+
+
+def test_verify_sweep_skips_right_sides_past_the_float_range():
+    # N**(r + 1) passes the float range for T4.2 at r = 102 and p = 1009,
+    # and T**(3r/4) p**(r/8) for T4.3 at r = 108; a cell just below answers
+    result = verify_sweep(["T4.2", "T4.3"], [1009], params={"r": 120})
+    assert result.reports == []
+    assert [(b, p) for b, p, _ in result.skipped] == [("T4.2", 1009), ("T4.3", 1009)]
+    assert all("passes the float range" in reason for _, _, reason in result.skipped)
+    for bound_id, below, above in (("T4.2", 101, 102), ("T4.3", 107, 108)):
+        kept = verify_sweep([bound_id], [1009], params={"r": below})
+        assert kept.skipped == [] and math.isfinite(kept.reports[0].ratio)
+        assert len(verify_sweep([bound_id], [1009], params={"r": above}).skipped) == 1
+
+
+def test_verify_sweep_skips_a_deviation_past_the_float_range(monkeypatch):
+    # |count * den - num| / den is one rounding division; past the float
+    # range the cell is skipped too
+    real = counting.count
+    monkeypatch.setattr(counting, "count", lambda q, engine: dataclasses.replace(
+        real(q, engine), count=10**400))
+    result = verify_sweep(["T4.2"], [53], params={"r": 2})
+    assert result.reports == []
+    assert "|count - main term| of T4.2 at p=53 passes the float range" in (
+        result.skipped[0][2])
 
 
 # distribution stats

@@ -164,6 +164,15 @@ HEADLINE_Q49_P1009 = (
 )
 
 
+# The same shape at p = 10007, recorded while products wider than 8 limbs
+# still went to big integers.
+HEADLINE_Q49_P10007 = (
+    "1030342291166729695866403881240939888479436300529709658314231311732231"
+    "7812725753016149938705882030894053726782139333008273811881368375161282"
+    "6506647296055700290301315588890560852779274941873660261269654"
+)
+
+
 def test_headline_shape_count(capsys):
     code, out, _ = run_cli(
         capsys, "count", "Q", "--r", "49", "--p", "1009", "--lambda", "5",
@@ -171,6 +180,56 @@ def test_headline_shape_count(capsys):
     )
     assert code == 0
     assert out == HEADLINE_Q49_P1009 + "\n"
+
+
+def test_headline_shape_count_at_p_10007(capsys):
+    code, out, _ = run_cli(
+        capsys, "count", "Q", "--r", "49", "--p", "10007", "--lambda", "5",
+    )
+    assert code == 0
+    assert out == HEADLINE_Q49_P10007 + "\n"
+
+
+@pytest.mark.parametrize("bound_id", ["T4.2", "T4.3"])
+def test_verify_skips_a_right_side_past_the_float_range(capsys, bound_id):
+    code, out, err = run_cli(capsys, "verify", bound_id, "--r", "120",
+                             "--primes", "1009")
+    assert code == 0
+    assert out.splitlines() == ["theorem,p,ell,k,r,s,lam,K,M,L,N,S,T,lhs,rhs,ratio"]
+    assert err == (f"factcong: warning: {bound_id} p=1009 skipped: the right side "
+                   f"of {bound_id} at p=1009 passes the float range\n")
+
+
+@pytest.fixture
+def int_digit_limit():
+    """Restores the interpreter's limit on integer digits, which main
+    lifts."""
+    get = getattr(sys, "get_int_max_str_digits", None)
+    saved = get() if get else None
+    yield
+    if get:
+        sys.set_int_max_str_digits(saved)
+
+
+@pytest.mark.parametrize("extra", [(), ("--format", "csv"), ("--format", "json"),
+                                   ("--profile",)])
+def test_count_of_more_than_4300_digits_prints(capsys, int_digit_limit, extra):
+    # T with r = 1300 at p = 53 has about (52 * 52)**1300 / 53 solutions,
+    # 4,460 digits, past the 4,300 that str(int) allows by default
+    code, out, err = run_cli(capsys, "count", "T", "--r", "1300", "--p", "53",
+                             "--lambda", "5", *extra)
+    assert (code, err) == (0, "")
+    want = count(CountQuery(family="T", ctx=PrimeContext.create(53), r=1300, lam=5)).count
+    assert len(str(want)) == 4460
+    if extra == ("--format", "json"):
+        assert json.loads(out)["results"][0]["count"] == want
+    elif extra == ("--profile",):
+        assert out.splitlines()[6] == f"5,{want}"
+    elif extra:
+        header, row = out.splitlines()
+        assert dict(zip(header.split(","), row.split(",")))["count"] == str(want)
+    else:
+        assert out == f"{want}\n"
 
 
 def test_count_pair_product_family_forced_engines(capsys):

@@ -1039,14 +1039,15 @@ def cyclic_python(a, b):
 def test_power_squares_and_matches_the_chain(monkeypatch, ctx31, top):
     # vec convolved with itself k times, k = 1..17, equals the chain one
     # step at a time, in floor(log2 k) + popcount(k) - 1 convolutions.
-    # Counts of 1 stay on the float transform, within MAX_LIMBS limbs;
-    # counts near 2**40 pass MAX_LIMBS and take big integers.
+    # Every product is a float limb plan: counts of 1 within 8 limbs,
+    # counts near 2**40 past them; none falls back to big integers.
     vec = np.random.default_rng(top).integers(0, top + 1, size=8).astype(np.int64)
     vec[0] = top
-    engines = set()
+    limbs = set()
     plan = transform.plan_cyclic_convolution
     monkeypatch.setattr(transform, "plan_cyclic_convolution",
-                        lambda *a: engines.add(plan(*a).engine) or plan(*a))
+                        lambda *a: limbs.add(plan(*a).limbs) or plan(*a))
+    monkeypatch.setattr(transform, "_cyclic_convolve_bigint", None)
     chain = vec.tolist()
     for k in range(1, 18):
         inp = counting._Inputs(CountQuery(family="J", ctx=ctx31).resolved())
@@ -1056,7 +1057,7 @@ def test_power_squares_and_matches_the_chain(monkeypatch, ctx31, top):
         assert [int(x) for x in inp.power(vec, k)] == chain, k
         assert len(calls) == k.bit_length() + bin(k).count("1") - 2, k
         chain = cyclic_python(chain, vec)
-    assert engines == ({"fft"} if top == 1 else {"fft", "bigint"})
+    assert (max(limbs) > 8) == (top > 1)
 
 
 def halves_cost(k):

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from factcong import transform
 from factcong.errors import ParameterError
 from factcong.transform import (
-    MAX_LIMBS,
     cyclic_convolution_power,
     cyclic_convolve_exact,
     dft_error_bound,
@@ -35,7 +34,6 @@ def norm(vec):
 def test_plan_picks_float_with_one_limb():
     a = np.full(100, 1000, dtype=np.int64)
     small = plan_cyclic_convolution(100, norm(a), norm(a))
-    assert small.engine == "fft"
     assert small.limbs == 1
     assert small.error < 0.5
     # 199 points pad to 25 * 2^3, the shortest of 256, 320 and 200
@@ -52,7 +50,7 @@ PADDING_FORMS = sorted(r << a for r in (1, 5, 25) for a in range(26))
 def power_of_two_padding(n):
     """The transform size before 5 * 2^a and 25 * 2^a: n itself when it is
     a power of two, else the next power of two from 2n - 1."""
-    return n if n & (n - 1) == 0 else transform._next_pow2(2 * n - 1)
+    return n if n & (n - 1) == 0 else 1 << (2 * n - 2).bit_length()
 
 
 def widest_certified_limb(n, factor):
@@ -99,8 +97,7 @@ def test_padding_rule_keeps_every_certificate(monkeypatch):
             assert (plan.limbs, plan.limb_bits, plan.error) == (
                 want.limbs, want.limb_bits, want.error), n
             if n <= 70_000:
-                assert (plan.engine, plan.limbs, plan.limb_bits) == (
-                    "fft", limbs, width), n
+                assert (plan.limbs, plan.limb_bits) == (limbs, width), n
 
 
 def pass_by_pass_factor(padded, adds):
@@ -179,7 +176,7 @@ def test_rounding_stays_below_the_certified_error(n, padded, rng, monkeypatch):
     for a, b in [(full, full), (drawn, drawn), (full, drawn)]:
         norm_a, norm_b = transform._norm_ceiling(a), transform._norm_ceiling(b)
         plan = plan_cyclic_convolution(n, norm_a, norm_b)
-        assert (plan.engine, plan.padded, plan.limbs) == ("fft", padded, 1)
+        assert (plan.padded, plan.limbs) == (padded, 1)
         distances.clear()
         got = cyclic_convolve_exact(a, b)
         assert len(distances) == 1 and distances[0] < plan.error
@@ -192,20 +189,71 @@ def test_plan_splits_wide_inputs_into_limbs(rng):
     a = np.full(n, 2**30, dtype=np.int64)
     b = rng.integers(0, 2**30, size=n).astype(np.int64)
     plan = plan_cyclic_convolution(n, norm(a), norm(b))
-    assert plan.engine == "fft"
-    assert 2 <= plan.limbs <= MAX_LIMBS
+    assert plan.limbs >= 2
     assert plan.error < 0.5
     out = cyclic_convolve_exact(a, b)
     # every cyclic shift of b meets the constant vector a once
     assert as_ints(out) == [2**30 * int(b.sum())] * n
 
 
-def test_plan_falls_back_to_bigint(rng):
-    # inputs drawn like those of test_bigint_fallback_matches_direct
+def parent_plan(length, norm_a, norm_b):
+    """(padded, limbs, limb_bits, error) by the limb loop as it stood with
+    a cap of 8 limbs, or None where that loop handed the product to big
+    integers."""
+    padded = transform._padded_length(length)
+    norms = [float(norm_a), float(norm_b)]
+    if not all(math.isfinite(v) for v in norms):
+        return None
+    factor = transform._fft_error_factor(padded)
+    bits = max(1, max(int(v).bit_length() for v in norms))
+    for limbs in range(1, 9):
+        limb_bits = -(-bits // limbs)
+        limb_norm = math.sqrt(length) * ((1 << limb_bits) - 1)
+        worst = min(norms[0], limb_norm) * min(norms[1], limb_norm)
+        error = worst * factor
+        if limb_bits <= 53 and error < 0.5 and worst < 2.0**53:
+            return padded, limbs, limb_bits, error
+    return None
+
+
+def test_every_capped_plan_is_unchanged():
+    # every plan the capped loop made is the plan made today, field by
+    # field; past the cap a plan takes more than 8 limbs
+    lengths = [*range(1, 300), 1009, 1031, 1597, 4096, 10007, 10009, 65_536,
+               100_043, 204_800, 10**6 + 3, 10**7]
+    capped = beyond = 0
+    for n in lengths:
+        for bits in [*range(1, 8 * 53 + 1, 7), 8 * 53, 8 * 53 + 1]:
+            for norm_a, norm_b in [(2.0**bits, 2.0**bits),
+                                   (2.0**bits - 1, 3.0),
+                                   (math.sqrt(n) * 2.0**bits, 2.0 ** (bits // 2))]:
+                plan = plan_cyclic_convolution(n, norm_a, norm_b)
+                want = parent_plan(n, norm_a, norm_b)
+                got = (plan.padded, plan.limbs, plan.limb_bits, plan.error)
+                if want is None:
+                    beyond += 1
+                    assert plan.limbs > 8 and plan.error < 0.5, (n, bits)
+                else:
+                    capped += 1
+                    assert got == want, (n, bits)
+    assert capped > 10_000 and beyond > 1_000
+
+
+def test_plans_past_the_former_cap_take_more_limbs(rng):
+    # inputs drawn like those of test_wide_limb_product_matches_direct,
+    # which went to big integers under the cap of 8 limbs
     a = (rng.integers(1, 2**40, size=33).astype(object)) ** 4
     b = (rng.integers(1, 2**40, size=33).astype(object)) ** 4
-    assert plan_cyclic_convolution(33, norm(a), norm(b)).engine == "bigint"
-    assert plan_cyclic_convolution(16, math.inf, math.inf).engine == "bigint"
+    plan = plan_cyclic_convolution(33, norm(a), norm(b))
+    assert parent_plan(33, norm(a), norm(b)) is None
+    assert plan.limbs > 8 and plan.limb_bits <= 53 and plan.error < 0.5
+
+
+def test_plan_refuses_a_length_no_split_certifies():
+    # one-bit limbs certify below about 3e12 points, and nothing longer
+    assert plan_cyclic_convolution(10**12, 1e12, 1e12).limb_bits == 1
+    with pytest.raises(ParameterError):
+        plan_cyclic_convolution(10**13, 1e13, 1e13)
 
 
 @given(st.integers(1, 40), st.sampled_from([2**62, 2**100]), st.data())
@@ -282,6 +330,44 @@ def test_corrupted_multi_limb_product_is_recomputed(corruption, rng):
         assert_corruption_is_recomputed(a, b, corruption)
 
 
+def wide_vector(seed, n, bits):
+    """n uniformly drawn entries of `bits` bits, as Python integers."""
+    rng = np.random.default_rng(seed)
+    return np.array([int.from_bytes(rng.bytes(bits // 8), "little") for _ in range(n)],
+                    dtype=object)
+
+
+@pytest.mark.parametrize("corruption", CORRUPTIONS)
+def test_corrupted_many_limb_product_is_recomputed(corruption):
+    # more than 8 limbs each: the failed checks still reach big integers
+    for n, padded in CORRUPTED_LENGTHS:
+        a, b = wide_vector(1, n, 160), wide_vector(2, n, 160)
+        plan = plan_cyclic_convolution(n, norm(a), norm(b))
+        assert plan.padded == padded and plan.limbs > 8
+        assert_corruption_is_recomputed(a, b, corruption)
+
+
+def test_many_limb_shifts_sum_within_int64(monkeypatch):
+    # a rounded group is at most 2**53 - 1, so 1024 of them sum below
+    # 2**63 and 1025 may not; a shift has at most as many groups as the
+    # fewer limbs of its inputs
+    assert transform._INT64_GROUPS * (2**53 - 1) <= 2**63 - 1
+    assert (transform._INT64_GROUPS + 1) * (2**53 - 1) > 2**63 - 1
+    # 3000-bit entries at length 8 take 143 limbs, up to 47 groups a shift
+    a = wide_vector(3, 8, 3000)
+    ceiling = transform._norm_ceiling(a)
+    plan = plan_cyclic_convolution(8, ceiling, ceiling)
+    _, norms = transform._limb_spectra(a, ceiling, plan)
+    per_shift = Counter(s for s, _, _ in transform._shift_groups(norms, norms, plan.padded))
+    assert plan.limbs > 100 and max(per_shift.values()) > 20
+    want = as_ints(cyclic_convolve_direct(a, a))
+    monkeypatch.setattr(transform, "_cyclic_convolve_bigint", None)
+    assert as_ints(cyclic_convolve_exact(a, a)) == want
+    # inputs of more limbs than the bound sum their shifts in Python integers
+    monkeypatch.setattr(transform, "_INT64_GROUPS", 1)
+    assert as_ints(cyclic_convolve_exact(a, a)) == want
+
+
 @pytest.fixture
 def fft_calls(monkeypatch):
     """Counts of np.fft.rfft and np.fft.irfft calls made during a test."""
@@ -316,7 +402,7 @@ def test_fft_calls_per_product(fft_calls, wide, other, rfft, irfft):
     a = two_limb_vector(1) if wide else np.arange(64, dtype=np.int64)
     b = {"same": a, "copy": a.copy(), "distinct": two_limb_vector(2)}[other]
     plan = plan_cyclic_convolution(64, norm(a), norm(b))
-    assert (plan.engine, plan.limbs) == ("fft", 2 if wide else 1)
+    assert plan.limbs == (2 if wide else 1)
     got = cyclic_convolve_exact(a, b)
     assert dict(fft_calls) == {"rfft": rfft, "irfft": irfft}
     assert as_ints(got) == as_ints(cyclic_convolve_direct(a, b))
@@ -354,7 +440,7 @@ def test_limb_boundary_matches_direct(fft_calls, monkeypatch, bits, rfft, irfft,
     a[5] = 2**bits - 1
     b = two_limb_vector(2)
     plan = plan_cyclic_convolution(64, norm(a), norm(b))
-    assert (plan.engine, plan.limbs, plan.limb_bits) == ("fft", 2, 18)
+    assert (plan.limbs, plan.limb_bits) == (2, 18)
     norm_ceiling = transform._norm_ceiling
     monkeypatch.setattr(transform, "_norm_ceiling",
                         lambda v: fft_calls.update(["norm"]) or norm_ceiling(v))
@@ -412,15 +498,25 @@ def test_sum_of_squares_past_31_bits_is_exact(rng, bits):
 
 def test_norm_ceiling_past_int64():
     assert_tight_norm_ceiling(np.array([2**70, 3, 0], dtype=object))
-    assert transform._norm_ceiling(np.array([2**600], dtype=object)) == math.inf
+    # past the float range the ceiling is the integer isqrt(s) + 1
+    wide = np.array([2**600, 2**600 - 1, 5], dtype=object)
+    assert transform._norm_ceiling(wide[:1]) == 2**600 + 1
+    ceiling = transform._norm_ceiling(wide)
+    assert type(ceiling) is int and (ceiling - 1) ** 2 <= 2**1201 < ceiling**2
+    # so entries of 2**600 get a finite plan, and the exact product
+    plan = plan_cyclic_convolution(3, ceiling, ceiling)
+    assert 12 <= plan.limbs and plan.error < 0.5
+    assert as_ints(cyclic_convolve_exact(wide, wide)) == as_ints(
+        cyclic_convolve_direct(wide, wide))
 
 
 def fraction_norm_ceiling(s):
-    """The ceiling's former form: step up while Fraction(root) ** 2 < s."""
+    """The ceiling's former form: step up while Fraction(root) ** 2 < s;
+    past the float range, isqrt(s) + 1."""
     try:
         root = math.sqrt(s)
     except OverflowError:
-        return math.inf
+        return math.isqrt(s) + 1
     while Fraction(root) ** 2 < s:
         root = math.nextafter(root, math.inf)
     return root
@@ -433,7 +529,7 @@ def test_norm_ceiling_equals_the_fraction_form(monkeypatch):
     edges = [0, 1, 2, 3, 4, 5, 2**52, 2**53 - 1, 2**53, 2**53 + 1,
              (2**53 - 1) ** 2, (2**53 - 1) ** 2 + 1, (2**53 + 1) ** 2 - 1,
              2**106 + 1, 2**126 - 1, 10**300 + 7, 2**1023 + 1, 2**1024 - 2**971,
-             2**1024 - 1]
+             2**1024 - 1, 2**1024, 2**1200, 2**1200 + 1, (2**600 + 1) ** 2]
     drawn = [int(rng.integers(1, 2**62)) << int(rng.integers(0, 960))
              for _ in range(200)]
     roots = [int(rng.integers(1, 2**62)) << int(rng.integers(0, 450))
@@ -475,13 +571,15 @@ def test_exact_preserves_total_mass(rng):
     assert int(np.sum(out)) == int(a.sum()) * int(b.sum())
 
 
-def test_bigint_fallback_matches_direct(rng):
+def test_wide_limb_product_matches_direct(rng, monkeypatch):
+    # more than 8 limbs of 160-bit entries, with no big-integer product
     a = (rng.integers(1, 2**40, size=33).astype(object)) ** 4
     b = (rng.integers(1, 2**40, size=33).astype(object)) ** 4
+    assert plan_cyclic_convolution(33, norm(a), norm(b)).limbs > 8
+    monkeypatch.setattr(transform, "_cyclic_convolve_bigint", None)
     got = cyclic_convolve_exact(a, b)
     want = cyclic_convolve_direct(a, b)
     assert as_ints(got) == as_ints(want)
-    assert plan_cyclic_convolution(33, norm(a), norm(b)).engine == "bigint"
 
 
 def test_wide_values_stay_exact():
