@@ -34,7 +34,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from . import counting, expsums, kernels
+from . import counting, expsums, field, kernels
 from .counting import CountQuery
 from .errors import (
     EngineMismatchError,
@@ -412,11 +412,17 @@ def direct_discrepancy(wm: FactorialWindow, wn: FactorialWindow) -> float:
 
     Exact over all M*N pairs, guarded: the brute engine's pair tally,
     with its checked power table.  The reference against which the
-    spectral estimate must stay an upper bound.
+    spectral estimate must stay an upper bound.  Its tally has p bins, so
+    it is refused past field.BRUTE_TALLY_LIMIT, as the brute engine is.
     """
     if wm.N * wn.N > DIRECT_DISCREPANCY_GUARD:
         raise GuardExceededError(
             f"direct discrepancy handles at most {DIRECT_DISCREPANCY_GUARD} pairs"
+        )
+    if wm.p > field.BRUTE_TALLY_LIMIT:
+        raise GuardExceededError(
+            f"the direct discrepancy for p={wm.p} needs {wm.p} bins, above "
+            f"the limit of {field.BRUTE_TALLY_LIMIT}"
         )
     powers = functools.partial(counting._power_table, wm.ctx)
     counts = kernels.pair_product_tally(wm.values, wn.values, wm.p, powers)

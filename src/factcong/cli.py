@@ -54,9 +54,12 @@ FORMATS = ("plain", "json", "csv", "tsv")
 class CommandOutput:
     """What a handler hands back: a table held as columns, plus plain text.
 
-    columns maps each column name, in output order, to a list with one
-    Python scalar per row.  plain is a zero-argument callable that builds
-    the plain rendering; it runs only when that format is asked for.
+    columns maps each column name, in output order, to one entry per row:
+    a list of Python scalars, or a 1-D numpy array, which every format
+    converts _RENDER_ROWS rows at a time by tolist (_column_blocks), so no
+    whole-table list of Python scalars is built.  plain is a zero-argument
+    callable that builds the plain rendering; it runs only when that
+    format is asked for.
     """
 
     def __init__(self, columns, plain, default_format="plain", series=None):
@@ -68,7 +71,7 @@ class CommandOutput:
     def rows(self) -> list[dict]:
         """The table as one dict per row, for the JSON envelope."""
         names = list(self.columns)
-        return [dict(zip(names, values)) for values in zip(*self.columns.values())]
+        return [dict(zip(names, row)) for row in _row_tuples(self.columns)]
 
 
 def _single_row(row: dict) -> dict:
@@ -390,10 +393,10 @@ def _json_default(value):
 
 def _cmd_factorials(ns) -> CommandOutput:
     window = PrimeContext.create(ns.p, cache_dir=ns.cache_dir).window(ns.L, ns.N)
-    values = window.values.tolist()
-    columns = {"n": list(range(window.L + 1, window.L + 1 + len(values))),
-               "value": values}
-    return CommandOutput(columns, lambda: " ".join(map(str, values)))
+    columns = {"n": np.arange(window.L + 1, window.L + 1 + window.N),
+               "value": window.values}
+    return CommandOutput(
+        columns, lambda: " ".join(str(value) for _, value in _row_tuples(columns)))
 
 
 def _cmd_expsum(ns) -> CommandOutput:
@@ -403,13 +406,12 @@ def _cmd_expsum(ns) -> CommandOutput:
         sv = expsums.single_sum(window, ns.a)
         return _sum_value_output("a", sv.a, sv)
     if ns.kind == "batch":
-        a, re, im, mag = expsums.batch_single_sums(window).to_rows()
-        columns = {"a": a, "re": re, "im": im, "abs": mag}
+        columns = dict(zip(("a", "re", "im", "abs"),
+                           expsums.batch_single_sums(window).to_rows()))
         return CommandOutput(
             columns,
-            lambda: "\n".join(
-                f"{x} {format_complex(complex(r, i))}" for x, r, i in zip(a, re, im)
-            ),
+            lambda: "\n".join(f"{x} {format_complex(complex(r, i))}"
+                              for x, r, i, _ in _row_tuples(columns)),
             default_format="csv",
         )
     if ns.kind == "double":
@@ -456,11 +458,11 @@ def _cmd_count(ns) -> CommandOutput:
     ctx = PrimeContext.create(ns.p, cache_dir=ns.cache_dir)
     query = _count_query(ns, ctx)
     if ns.profile:
-        counts = counting.count_profile(query).tolist()
-        columns = {"lam": list(range(len(counts))), "count": counts}
+        counts = counting.count_profile(query)
+        columns = {"lam": np.arange(counts.size), "count": counts}
         return CommandOutput(
             columns,
-            lambda: "\n".join(f"{lam} {c}" for lam, c in enumerate(counts)),
+            lambda: "\n".join(f"{lam} {c}" for lam, c in _row_tuples(columns)),
             default_format="csv",
         )
     result = counting.count(query, engine=ns.engine)
@@ -596,9 +598,14 @@ _HANDLERS = {
 _RENDER_ROWS = 4096
 
 
-def _column_format(values: list):
-    """repr for an all-float column, str for an all-int column, _cell
-    otherwise.  Each gives the same text as _cell on those values."""
+def _column_format(values):
+    """repr for a float column, str for an integer column, _cell otherwise:
+    an array's by its dtype kind, a list's by the types of its entries.
+    Each gives the same text as _cell on the column's Python scalars (an
+    array's tolist)."""
+    if isinstance(values, np.ndarray):
+        kind = values.dtype.kind
+        return repr if kind == "f" else str if kind in "iu" else _cell
     types = set(map(type, values))
     if types == {float}:
         return repr
@@ -611,12 +618,26 @@ def _formats(columns: dict) -> list:
     return [_column_format(values) for values in columns.values()]
 
 
-def _blocks(columns: dict, formats: list):
-    """The rows of cell text, _RENDER_ROWS rows at a time."""
+def _column_blocks(columns: dict):
+    """The table _RENDER_ROWS rows at a time, each block a list of its
+    columns' Python scalars: an array column's rows by tolist."""
     values = list(columns.values())
     for start in range(0, len(values[0]), _RENDER_ROWS):
         part = slice(start, start + _RENDER_ROWS)
-        yield zip(*[list(map(fmt, col[part])) for fmt, col in zip(formats, values)])
+        yield [col[part].tolist() if isinstance(col, np.ndarray) else col[part]
+               for col in values]
+
+
+def _row_tuples(columns: dict):
+    """The table's rows as tuples of Python scalars, a block at a time."""
+    for block in _column_blocks(columns):
+        yield from zip(*block)
+
+
+def _blocks(columns: dict, formats: list):
+    """The rows of cell text, _RENDER_ROWS rows at a time."""
+    for block in _column_blocks(columns):
+        yield zip(*[list(map(fmt, col)) for fmt, col in zip(formats, block)])
 
 
 def _table_text(columns: dict, formats: list, sep: str) -> str:

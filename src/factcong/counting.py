@@ -26,7 +26,12 @@ and SIGNED with one sign) meets in the middle, as the brute engine does:
 X and Y are the halves of the power (_Inputs.halves), x^(k // 2) and
 x^(k - k // 2).  J, and SIGNED with both signs, correlate two sum
 histograms (_correlation); Q and R convolve their own parts.  F and I
-are sums of squares of the whole power x^ell.  Each call builds every
+are sums of squares of the whole power x^ell, and a sum of squares does
+not change when its bins are permuted: with ell = 1, I squares the value
+histogram over residues, which is its exponent histogram with the bins
+permuted (no factorial vanishes mod p, so the one bin left out is
+empty), and F the product of the two exponent histograms as it is, never
+mapped back to residues.  Each call builds every
 histogram it needs once and runs each distinct exact convolution once
 (_Inputs).  Exponents are read through the context's power table
 (PrimeContext.power_table); no engine reads the discrete-log table.
@@ -515,11 +520,13 @@ _FAMILIES = {
                       lambda q, N, M, T, p: _meet_work(N, q.k, p),
                       signs=lambda k: tuple(1 if i % 2 == 0 else -1 for i in range(k))),
     "F": _Family({"ell": 1, "K": None, "M": None},
-                 lambda q, inp: [inp.power(inp.pairs(), q.ell)],
+                 lambda q, inp: [inp.power(inp.pairs(), q.ell) if q.ell > 1 else
+                                 inp.convolve(inp.exponents("m"), inp.exponents("n"))],
                  lambda q, inp: inp.pair_sums(q.ell),
                  lambda q, N, M, T, p: M * N + (M * N) ** q.ell + p, diagonal=True),
     "I": _Family({"ell": 1},
-                 lambda q, inp: [inp.power(inp.exponents("n"), q.ell)],
+                 lambda q, inp: [inp.power(inp.exponents("n"), q.ell) if q.ell > 1
+                                 else inp.sums("n", 1)],
                  lambda q, inp: kernels.prod_tally(inp.values("n"), q.ell, q.ctx.p,
                                                    inp.powers),
                  lambda q, N, M, T, p: N**q.ell + p, diagonal=True),

@@ -80,8 +80,14 @@ def build_window(ctx: PrimeContext, L: int, N: int) -> FactorialWindow:
 
 
 def value_histogram(window: FactorialWindow) -> np.ndarray:
-    """counts[x] = multiplicity of residue x among the window values."""
-    return np.bincount(window.values, minlength=window.p).astype(np.int64)
+    """counts[x] = multiplicity of residue x among the window values.
+
+    Refused past field.DLOG_MEMORY_LIMIT before its length-p bincount, as
+    the power table is.  bincount counts in int64 on 64-bit platforms, so
+    astype copies nothing there.
+    """
+    field.check_table_limit(window.p, f"the value histogram for p={window.p}")
+    return np.bincount(window.values, minlength=window.p).astype(np.int64, copy=False)
 
 
 def exponent_histogram(window: FactorialWindow) -> np.ndarray:

@@ -350,6 +350,14 @@ def test_direct_discrepancy_guard():
         direct_discrepancy(w, w)
 
 
+def test_direct_discrepancy_refuses_its_tally_past_the_brute_limit(monkeypatch):
+    # short windows at a prime past field.BRUTE_TALLY_LIMIT: the tally's
+    # p bins are refused before they are allocated
+    w = PrimeContext.create(2147483647).window(0, 5)
+    with pytest.raises(GuardExceededError, match="p=2147483647 needs 2147483647 bins"):
+        direct_discrepancy(w, w)
+
+
 def test_erdos_turan_zero_spectrum():
     assert erdos_turan_bound(np.zeros(100), 10, 99) == pytest.approx(3 / 100)
 

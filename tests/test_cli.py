@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import subprocess
@@ -10,7 +12,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from factcong import cli, counting, factorial, field, kernels
+from factcong import cli, counting, expsums, factorial, field, kernels
 from factcong.analysis import BOUND_IDS
 from factcong.cli import (
     CommandOutput,
@@ -105,6 +107,80 @@ def test_format_complex():
 def test_column_format_matches_cell(values):
     fmt = _column_format(values)
     assert list(map(fmt, values)) == list(map(_cell, values))
+
+
+@pytest.mark.parametrize("values", [
+    np.array([1.5, -0.0, 1e-05, 1e16, float("inf"), float("nan")]),
+    np.array([0, -3, 2**62]),
+    np.arange(3, dtype=np.uint32),
+    np.array([10**30, -1, 0], dtype=object),
+    np.array([True, False]),
+    np.array([], dtype=np.float64),
+])
+def test_column_format_matches_cell_on_arrays(values):
+    # an array column is formatted by its dtype kind, a block's tolist at
+    # a time, into the same text as _cell on its entries
+    fmt = _column_format(values)
+    assert list(map(fmt, values.tolist())) == list(map(_cell, values.tolist()))
+    assert list(map(fmt, values.tolist())) == list(map(_cell, values))
+
+
+ARRAY_COLUMNS = {
+    "a": np.arange(6),
+    "re": np.array([1.5, -0.0, 1e-05, 1e16, float("inf"), float("nan")]),
+    "im": np.array([float("nan"), 0.0, -1e16, -1e-05, -float("inf"), 2.5]),
+    "count": np.array([10**30, 0, -3, 2**63, 1, 7], dtype=object),
+}
+
+
+@pytest.mark.parametrize("block", [1, 4, 4096])
+def test_array_columns_render_as_list_columns(monkeypatch, block):
+    monkeypatch.setattr(cli, "_RENDER_ROWS", block)
+
+    def output(columns):
+        return CommandOutput(columns, lambda: "\n".join(
+            " ".join(map(repr, row)) for row in cli._row_tuples(columns)))
+
+    lists = {name: col.tolist() for name, col in ARRAY_COLUMNS.items()}
+    for fmt in ("csv", "tsv", "json", "plain"):
+        got = cli.render({}, output(ARRAY_COLUMNS), fmt)
+        assert got == cli.render({}, output(lists), fmt), fmt
+    assert cli.render({}, output(ARRAY_COLUMNS), "csv").splitlines()[1:3] == [
+        "0,1.5,nan,1000000000000000000000000000000", "1,-0.0,0.0,0"]
+    assert "3\t1e+16\t-1e-05\t" in cli.render({}, output(ARRAY_COLUMNS), "tsv")
+
+
+def test_batch_columns_match_a_list_rendering(capsys):
+    # a, re, im and Python's abs of each complex, as lists were rendered
+    values = expsums.batch_single_sums(PrimeContext.create(1009).window()).values
+    want = ["a,re,im,abs"] + [f"{a},{z.real!r},{z.imag!r},{abs(z)!r}"
+                              for a, z in enumerate(values.tolist())]
+    code, out, err = run_cli(capsys, "expsum", "batch", "--p", "1009")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == want
+    code, out, err = run_cli(capsys, "expsum", "batch", "--p", "1009", "--format", "plain")
+    assert out.splitlines() == [f"{a} {format_complex(z)}"
+                                for a, z in enumerate(values.tolist())]
+
+
+def test_batch_csv_peak_stays_small():
+    # the table is rendered from arrays a block at a time: about 6 MiB of
+    # text, joined once from its blocks, over columns of 3 MiB; lists of
+    # Python floats took the peak to about 26 MiB.  stdout is a StringIO,
+    # which keeps the printed text as it is.
+    with contextlib.redirect_stdout(io.StringIO()):
+        main(["expsum", "batch", "--p", "1009"])
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        tracemalloc.start()
+        try:
+            code = main(["expsum", "batch", "--p", "100043", "--format", "csv"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    assert len(out.getvalue().splitlines()) == 100044
+    assert peak < 16 << 20, peak
 
 
 @pytest.mark.parametrize("block", [1, 2, 4096])
@@ -510,6 +586,66 @@ def test_short_windows_at_a_huge_prime_answer_or_refuse_without_allocating(
         assert out == ""
         assert err.startswith("factcong: guard exceeded: "), err
     assert peak < 1 << 26, peak
+
+
+@pytest.mark.parametrize(("argv", "code"), [
+    # the value histogram is length p: it refuses before its bincount, so
+    # expsum double exits 3 and a bound cell that needs it is skipped
+    ("expsum double --p 2147483647 --N 1000 --M 1000 --a 5", 3),
+    ("verify T3.1 --primes 2147483647 --N 100 --M 100", 0),
+    ("verify B-CharSum --primes 2147483647 --N 100", 0),
+    ("sweep --bounds T3.1 --primes 2147483647 --N 10 --M 10", 0),
+    ("expsum double --p 59999999 --N 1000 --M 1000 --a 5", 3),
+])
+def test_the_value_histogram_refuses_before_allocating(capsys, argv, code):
+    tracemalloc.start()
+    try:
+        got, out, err = run_cli(capsys, *argv.split())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    p = next(tok for tok in argv.split() if tok in ("2147483647", "59999999"))
+    assert got == code, err
+    assert "Traceback" not in err
+    reason = f"the value histogram for p={p} needs {p} entries"
+    if code == 3:
+        assert out == ""
+        assert err.startswith(f"factcong: guard exceeded: {reason}"), err
+    else:
+        assert len(out.splitlines()) == 1  # the header: no cell answered
+        assert f"p={p} skipped: {reason}" in err, err
+    assert peak < 1 << 20, peak
+
+
+HUGE = "2147483647"
+HUGE_COMMANDS = [
+    f"factorials --p {HUGE} --N 10",
+    f"expsum single --p {HUGE} --N 10 --a 3",
+    f"expsum batch --p {HUGE} --N 10",
+    f"expsum double --p {HUGE} --N 10 --M 10 --a 3",
+    f"expsum char --p {HUGE} --N 10 --j 3",
+    f"stats --p {HUGE} --N 10",
+    f"stats --p {HUGE} --N 10 --M 10 --H 3",
+    *(f"count {family} --p {HUGE} --N 10" for family in FAMILIES),
+    f"count SIGNED --k 2 --signs +- --p {HUGE} --N 10",
+    *(f"verify {bound} --primes {HUGE} --N 10" for bound in BOUND_IDS),
+    f"sweep --bounds {','.join(BOUND_IDS)} --primes {HUGE} --N 10 --M 10",
+]
+
+
+@pytest.mark.parametrize("argv", HUGE_COMMANDS)
+def test_every_command_on_short_windows_at_a_huge_prime_exits_cleanly(capsys, argv):
+    # each command and bound at p = 2**31 - 1 answers, refuses or skips
+    # with a documented exit code, before any allocation of length p
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, *argv.split())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code in (0, 2, 3, 4), err
+    assert "Traceback" not in err
+    assert peak < 1 << 20, peak
 
 
 def test_char_builds_no_factorial_window(capsys, monkeypatch):

@@ -1166,3 +1166,66 @@ def test_brute_work_of_t():
                     (4, 340 + 2 * 340**2 + 31)]:
         q = CountQuery(family="T", ctx=ctx, r=r, K=3, M=20, L=5, N=17)
         assert estimate_brute_work(q) == work, r
+
+
+# F and I with ell = 1: a sum of squares read in the domain of its last
+# product
+
+def previous_diagonal_counts(ctx, L, N, K, M):
+    """I and F with ell = 1 as they were counted before: I squares the
+    exponent histogram, F the product histogram mapped back to residues."""
+    e = factorial.exponent_histogram(ctx.window(L, N))
+    pairs = factorial.product_histogram(ctx.window(K, M), ctx.window(L, N))
+    return counting._exact_dot(e, e), counting._exact_dot(pairs, pairs)
+
+
+DIAGONAL_WINDOWS = [
+    (5, 0, None, 0, None),
+    (5, 1, 2, 2, 1),
+    (101, 0, None, 0, None),
+    (101, 7, 60, 7, 60),
+    (101, 3, 40, 20, 70),
+    (1009, 0, None, 0, None),
+    (1009, 250, 700, 250, 700),
+    (1009, 7, 400, 3, 700),
+]
+
+
+@pytest.mark.parametrize(("p", "L", "N", "K", "M"), DIAGONAL_WINDOWS)
+def test_diagonal_ell_1_matches_brute_and_the_previous_path(p, L, N, K, M):
+    ctx = PrimeContext.create(p)
+    N = p - 1 - L if N is None else N
+    M = p - 1 - K if M is None else M
+    want_i, want_f = previous_diagonal_counts(ctx, L, N, K, M)
+    qi = CountQuery(family="I", ctx=ctx, L=L, N=N)
+    qf = CountQuery(family="F", ctx=ctx, L=L, N=N, K=K, M=M)
+    assert count_convolution(qi).count == brute_force_count(qi).count == want_i
+    assert count_convolution(qf).count == brute_force_count(qf).count == want_f
+    # I counts pairs of equal values: the squared multiplicities
+    values = Counter(ctx.window(L, N).values.tolist())
+    assert want_i == sum(c * c for c in values.values())
+
+
+def test_i_with_ell_1_builds_no_power_table(capsys, monkeypatch):
+    argv = ["count", "I", "--p", "1009", "--engine", "conv"]
+    want = main(argv), capsys.readouterr().out
+
+    def refuse(*args):
+        raise AssertionError("count I with ell = 1 built a power table")
+
+    monkeypatch.setattr(kernels, "power_table", refuse)
+    assert (main(argv), capsys.readouterr().out) == want
+    assert want[0] == 0
+
+
+def test_f_with_ell_1_maps_nothing_back_to_residues(capsys, monkeypatch):
+    argvs = [["count", "F", "--p", "1009", *extra, "--engine", "conv"]
+             for extra in ((), ("--K", "3", "--M", "700", "--N", "400"))]
+    want = [(main(argv), capsys.readouterr().out) for argv in argvs]
+
+    def refuse(*args):
+        raise AssertionError("count F with ell = 1 mapped exponents to residues")
+
+    monkeypatch.setattr(factorial, "_exponents_to_residues", refuse)
+    assert [(main(argv), capsys.readouterr().out) for argv in argvs] == want
+    assert [code for code, _ in want] == [0, 0]

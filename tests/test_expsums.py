@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from factcong.errors import ParameterError
+from factcong import expsums, field
+from factcong.errors import GuardExceededError, ParameterError
 from factcong.expsums import (
     batch_character_sums,
     batch_double_sums,
@@ -170,17 +171,38 @@ def test_direct_sums_match_the_roots_table_bit_for_bit(N):
         assert character_sum(w, j).value == complex(table.sum())
 
 
+def test_no_roots_table_past_the_table_limit(monkeypatch):
+    # past field.DLOG_MEMORY_LIMIT even a full window takes its roots term
+    # by term, with the same bits, and no length-p table
+    w = build_window(PrimeContext.create(1009), 0, 1008)
+    want = single_sum(w, 5).value
+    monkeypatch.setattr(field, "DLOG_MEMORY_LIMIT", 1008)
+
+    def refuse(n):
+        raise AssertionError(f"a roots table of length {n}")
+
+    monkeypatch.setattr(expsums, "roots_table", refuse)
+    assert single_sum(w, 5).value == want
+
+
+def test_double_sum_direct_refuses_its_roots_table_past_the_limit(monkeypatch):
+    w = build_window(PrimeContext.create(101), 0, 5)
+    monkeypatch.setattr(field, "DLOG_MEMORY_LIMIT", 100)
+    with pytest.raises(GuardExceededError, match="the roots table for p=101"):
+        double_sum_direct(w, w, 1)
+
+
 def _gathered_character_sum(w, j: int) -> complex:
     """The character sum as it was computed through the window's values,
     roots(j * dlog[values] mod (p - 1)).sum(), with the roots read from
-    the table, which _roots matches bit for bit."""
+    the table, which _root_sum matches bit for bit."""
     n = w.p - 1
     roots = roots_table(n)
     return complex(roots[(j % n * w.ctx.dlog[w.values]) % n].sum())
 
 
 # (p, L, N): full windows, windows with L > 0, and windows that end at
-# p - 1; _roots reads the table when 4N >= p - 1 and takes terms below,
+# p - 1; _root_sum reads the table when 4N >= p - 1 and takes terms below,
 # and at p = 1009 the two sides meet between N = 251 and N = 252
 _CHARACTER_WINDOWS = [
     (p, L, N) for p in (101, 1009, 10007)
@@ -195,6 +217,23 @@ def test_character_sum_is_the_gathered_sum_bit_for_bit(p, L, N):
     w = PrimeContext.create(p).window(L, N)
     for j in (0, 1, (p - 1) // 2, p - 2):
         assert character_sum(w, j).value == _gathered_character_sum(w, j), j
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_direct_sums_are_bit_for_bit_at_every_phase_block(monkeypatch, block):
+    # the phases are made a block at a time, the running sum of indices
+    # carried from block to block, and the terms are summed as one array
+    ctx = PrimeContext.create(1009, with_dlog=True)
+    windows = [ctx.window(L, N) for L, N in ((0, 1008), (30, 251), (30, 252), (958, 50))]
+    monkeypatch.setattr(expsums, "_PHASE_BLOCK", block)
+    for w in windows:
+        for a in (1, 5, 1008):
+            table = roots_table(1009)[(a * w.values) % 1009]
+            terms = np.exp(2j * np.pi * ((a * w.values) % 1009) / 1009)
+            want = table if 4 * w.N >= 1009 else terms
+            assert single_sum(w, a).value == complex(want.sum()), (w.L, w.N, a)
+        for j in (0, 1, 504, 1007):
+            assert character_sum(w, j).value == _gathered_character_sum(w, j), (w.L, w.N, j)
 
 
 def test_character_sum_bit_for_bit_on_the_full_window_at_p_1000033():

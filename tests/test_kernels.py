@@ -166,6 +166,25 @@ def test_factorial_window_across_many_chunks(monkeypatch, chunk):
         assert got.tolist() == sequential_window(p, L, N), (p, L, N)
 
 
+@pytest.mark.parametrize("L", [0, 40])
+@pytest.mark.parametrize("B", [kernels._REDUCE_ROW - 1, kernels._REDUCE_ROW])
+def test_factorial_window_rows_each_side_of_the_reduce_switch(monkeypatch, L, B):
+    # the scan takes s = 128 rows of B entries; rows of _REDUCE_ROW
+    # entries or more are reduced by _reduce, shorter ones by np.remainder
+    p, N = 131071, 128 * B - 50
+    s = math.isqrt(N // 8) + 1
+    assert (s, -(-N // s)) == (128, B)
+    calls = []
+    reduce = kernels._reduce
+    monkeypatch.setattr(kernels, "_reduce",
+                        lambda x, *rest: calls.append(x.shape) or reduce(x, *rest))
+    got = kernels.factorial_window(p, L, N)
+    assert got.tolist() == sequential_window(p, L, N)
+    # the final pass, plus every row after the first on the long side
+    rows = [(B,)] * (s - 1) if B >= kernels._REDUCE_ROW else []
+    assert calls == rows + [(B, s)]
+
+
 def test_factorial_window_memory_flat_in_L():
     # L! is reduced in fixed-size chunks, so a long prefix costs no memory
     p, L, N = 2**31 - 1, 3_000_000, 4
